@@ -26,6 +26,12 @@ import yaml
 
 from .errors import DiagnosticError, ExactModeError, InputError
 from .flowsim import (
+    DEFAULT_GROWTH_CAP,
+    DEFAULT_PERIOD_HORIZON,
+    DEFAULT_PERIOD_STEP,
+    DEFAULT_PROBE_HORIZON,
+    DEFAULT_PROBE_STEP,
+    DEFAULT_RETURN_TOL,
     bounded_probe,
     extrapolate_to_zero,
     min_period,
@@ -34,6 +40,7 @@ from .flowsim import (
 )
 from .invariants import (
     DEFAULT_QMAX,
+    DEFAULT_RATIO_TOL,
     bounded_structure,
     conjugacy_signature,
     decide_conjugate,
@@ -41,8 +48,8 @@ from .invariants import (
     frequency_values,
     rational_classes,
 )
-from .numkit import Matrix, RationalComplex
-from .spectral import SpectrumDescriptor, _lam_parts, spectrum_descriptor
+from .numkit import Matrix, RationalComplex, lam_parts
+from .spectral import SpectrumDescriptor, spectrum_descriptor
 
 __all__ = ["Report", "emit_json", "emit_text", "parse_report", "main"]
 
@@ -233,11 +240,8 @@ def _make_real(tagged, mode: str):
 
 def _make_value(tagged, mode: str):
     if tagged[0] == "complex":
-        re_part = _make_real(tagged[1], mode)
-        im_part = _make_real(tagged[2], mode)
-        if mode == "exact":
-            return RationalComplex(re_part, im_part)
-        return complex(re_part, im_part)
+        # exact matrices are real, so Matrix.exact refuses this entry
+        return complex(_make_real(tagged[1], mode), _make_real(tagged[2], mode))
     return _make_real(tagged, mode)
 
 
@@ -363,7 +367,7 @@ def _system_descriptor(doc: dict, args, where: str, diags: list) -> SpectrumDesc
 def _blocks_payload(desc: SpectrumDescriptor) -> list:
     out = []
     for lam, m, count in desc.blocks:
-        re_v, im_v = _lam_parts(lam)
+        re_v, im_v = lam_parts(lam)
         out.append({"re": re_v, "im": im_v, "size": m, "count": count})
     return out
 
@@ -468,7 +472,7 @@ def _cmd_invariants(doc: dict, args) -> Report:
         mode = ev.mode()
         vals = [_make_real(t, mode) for t in tagged]
         dim_fixed = _plain_int(doc.get("dim_fixed", 0), "dim_fixed")
-        tol = args.tol if args.tol is not None else 1e-9
+        tol = args.tol if args.tol is not None else DEFAULT_RATIO_TOL
         classes = rational_classes(vals, qmax=qmax, tol=tol)
         payload = {
             "mode": mode,
@@ -521,17 +525,17 @@ def _cmd_simulate(doc: dict, args) -> Report:
         arr, _ = realize_blocks(blocks)
     point = [_float_of(t) for t in point_tagged]
 
-    cap = doc.get("growth_cap", 1000.0)
+    cap = doc.get("growth_cap", DEFAULT_GROWTH_CAP)
     if isinstance(cap, bool) or not isinstance(cap, (int, float)):
         raise InputError("growth_cap: expected a number")
-    horizon = args.horizon if args.horizon is not None else 1000.0
-    step = args.grid_step if args.grid_step is not None else 0.25
-    tol = args.tol if args.tol is not None else 1e-9
+    horizon = args.horizon if args.horizon is not None else DEFAULT_PROBE_HORIZON
+    step = args.grid_step if args.grid_step is not None else DEFAULT_PROBE_STEP
+    tol = args.tol if args.tol is not None else DEFAULT_RETURN_TOL
     probe = bounded_probe(
         arr, point, horizon=horizon, step=step, growth_cap=float(cap), tol=tol
     )
-    period_horizon = args.horizon if args.horizon is not None else 128.0
-    period_step = args.grid_step if args.grid_step is not None else 0.01
+    period_horizon = args.horizon if args.horizon is not None else DEFAULT_PERIOD_HORIZON
+    period_step = args.grid_step if args.grid_step is not None else DEFAULT_PERIOD_STEP
     period = min_period(
         arr, point, horizon=period_horizon, step=period_step, tol=tol
     )

@@ -13,6 +13,7 @@ sit on different orbits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +21,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DiagnosticError, InputError
-from .numkit import Matrix, RationalComplex, inverse_exact, mat_exp_array, solve_exact
+from .numkit import (
+    Matrix,
+    inverse_exact,
+    lam_parts,
+    mat_exp_array,
+    re_sign,
+    solve_exact,
+)
 
 __all__ = [
     "OrbitSample",
@@ -47,6 +55,7 @@ DEFAULT_PROBE_STEP = 0.25
 DEFAULT_GROWTH_CAP = 1000.0
 DEFAULT_PERIOD_HORIZON = 128.0
 DEFAULT_PERIOD_STEP = 0.01
+DEFAULT_RETURN_TOL = 1e-9
 _BISECT_STEPS = 40
 _VERIFY_SPAN = 1000.0
 _VERIFY_STEP = 0.01
@@ -65,9 +74,9 @@ def _as_array(a) -> np.ndarray:
 def _as_vector(x0, n: int) -> np.ndarray:
     items = list(x0)
     vec = np.asarray(
-        [complex(c) for c in items]
-        if any(isinstance(c, (RationalComplex, complex)) for c in items)
-        else [float(c) for c in items]
+        [float(c) for c in items]
+        if all(isinstance(c, numbers.Real) for c in items)
+        else [complex(*lam_parts(c)) for c in items]
     )
     if vec.shape != (n,):
         raise InputError(f"initial point has {vec.size} coordinates, expected {n}")
@@ -90,7 +99,9 @@ class OrbitSample:
 
     @property
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.points, axis=1)
+        # an orbit that overflowed holds inf/nan rows; callers test for them
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linalg.norm(self.points, axis=1)
 
 
 def orbit_sample(a, x0, horizon: float, step: float) -> OrbitSample:
@@ -119,18 +130,12 @@ def orbit_sample(a, x0, horizon: float, step: float) -> OrbitSample:
 # ---- canonical realizations -------------------------------------------------
 
 
-def _to_complex(lam) -> complex:
-    if isinstance(lam, (RationalComplex, Fraction, int, float, complex)):
-        return complex(lam)
-    raise InputError(f"cannot interpret eigenvalue {lam!r}")
-
-
 def jordan_flow(lam, m: int, t: float) -> np.ndarray:
     """exp(tJ) for the single m-block with eigenvalue lam, in closed form:
     exp(lam t) times powers t^k/k! on the k-th superdiagonal."""
     if m < 1:
         raise InputError("block size must be at least 1")
-    lam_c = _to_complex(lam)
+    lam_c = complex(*lam_parts(lam))
     out = np.zeros((m, m), dtype=complex)
     coeff = np.exp(lam_c * t)
     fact = 1.0
@@ -163,7 +168,7 @@ def realize_blocks(blocks):
     out = np.zeros((n, n), dtype=complex)
     at = 0
     for lam, m in layout:
-        lam_c = _to_complex(lam)
+        lam_c = complex(*lam_parts(lam))
         for i in range(m):
             out[at + i, at + i] = lam_c
             if i + 1 < m:
@@ -191,50 +196,36 @@ class ProbeResult:
     ratio: float | None = None
 
 
-def _re_of(lam) -> tuple:
-    """(real part as float, is exactly zero flag) for any eigenvalue type."""
-    if isinstance(lam, RationalComplex):
-        return float(lam.re), lam.re == 0
-    if isinstance(lam, Fraction):
-        return float(lam), lam == 0
-    if isinstance(lam, int):
-        return float(lam), lam == 0
-    c = complex(lam)
-    return c.real, c.real == 0.0
-
-
 def bounded_exact(layout, x0, coord_tol: float = 0.0, re_tol: float = 0.0) -> ProbeResult:
     """Structural boundedness decision from a known block layout.
 
     The orbit of x0 under the realized block-diagonal flow is bounded
     exactly when every block with nonzero real part carries only zero
     coordinates and every zero-real-part block carries weight on its
-    leading coordinate alone.  Coordinates within coord_tol of zero are
-    treated as zero; real parts within re_tol count as zero.
+    leading coordinate alone.  Exact values are compared exactly; float
+    coordinates within coord_tol of zero are treated as zero, and float
+    real parts within re_tol count as zero.
     """
     n = sum(m for _, m in layout)
     if len(x0) != n:
         raise InputError(f"initial point has {len(x0)} coordinates, expected {n}")
 
     def is_zero(c) -> bool:
-        if isinstance(c, (Fraction, int)):
-            return c == 0
-        if isinstance(c, RationalComplex):
-            return c.re == 0 and c.im == 0
-        return abs(complex(c)) <= coord_tol
+        re, im = lam_parts(c)
+        if isinstance(re, Fraction):
+            return re == 0 and im == 0
+        return math.hypot(re, im) <= coord_tol
 
     at = 0
     for idx, (lam, m) in enumerate(layout):
-        re, re_exact_zero = _re_of(lam)
-        hyperbolic = (abs(re) > re_tol) and not re_exact_zero
         coords = x0[at : at + m]
-        if hyperbolic:
+        if re_sign(lam, re_tol):
             bad = next((j for j, c in enumerate(coords) if not is_zero(c)), None)
             if bad is not None:
                 return ProbeResult(
                     "unbounded",
-                    f"block {idx} has real part {re:g} and a nonzero "
-                    f"coordinate at offset {bad}",
+                    f"block {idx} has real part {float(lam_parts(lam)[0]):g} "
+                    f"and a nonzero coordinate at offset {bad}",
                 )
         else:
             bad = next(
@@ -259,7 +250,7 @@ def bounded_probe(
     horizon: float = DEFAULT_PROBE_HORIZON,
     step: float = DEFAULT_PROBE_STEP,
     growth_cap: float = DEFAULT_GROWTH_CAP,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_RETURN_TOL,
 ) -> ProbeResult:
     """Sampling boundedness probe over a finite window.
 
@@ -323,7 +314,7 @@ def min_period(
     x0,
     horizon: float = DEFAULT_PERIOD_HORIZON,
     step: float = DEFAULT_PERIOD_STEP,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_RETURN_TOL,
 ) -> PeriodResult:
     """Minimal t > 0 with exp(tA) x0 back at x0, by grid scan plus
     derivative-sign bisection.
@@ -569,7 +560,7 @@ def witness_sequence(
     at time times[n] exactly onto the prescribed y head; the unheaded
     coordinates decay to zero on both sides.
     """
-    heads = [_to_complex(c) for c in head]
+    heads = [complex(*lam_parts(c)) for c in head]
     if count < 1:
         raise InputError("count must be positive")
     beta = float(beta)

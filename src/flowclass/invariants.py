@@ -20,8 +20,8 @@ from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import DiagnosticError, InconsistentInvariantsError, InputError
-from .numkit import RationalComplex
-from .spectral import Block, SpectrumDescriptor, _lam_parts
+from .numkit import lam_parts, re_sign
+from .spectral import Block, SpectrumDescriptor
 
 __all__ = [
     "ConjugacySignature",
@@ -85,12 +85,6 @@ class Verdict:
     certificate: str | None = None
 
 
-def _re_sign(re, tol: float) -> int:
-    if isinstance(re, Fraction):
-        return (re > 0) - (re < 0)
-    return 0 if abs(re) <= tol else ((re > 0) - (re < 0))
-
-
 def conjugacy_signature(
     desc: SpectrumDescriptor, tol: float | None = None
 ) -> ConjugacySignature:
@@ -100,8 +94,8 @@ def conjugacy_signature(
     plus = minus = 0
     center: dict = {}
     for lam, m, count in desc.blocks:
-        re, im = _lam_parts(lam)
-        sign = _re_sign(re, tol)
+        _, im = lam_parts(lam)
+        sign = re_sign(lam, tol)
         if sign > 0:
             plus += m * count
         elif sign < 0:
@@ -384,7 +378,7 @@ def bounded_structure(
     dim_fixed = 0
     freqs = []
     for lam, m, count in center:
-        _, im = _lam_parts(lam)
+        _, im = lam_parts(lam)
         zero_im = (im == 0) if desc.exact else (abs(float(im)) <= _CENTER_TOL)
         if zero_im:
             dim_fixed += count
@@ -607,9 +601,7 @@ def reduction_dimensions(center_blocks: Sequence, kmax: int) -> list:
         raise InputError("kmax must be nonnegative")
     blocks = [Block(*b) for b in center_blocks]
     for b in blocks:
-        re, _ = _lam_parts(b.lam)
-        nonzero = (re != 0) if isinstance(re, Fraction) else abs(float(re)) > _CENTER_TOL
-        if nonzero:
+        if re_sign(b.lam, _CENTER_TOL):
             raise InputError("reduction tower is defined on zero-real-part blocks")
     levels = []
     for k in range(kmax + 1):
@@ -618,8 +610,7 @@ def reduction_dimensions(center_blocks: Sequence, kmax: int) -> list:
             if b.m > k:
                 per[b.lam] = per.get(b.lam, 0) + b.count
         mults = tuple(
-            sorted(per.items(), key=lambda kv: (float(_lam_parts(kv[0])[0]),
-                                                float(_lam_parts(kv[0])[1])))
+            sorted(per.items(), key=lambda kv: tuple(map(float, lam_parts(kv[0]))))
         )
         levels.append(ReductionLevel(k, sum(per.values()), mults))
     return levels

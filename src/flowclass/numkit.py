@@ -1,10 +1,11 @@
 """Scalar and matrix substrate.
 
 Everything downstream runs in one of two scalar modes.  Exact mode keeps
-entries as `fractions.Fraction` (real) or `RationalComplex` (a pair of
-Fractions, so purely imaginary rationals stay exact).  Float mode keeps
-entries as `float` / `complex`.  A matrix never mixes modes; complex
-values are explicit real pairs in both modes.
+matrix entries as `fractions.Fraction`: exact matrices are real-only.
+Float mode keeps entries as `float` / `complex`.  A matrix never mixes
+modes.  `RationalComplex` (a pair of Fractions) is the scalar type of
+exact eigenvalues; it never enters a matrix.  `lam_parts`,
+`canonical_lam` and `re_sign` read any scalar of either mode.
 
 Provided here: the `Matrix` and `Poly` containers, rank by Gaussian
 elimination with a scaled pivot threshold, characteristic polynomials
@@ -17,6 +18,7 @@ rank sequences of shifted powers, and exact linear solves.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -27,6 +29,9 @@ from .errors import DiagnosticError, InputError
 
 __all__ = [
     "RationalComplex",
+    "lam_parts",
+    "canonical_lam",
+    "re_sign",
     "Matrix",
     "Poly",
     "rank",
@@ -61,10 +66,6 @@ class RationalComplex:
 
     re: Fraction
     im: Fraction
-
-    @staticmethod
-    def of(re, im=0) -> "RationalComplex":
-        return RationalComplex(Fraction(re), Fraction(im))
 
     @staticmethod
     def _lift(x):
@@ -145,31 +146,51 @@ class RationalComplex:
         return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
 
 
-def _is_exact_scalar(x) -> bool:
-    return isinstance(x, (Fraction, RationalComplex)) or (
-        isinstance(x, int) and not isinstance(x, bool)
-    )
+def lam_parts(lam) -> tuple:
+    """(re, im) of a scalar: Fractions for an exact value (Fraction, int,
+    RationalComplex), floats for a float or complex one."""
+    if isinstance(lam, RationalComplex):
+        return lam.re, lam.im
+    if isinstance(lam, (Fraction, int)):
+        return Fraction(lam), Fraction(0)
+    if isinstance(lam, numbers.Complex):
+        z = complex(lam)
+        return z.real, z.imag
+    raise InputError(f"cannot interpret scalar {lam!r}")
+
+
+def canonical_lam(lam):
+    """One scalar convention per value: real values are Fraction or float,
+    never zero-imaginary complex wrappers; ints count as exact."""
+    re, im = lam_parts(lam)
+    if im == 0:
+        return re
+    return lam if isinstance(lam, RationalComplex) else complex(re, im)
+
+
+def re_sign(lam, tol: float = 0.0) -> int:
+    """Sign of the real part: exact for an exact scalar; a float real part
+    within tol of zero counts as zero."""
+    re, _ = lam_parts(lam)
+    if not isinstance(re, Fraction) and abs(re) <= tol:
+        return 0
+    return (re > 0) - (re < 0)
 
 
 def _zero(mode: str, field: str):
     if mode == "exact":
-        return RationalComplex.of(0) if field == "complex" else Fraction(0)
+        return Fraction(0)
     return 0j if field == "complex" else 0.0
 
 
 def _one(mode: str, field: str):
     if mode == "exact":
-        return RationalComplex.of(1) if field == "complex" else Fraction(1)
+        return Fraction(1)
     return 1 + 0j if field == "complex" else 1.0
 
 
 def _normalize_entry(x, mode: str, field: str):
     if mode == "exact":
-        if field == "complex":
-            lifted = RationalComplex._lift(x)
-            if lifted is None:
-                raise InputError(f"exact complex matrix cannot hold {x!r}")
-            return lifted
         return _as_fraction(x)
     # float mode: exact scalars must cross through to_float() explicitly,
     # except plain ints, which are lossless in both modes
@@ -185,7 +206,11 @@ def _normalize_entry(x, mode: str, field: str):
 
 
 class Matrix:
-    """Immutable square matrix over a single scalar mode."""
+    """Immutable square matrix over a single scalar mode.
+
+    Exact matrices are real, with Fraction entries; float matrices hold
+    float entries (field "real") or complex ones (field "complex").
+    """
 
     __slots__ = ("rows", "n", "mode", "field")
 
@@ -197,14 +222,12 @@ class Matrix:
         if n == 0 or any(len(r) != n for r in rows):
             raise InputError("matrix must be square and nonempty")
         if field is None:
-            has_complex = any(
-                isinstance(x, (RationalComplex, complex)) and not isinstance(x, float)
-                for r in rows
-                for x in r
-            )
+            has_complex = any(isinstance(x, complex) for r in rows for x in r)
             field = "complex" if has_complex else "real"
         if field not in ("real", "complex"):
             raise InputError(f"unknown field {field!r}")
+        if mode == "exact" and field == "complex":
+            raise InputError("exact matrices are real; complex entries need float mode")
         norm = tuple(
             tuple(_normalize_entry(x, mode, field) for x in r) for r in rows
         )
@@ -245,14 +268,13 @@ class Matrix:
         """Single block: lam on the diagonal, ones on the superdiagonal."""
         if m < 1:
             raise InputError("block size must be at least 1")
-        field = "complex" if isinstance(lam, (RationalComplex, complex)) else "real"
-        zero, one = _zero(mode, field), _one(mode, field)
+        zero, one = _zero(mode, "real"), _one(mode, "real")
         rows = [[zero] * m for _ in range(m)]
         for i in range(m):
             rows[i][i] = lam
             if i + 1 < m:
                 rows[i][i + 1] = one
-        return cls(rows, mode, field)
+        return cls(rows, mode)
 
     @classmethod
     def block_diag(cls, mats: Sequence["Matrix"]) -> "Matrix":
@@ -393,26 +415,21 @@ class Matrix:
         return acc
 
     def scaled(self, s) -> "Matrix":
-        field = self.field
-        if isinstance(s, (RationalComplex, complex)):
-            field = "complex"
-        base = self.complexified() if field == "complex" else self
+        field = "complex" if isinstance(s, complex) else self.field
         return Matrix(
-            [[s * x for x in row] for row in base.rows], self.mode, field
+            [[s * x for x in row] for row in self.rows], self.mode, field
         )
 
     def shifted(self, lam) -> "Matrix":
-        """Return self - lam * I, promoting to the complex field if needed."""
-        if self.mode == "exact" and not _is_exact_scalar(lam):
-            raise InputError("exact matrix needs an exact shift value")
+        """Return self - lam * I; a complex shift makes a float matrix
+        complex, and an exact matrix takes only a rational shift."""
         if self.mode == "float" and isinstance(lam, (Fraction, RationalComplex)):
             lam = complex(lam) if isinstance(lam, RationalComplex) else float(lam)
-        complex_shift = isinstance(lam, (RationalComplex, complex))
-        base = self.complexified() if complex_shift else self
-        rows = [list(r) for r in base.rows]
-        for i in range(base.n):
+        field = "complex" if isinstance(lam, complex) else self.field
+        rows = [list(r) for r in self.rows]
+        for i in range(self.n):
             rows[i][i] = rows[i][i] - lam
-        return Matrix(rows, base.mode, base.field)
+        return Matrix(rows, self.mode, field)
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.n:
@@ -436,18 +453,10 @@ class Matrix:
     def max_abs(self) -> float:
         return max(abs(x) for row in self.rows for x in row)
 
-    def one_norm(self) -> float:
-        return max(
-            sum(abs(self.rows[i][j]) for i in range(self.n)) for j in range(self.n)
-        )
-
     def inf_norm(self) -> float:
         return max(sum(abs(x) for x in row) for row in self.rows)
 
     def is_zero(self) -> bool:
-        if self.mode == "exact":
-            return all(not x if isinstance(x, RationalComplex) else x == 0
-                       for row in self.rows for x in row)
         return all(x == 0 for row in self.rows for x in row)
 
     # ---- equality -------------------------------------------------------
@@ -497,13 +506,8 @@ class Poly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def float_coeffs(self) -> tuple:
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, (RationalComplex, complex)):
-                out.append(complex(c))
-            else:
-                out.append(float(c))
-        return tuple(out)
+        return tuple(complex(c) if isinstance(c, complex) else float(c)
+                     for c in self.coeffs)
 
     def __str__(self):
         if not self.coeffs:
@@ -746,33 +750,61 @@ def mat_exp(a: Matrix, t) -> Matrix:
 
 
 def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> list:
-    """[rank((A - lam I)^k) for k = 0..kmax].
+    """[rank((A - lam I)^k) for k = 0..kmax], ranks over the complex numbers.
 
     The sequence starts at n and never increases; it stabilizes at
-    n minus the algebraic multiplicity of lam.  A sequence that rises
-    under the float tolerance raises a DiagnosticError.
+    n minus the algebraic multiplicity of lam.  Measuring stops at the
+    first k whose rank equals the one before it, and that stable rank
+    fills the remaining entries.
+
+    For an exact A and a non-real lam = a + bi the ranks are taken over
+    the rationals, of q(A)^k with q(t) = (t - a)^2 + b^2, and no complex
+    arithmetic is done.  Over C the kernel of q(A)^k is the direct sum
+    of the kernels of (A - lam I)^k and (A - conj(lam) I)^k, which have
+    equal dimension for a real A, so r(k) = n - (n - rank q(A)^k) / 2;
+    an odd nullity n - rank q(A)^k raises DiagnosticError.  Every other
+    input shifts by lam directly.  A sequence that rises (under the
+    float tolerance) raises DiagnosticError.
     """
     if kmax < 0:
         raise InputError("kmax must be nonnegative")
-    shifted = a.shifted(lam)
-    seq = [a.n]
+    n = a.n
+    lam = canonical_lam(lam)
+    pair = a.mode == "exact" and isinstance(lam, RationalComplex)
+    if pair:
+        re, im = lam.re, lam.im
+        # q(A) = A^2 - 2a A + (a^2 + b^2) I
+        step = (a @ a) - a.scaled(2 * re) + Matrix.identity(n).scaled(
+            re * re + im * im
+        )
+    else:
+        step = a.shifted(lam)
+    seq = [n]
     power = None
-    for _ in range(kmax):
-        power = shifted if power is None else power @ shifted
-        seq.append(rank(power, tol))
-    for i in range(1, len(seq)):
-        if seq[i] > seq[i - 1]:
-            raise DiagnosticError(
-                f"rank sequence increased under tolerance: {seq}"
-            )
-    return seq
+    while len(seq) <= kmax:
+        power = step if power is None else power @ step
+        r = rank(power, tol)
+        if pair:
+            nullity = n - r
+            if nullity % 2:
+                raise DiagnosticError(
+                    f"q(A)^{len(seq)} at the pair {lam} has odd nullity {nullity}; "
+                    "a real matrix has paired kernels"
+                )
+            r = n - nullity // 2
+        if r > seq[-1]:
+            raise DiagnosticError(f"rank sequence increased: {seq + [r]}")
+        seq.append(r)
+        if r == seq[-2]:
+            break
+    return seq + [seq[-1]] * (kmax + 1 - len(seq))
 
 
 # ---- exact solves ------------------------------------------------------------
 
 
 def _gauss_jordan_exact(m: Matrix, aug: list) -> list:
-    """Reduce [m | aug] in place over Fraction / RationalComplex; return aug."""
+    """Reduce [m | aug] in place over the rationals; return aug."""
     rows = [list(r) for r in m.rows]
     n = m.n
     width = len(aug[0])
@@ -803,8 +835,7 @@ def solve_exact(m: Matrix, rhs: Sequence) -> tuple:
         raise InputError("solve_exact needs an exact matrix")
     if len(rhs) != m.n:
         raise InputError("right-hand side length does not match")
-    lift = (lambda x: RationalComplex._lift(x)) if m.field == "complex" else _as_fraction
-    aug = [[lift(x)] for x in rhs]
+    aug = [[_as_fraction(x)] for x in rhs]
     out = _gauss_jordan_exact(m, aug)
     return tuple(row[0] for row in out)
 

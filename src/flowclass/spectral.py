@@ -1,5 +1,8 @@
 """Spectral extraction for real square matrices.
 
+Exact matrices are real-only (Fraction entries); their eigenvalues are
+Fraction or RationalComplex values.
+
 Eigenvalues come from the characteristic polynomial.  In exact mode the
 polynomial is factored over the rationals and succeeds only when every
 root has rational real and imaginary parts; anything else raises
@@ -10,8 +13,9 @@ are paired into conjugates before any counting happens.
 
 Block sizes are never computed from eigenvectors.  The count of size-m
 blocks at an eigenvalue is the second difference of the rank sequence of
-shifted powers:  count(lam, m) = r(m-1) - 2 r(m) + r(m+1).  In exact
-mode a conjugate pair a +- bi is measured through the real quadratic
+shifted powers:  count(lam, m) = r(m-1) - 2 r(m) + r(m+1), with the
+sequence from `numkit.power_rank_sequence`.  In exact mode a conjugate
+pair a +- bi is measured there through the real quadratic
 (A - aI)^2 + b^2 I, so the ranks stay over the rationals.
 """
 
@@ -25,7 +29,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DiagnosticError, ExactModeError, InputError, NonConvergenceError
-from .numkit import Matrix, Poly, RationalComplex, char_poly, rank
+from .numkit import (
+    Matrix,
+    RationalComplex,
+    canonical_lam,
+    char_poly,
+    lam_parts,
+    power_rank_sequence,
+    re_sign,
+)
 
 __all__ = [
     "Block",
@@ -50,29 +62,8 @@ class Block(NamedTuple):
     count: int
 
 
-def _lam_parts(lam):
-    """(re, im) of an eigenvalue in either scalar mode."""
-    if isinstance(lam, RationalComplex):
-        return lam.re, lam.im
-    if isinstance(lam, (Fraction, int)):
-        return Fraction(lam), Fraction(0)
-    z = complex(lam)
-    return z.real, z.imag
-
-
-def _canonical_lam(lam):
-    """One scalar convention per value: real eigenvalues are Fraction or
-    float, never zero-imaginary complex wrappers; ints count as exact."""
-    if isinstance(lam, RationalComplex):
-        return lam.re if lam.im == 0 else lam
-    if isinstance(lam, (Fraction, int)):
-        return Fraction(lam)
-    z = complex(lam)
-    return z.real if z.imag == 0.0 else z
-
-
 def _sort_key(block: Block):
-    re, im = _lam_parts(block.lam)
+    re, im = lam_parts(block.lam)
     return (float(re), float(im), block.m)
 
 
@@ -96,7 +87,7 @@ class SpectrumDescriptor:
             b = Block(*b)
             if b.m < 1 or b.count < 1:
                 raise InputError("block size and count must be at least 1")
-            key = (_canonical_lam(b.lam), b.m)
+            key = (canonical_lam(b.lam), b.m)
             merged[key] = merged.get(key, 0) + b.count
         out = tuple(
             sorted((Block(lam, m, c) for (lam, m), c in merged.items()), key=_sort_key)
@@ -121,31 +112,20 @@ class SpectrumDescriptor:
         return SpectrumDescriptor(n, out, exact, real_source)
 
     def center_blocks(self, tol: float = 0.0) -> tuple:
-        out = []
-        for b in self.blocks:
-            re, _ = _lam_parts(b.lam)
-            if (re == 0) if self.exact else (abs(float(re)) <= tol):
-                out.append(b)
-        return tuple(out)
+        """Blocks with zero real part; see numkit.re_sign for tol."""
+        return tuple(b for b in self.blocks if not re_sign(b.lam, tol))
 
 
 def _is_conjugate_symmetric(blocks, exact, tol):
-    def conj(lam):
-        if isinstance(lam, RationalComplex):
-            return lam.conjugate()
-        if isinstance(lam, Fraction):
-            return lam
-        return complex(lam).conjugate()
-
     remaining = {}
     for b in blocks:
         remaining[(b.lam, b.m)] = remaining.get((b.lam, b.m), 0) + b.count
     for (lam, m), c in list(remaining.items()):
-        re, im = _lam_parts(lam)
+        _, im = lam_parts(lam)
         if exact:
             if im == 0:
                 continue
-            partner = remaining.get((conj(lam), m), 0)
+            partner = remaining.get((lam.conjugate(), m), 0)
             if partner != c:
                 return False
         else:
@@ -227,7 +207,7 @@ def _eigenvalues_exact(a: Matrix):
                 f"characteristic polynomial has an irreducible factor of degree {deg}; "
                 "rerun in float mode or supply spectrum blocks directly"
             )
-    found.sort(key=lambda p: _lam_parts(p[0]))
+    found.sort(key=lambda p: lam_parts(p[0]))
     return tuple(found)
 
 
@@ -369,18 +349,12 @@ def split_dims(eigs, tol: float | None = None) -> SpectralSplit:
     eigs = list(eigs)
     if tol is None:
         largest = max(
-            (abs(complex(float(_lam_parts(l)[0]), float(_lam_parts(l)[1])))
-             for l, _ in eigs),
-            default=0.0,
+            (abs(complex(*map(float, lam_parts(l)))) for l, _ in eigs), default=0.0
         )
         tol = DEFAULT_CLUSTER_FACTOR * (1.0 + largest)
     plus = minus = zero = 0
     for lam, mult in eigs:
-        re, _ = _lam_parts(lam)
-        if isinstance(re, Fraction):
-            sign = (re > 0) - (re < 0)
-        else:
-            sign = 0 if abs(re) <= tol else ((re > 0) - (re < 0))
+        sign = re_sign(lam, tol)
         if sign > 0:
             plus += mult
         elif sign < 0:
@@ -397,55 +371,17 @@ def jordan_counts(a: Matrix, lam, tol: float | None = None):
     """Counts of block sizes at one eigenvalue, from rank second differences.
 
     Returns a tuple of (m, count) with count > 0, ascending in m.  The
-    rank sequence r(k) = rank (A - lam I)^k over the complex numbers is
-    measured until it stabilizes.
-
-    For a real exact matrix and a non-real lam = a + bi the ranks are
-    taken over the rationals, of q(A)^k with q(t) = (t - a)^2 + b^2, and
-    no complex arithmetic is done.  Over C the kernel of q(A)^k is the
-    direct sum of the kernels of (A - lam I)^k and (A - conj(lam) I)^k,
-    which have equal dimension for a real A, so
-    r(k) = n - (n - rank q(A)^k) / 2; an odd nullity n - rank q(A)^k
-    raises DiagnosticError.  Every other input (float mode, a real lam,
-    a complex-field matrix) shifts by lam directly.
+    rank sequence r(k) = rank (A - lam I)^k over the complex numbers
+    comes from `numkit.power_rank_sequence`, which measures a non-real
+    lam of an exact A through a real quadratic and stops once the
+    sequence is stable.
 
     A rank sequence that rises, a negative block count, or block sizes
     that do not sum to the multiplicity raise DiagnosticError; a lam at
     which nothing drops raises InputError.
     """
     n = a.n
-    pair = (
-        a.mode == "exact"
-        and a.field == "real"
-        and isinstance(lam, RationalComplex)
-        and lam.im != 0
-    )
-    if pair:
-        re, im = lam.re, lam.im
-        # q(A) = A^2 - 2a A + (a^2 + b^2) I
-        step = (a @ a) - a.scaled(2 * re) + Matrix.identity(n).scaled(
-            re * re + im * im
-        )
-    else:
-        step = a.shifted(lam)
-    ranks = [n]
-    power = None
-    for _ in range(n):
-        power = step if power is None else power @ step
-        r = rank(power, tol)
-        if pair:
-            nullity = n - r
-            if nullity % 2:
-                raise DiagnosticError(
-                    f"q(A)^{len(ranks)} at the pair {lam} has odd nullity {nullity}; "
-                    "a real matrix has paired kernels"
-                )
-            r = n - nullity // 2
-        if r > ranks[-1]:
-            raise DiagnosticError(f"rank sequence increased: {ranks + [r]}")
-        ranks.append(r)
-        if r == ranks[-2]:
-            break
+    ranks = power_rank_sequence(a, lam, n, tol)
     stable = ranks[-1]
     mult = n - stable
     if mult == 0:
@@ -453,7 +389,7 @@ def jordan_counts(a: Matrix, lam, tol: float | None = None):
     ext = ranks + [stable]
     counts = []
     total = 0
-    for m in range(1, len(ranks)):
+    for m in range(1, n + 1):
         c = ext[m - 1] - 2 * ext[m] + ext[m + 1]
         if c < 0:
             raise DiagnosticError(
@@ -482,7 +418,7 @@ def spectrum_descriptor(a: Matrix, tol: float | None = None) -> SpectrumDescript
     eigs = eigenvalues(a, tol)
     blocks = []
     for lam, mult in eigs:
-        _, im = _lam_parts(lam)
+        _, im = lam_parts(lam)
         if im < 0:
             continue
         counts = jordan_counts(a, lam, tol)
@@ -494,12 +430,7 @@ def spectrum_descriptor(a: Matrix, tol: float | None = None) -> SpectrumDescript
         for m, c in counts:
             blocks.append(Block(lam, m, c))
             if im > 0:
-                conj = (
-                    lam.conjugate()
-                    if isinstance(lam, RationalComplex)
-                    else complex(lam).conjugate()
-                )
-                blocks.append(Block(conj, m, c))
+                blocks.append(Block(lam.conjugate(), m, c))
     return SpectrumDescriptor.make(
         blocks, n=a.n, exact=(a.mode == "exact"), real_source=True
     )

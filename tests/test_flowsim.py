@@ -3,6 +3,7 @@ reciprocal systems, and witness sequences.  Numeric oracles: closed-form
 rotations, the generic matrix exponential, and exact rational solves."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,15 @@ def test_bounded_probe_origin_and_cap_validation():
     assert bounded_probe(ROT, [0.0, 0.0]).verdict == "bounded"
     with pytest.raises(InputError):
         bounded_probe(ROT, [1.0, 0.0], growth_cap=1.0)
+
+
+def test_bounded_probe_overflow_is_silent():
+    # the expanding direction overflows to inf within the default horizon
+    a, _ = realize_blocks([(0.5, 1, 1), (1j, 1, 1), (-1j, 1, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = bounded_probe(a, [1.0, 1.0, 0.0])
+    assert res.verdict == "unbounded"
 
 
 def test_probe_never_contradicts_exact(rng):

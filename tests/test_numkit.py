@@ -13,6 +13,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import expected_blocks, random_unimodular, realize_real
 from flowclass.errors import DiagnosticError, InputError
 from flowclass.numkit import (
     Matrix,
@@ -90,9 +91,11 @@ def test_float_matrix_rejects_fractions():
 
 
 def test_complex_field_is_inferred():
-    m = Matrix.exact([[RationalComplex(Fraction(0), Fraction(1)), 0], [0, 1]])
-    assert m.field == "complex"
-    assert all(isinstance(x, RationalComplex) for row in m.rows for x in row)
+    # exact matrices are real-only: only a float matrix has a complex field
+    with pytest.raises(InputError):
+        Matrix.exact([[RationalComplex(Fraction(0), Fraction(1)), 0], [0, 1]])
+    with pytest.raises(InputError):
+        Matrix([[1, 0], [0, 1]], "exact", "complex")
     f = Matrix.floating([[1j, 0], [0, 1.0]])
     assert f.field == "complex"
 
@@ -104,10 +107,13 @@ def test_non_square_rejected():
 
 def test_shift_promotes_field():
     m = Matrix.exact([[0, 1], [-1, 0]])
-    shifted = m.shifted(RationalComplex(Fraction(0), Fraction(1)))
-    assert shifted.field == "complex"
+    with pytest.raises(InputError):
+        m.shifted(RationalComplex(Fraction(0), Fraction(1)))  # exact stays real
     with pytest.raises(InputError):
         m.shifted(0.5)  # float shift of an exact matrix
+    shifted = m.to_float().shifted(RationalComplex(Fraction(0), Fraction(1)))
+    assert shifted.field == "complex"
+    assert shifted.rows[0] == (-1j, 1 + 0j)
 
 
 def test_matmul_and_pow_match_numpy():
@@ -324,6 +330,26 @@ def test_power_rank_sequence_is_nonincreasing_property():
         a = Matrix.exact(rows)
         seq = power_rank_sequence(a, Fraction(0), n)
         assert all(x >= y for x, y in zip(seq, seq[1:]))
+
+
+def test_power_rank_sequence_off_axis_pairs_match_construction(rng):
+    # a pair a +- bi with a != 0 is measured through the real quadratic
+    # q(A); over C, rank (A - lam I)^k = n - sum count * min(m, k)
+    for _ in range(4):
+        a = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+        b = Fraction(rng.randint(1, 4), rng.choice((1, 3)))
+        parts = [(a, b, 1, rng.randint(1, 2)), (a, b, 2, 1), (-a, b, 1, 1)]
+        base = realize_real(parts)
+        s, s_inv = random_unimodular(rng, base.n, ops=4 * base.n)
+        dense = (s @ base) @ s_inv
+        kmax = 4
+        for sign in (1, -1):
+            lam = RationalComplex(a, sign * b)
+            blocks = [(m, c) for mu, m, c in expected_blocks(parts) if mu == lam]
+            expected = [
+                dense.n - sum(c * min(m, k) for m, c in blocks) for k in range(kmax + 1)
+            ]
+            assert power_rank_sequence(dense, lam, kmax) == expected, parts
 
 
 # ---- exact solves ------------------------------------------------------------------------
