@@ -8,11 +8,15 @@ exact eigenvalues; it never enters a matrix.  `lam_parts`,
 `canonical_lam` and `re_sign` read any scalar of either mode.
 
 Provided here: the `Matrix` and `Poly` containers, rank by Gaussian
-elimination with a scaled pivot threshold, characteristic polynomials
-(exact: Hessenberg reduction; float: the Faddeev-LeVerrier
-recurrence), matrix exponentials by scaling and
-squaring (with an exact terminating series for nilpotent generators),
-rank sequences of shifted powers, and exact linear solves.
+elimination, characteristic polynomials (exact: Hessenberg reduction;
+float: the Faddeev-LeVerrier recurrence), matrix exponentials by
+scaling and squaring (with an exact terminating series for nilpotent
+generators), rank sequences of shifted powers, and exact linear solves.
+
+Exact ranks, and the powers behind exact rank sequences, run on Python
+ints: the matrix is scaled once by the lcm of its denominators (one
+scalar, never per row), then eliminated fraction-free over the
+integers.  Float ranks zero pivots below a scaled threshold.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -205,6 +210,27 @@ def _normalize_entry(x, mode: str, field: str):
     return float(x)
 
 
+def _row_product(a_rows, b_rows, zero) -> list:
+    """Rows of the product of two square row lists, over any scalars.
+
+    Row by row over the nonzero entries only: realized block matrices and
+    their powers are mostly zeros.  Each entry still sums its products in
+    ascending k; a skipped product has a zero factor, so for finite floats
+    it is +-0 and adding it to an accumulator that starts at +0 changes
+    nothing.
+    """
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b_rows]
+    out = []
+    for ar in a_rows:
+        acc = [zero] * len(b_rows)
+        for k, x in enumerate(ar):
+            if x:
+                for j, y in b_nonzero[k]:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
 class Matrix:
     """Immutable square matrix over a single scalar mode.
 
@@ -302,7 +328,7 @@ class Matrix:
             raise InputError("companion matrix needs degree >= 1")
         coeffs = poly.coeffs
         lead = coeffs[-1]
-        if lead != _one(mode, "real") and lead != 1:
+        if lead != 1:
             raise InputError("companion matrix needs a monic polynomial")
         d = poly.degree
         zero = _zero(mode, "real")
@@ -384,23 +410,8 @@ class Matrix:
 
     def __matmul__(self, other):
         a, b = self._binary_prep(other)
-        n = a.n
-        zero = _zero(a.mode, a.field)
-        # row by row over the nonzero entries only: realized block matrices
-        # and their powers are mostly zeros.  Each entry still sums its
-        # products in ascending k; a skipped product has a zero factor, so
-        # for finite floats it is +-0 and adding it to an accumulator that
-        # starts at +0 changes nothing.
-        b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b.rows]
-        out = []
-        for ar in a.rows:
-            acc = [zero] * n
-            for k, x in enumerate(ar):
-                if x:
-                    for j, y in b_nonzero[k]:
-                        acc[j] += x * y
-            out.append(acc)
-        return Matrix(out, a.mode, a.field)
+        return Matrix(_row_product(a.rows, b.rows, _zero(a.mode, a.field)),
+                      a.mode, a.field)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -534,42 +545,80 @@ class Poly:
 def rank(m: Matrix, tol: float | None = None) -> int:
     """Rank by Gaussian elimination.
 
-    Exact mode eliminates with exact pivots and requires tol = 0 (or
-    omitted).  Float mode treats a pivot as zero when its magnitude is
-    at most tol times the largest entry magnitude of the initial matrix;
-    tol defaults to 1e-10.
+    Exact mode requires tol = 0 (or omitted).  It clears one common
+    denominator, scaling A by the lcm D of its entries' denominators,
+    and eliminates the integer matrix D*A fraction-free over the
+    integers (`_rank_int`); no Fraction arithmetic runs in the loop.
+    Float mode treats a pivot as zero when its magnitude is at most tol
+    times the largest entry magnitude of the initial matrix; tol
+    defaults to 1e-10.
     """
+    _check_tol(m, tol)
+    if m.mode == "exact":
+        return _rank_int(_cleared(m)[1])
+    return _rank_float(m, DEFAULT_RANK_TOL if tol is None else float(tol))
+
+
+def _check_tol(m: Matrix, tol) -> None:
     if tol is not None and tol < 0:
         raise InputError("rank tolerance must be nonnegative")
-    if m.mode == "exact":
-        if tol not in (None, 0):
-            raise InputError("exact mode requires tol = 0")
-        return _rank_exact(m)
-    t = DEFAULT_RANK_TOL if tol is None else float(tol)
-    return _rank_float(m, t)
+    if m.mode == "exact" and tol not in (None, 0):
+        raise InputError("exact mode requires tol = 0")
 
 
-def _rank_exact(m: Matrix) -> int:
-    rows = [list(r) for r in m.rows]
-    n = m.n
+def _cleared(m: Matrix, *extra: Fraction) -> tuple:
+    """(D, rows of D*m as ints), D the lcm of the denominators of m's
+    entries and of extra.  One scalar D keeps the rank of every power of
+    a shifted matrix; clearing each row by its own denominator would
+    multiply by a diagonal matrix that does not commute with m."""
+    d = math.lcm(*(x.denominator for row in m.rows for x in row),
+                 *(x.denominator for x in extra))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m.rows]
+
+
+def _primitive(row: list) -> list:
+    """row divided by the gcd of its entries; [] for a zero row."""
+    g = math.gcd(*row)
+    if not g:
+        return []
+    return row if g == 1 else [x // g for x in row]
+
+
+def _rank_int(rows: list) -> int:
+    """Rank over the rationals of an integer matrix given as rows.
+
+    Fraction-free elimination on primitive rows (Bareiss, Math. Comp. 22,
+    1968, without the determinant bookkeeping): the row with the smallest
+    nonzero leading entry p is the pivot, and every other row with
+    leading entry c becomes (p/g) row - (c/g) pivot, g = gcd(p, c),
+    divided by the gcd of its entries.  The leading column, zero in every
+    remaining row after the step, is dropped, and so are zero rows.  The
+    rows passed in are not modified.
+    """
+    rows = [row for row in map(_primitive, rows) if row]
     r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, n):
-            if rows[i][col]:
-                piv = i
-                break
+    while rows:
+        piv = min((row for row in rows if row[0]), key=lambda row: abs(row[0]),
+                  default=None)
         if piv is None:
+            rows = [row[1:] for row in rows]
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pval = rows[r][col]
-        for i in range(r + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] / pval
-                rows[i] = [rows[i][j] - f * rows[r][j] for j in range(n)]
         r += 1
-        if r == n:
-            break
+        p, ptail = piv[0], piv[1:]
+        rest = []
+        for row in rows:
+            if row is piv:
+                continue
+            c = row[0]
+            if c:
+                g = math.gcd(p, c)
+                u, v = p // g, c // g
+                row = _primitive([u * x - v * y for x, y in zip(row[1:], ptail)])
+            else:
+                row = row[1:]
+            if row:
+                rest.append(row)
+        rows = rest
     return r
 
 
@@ -757,33 +806,38 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     first k whose rank equals the one before it, and that stable rank
     fills the remaining entries.
 
-    For an exact A and a non-real lam = a + bi the ranks are taken over
-    the rationals, of q(A)^k with q(t) = (t - a)^2 + b^2, and no complex
-    arithmetic is done.  Over C the kernel of q(A)^k is the direct sum
-    of the kernels of (A - lam I)^k and (A - conj(lam) I)^k, which have
-    equal dimension for a real A, so r(k) = n - (n - rank q(A)^k) / 2;
-    an odd nullity n - rank q(A)^k raises DiagnosticError.  Every other
-    input shifts by lam directly.  A sequence that rises (under the
-    float tolerance) raises DiagnosticError.
+    An exact A needs an exact lam and tol = 0 (or omitted).  Its powers
+    and ranks are taken over the integers: with D the lcm of the
+    denominators of A, re lam and im lam, and B = D A, the step matrix
+    is B - (D lam) I for a real lam.  For a non-real lam = a + bi it is
+    D^2 q(B / D) = B^2 - 2 (D a) B + ((D a)^2 + (D b)^2) I with
+    q(t) = (t - a)^2 + b^2, so no complex arithmetic is done.  A nonzero
+    scalar multiple has the same rank in every power.  Over C the kernel
+    of q(A)^k is the direct sum of the kernels of (A - lam I)^k and
+    (A - conj(lam) I)^k, which have equal dimension for a real A, so
+    r(k) = n - (n - rank q(A)^k) / 2; an odd nullity n - rank q(A)^k
+    raises DiagnosticError.  Each rank is a fraction-free elimination
+    over the integers (see `rank`).
+
+    A float A shifts by lam directly and takes float ranks under tol.
+    A sequence that rises (under the float tolerance) raises
+    DiagnosticError.
     """
     if kmax < 0:
         raise InputError("kmax must be nonnegative")
     n = a.n
     lam = canonical_lam(lam)
-    pair = a.mode == "exact" and isinstance(lam, RationalComplex)
-    if pair:
-        re, im = lam.re, lam.im
-        # q(A) = A^2 - 2a A + (a^2 + b^2) I
-        step = (a @ a) - a.scaled(2 * re) + Matrix.identity(n).scaled(
-            re * re + im * im
-        )
+    if a.mode == "exact":
+        step, pair = _integer_step(a, lam, tol)
+        multiply, measure = partial(_row_product, zero=0), _rank_int
     else:
-        step = a.shifted(lam)
+        step, pair = a.shifted(lam), False
+        multiply, measure = Matrix.__matmul__, partial(rank, tol=tol)
     seq = [n]
     power = None
     while len(seq) <= kmax:
-        power = step if power is None else power @ step
-        r = rank(power, tol)
+        power = step if power is None else multiply(power, step)
+        r = measure(power)
         if pair:
             nullity = n - r
             if nullity % 2:
@@ -798,6 +852,28 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
         if r == seq[-2]:
             break
     return seq + [seq[-1]] * (kmax + 1 - len(seq))
+
+
+def _integer_step(a: Matrix, lam, tol) -> tuple:
+    """(integer rows of the step matrix, whether lam is a non-real pair)
+    for an exact A; see power_rank_sequence."""
+    _check_tol(a, tol)
+    re, im = lam_parts(lam)
+    if not isinstance(re, Fraction):
+        raise InputError(f"an exact matrix needs an exact eigenvalue, got {lam!r}")
+    d, b = _cleared(a, re, im)
+    da = re.numerator * (d // re.denominator)
+    if not im:
+        for i, row in enumerate(b):
+            row[i] -= da
+        return b, False
+    db = im.numerator * (d // im.denominator)
+    step = _row_product(b, b, 0)
+    for i, (row, brow) in enumerate(zip(step, b)):
+        for j, x in enumerate(brow):
+            row[j] -= 2 * da * x
+        row[i] += da * da + db * db
+    return step, True
 
 
 # ---- exact solves ------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,12 +175,9 @@ def _eigenvalues_exact(a: Matrix):
     import sympy
 
     poly = char_poly(a)
-    t = sympy.Symbol("t")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * t**k
-        for k, c in enumerate(poly.coeffs)
-    )
-    _, factors = sympy.factor_list(sympy.Poly(expr, t, domain="QQ"))
+    descending = [sympy.Rational(c.numerator, c.denominator)
+                  for c in reversed(poly.coeffs)]
+    _, factors = sympy.Poly(descending, sympy.Symbol("t"), domain="QQ").factor_list()
     found = []
     for fac, mult in factors:
         cs = [Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs()]  # descending

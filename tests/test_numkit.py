@@ -352,6 +352,79 @@ def test_power_rank_sequence_off_axis_pairs_match_construction(rng):
             assert power_rank_sequence(dense, lam, kmax) == expected, parts
 
 
+def _sympy_matrix(m):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.rows]
+    )
+
+
+def _row_denominators(rows):
+    """D^-1 rows D with D = diag(1, 2, ..., n): row i is divided by i + 1
+    and column j multiplied by j + 1, a similarity, so rows get
+    different denominators and the spectrum is kept."""
+    return [
+        [Fraction(x) * (j + 1) / (i + 1) for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+def _low_rank(rng, n):
+    """n x r times r x n with row i of the left factor over i + 1."""
+    r = rng.randint(1, n - 1)
+    x = [[Fraction(rng.randint(-3, 3), i + 1) for _ in range(r)] for i in range(n)]
+    y = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(r)]
+    return [[sum(x[i][k] * y[k][j] for k in range(r)) for j in range(n)]
+            for i in range(n)]
+
+
+def test_power_rank_sequence_integer_kernel_matches_sympy(rng):
+    # the integer kernel clears one common denominator; rows with
+    # different denominators and Jordan blocks at lam catch a per-row
+    # clearing, which changes the ranks of powers
+    for _ in range(12):
+        lam = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+        a = Fraction(rng.choice((-1, 1)), rng.choice((1, 2)))
+        b = Fraction(rng.randint(1, 3), 2)
+        parts = [(lam, 0, rng.randint(1, 3), 1), (lam, 0, 1, rng.randint(1, 2)),
+                 (a, b, rng.randint(1, 2), 1)]  # n <= 3 + 2 + 4
+        base = realize_real(parts)
+        s, s_inv = random_unimodular(rng, base.n, ops=3 * base.n)
+        dense = Matrix.exact(_row_denominators(((s @ base) @ s_inv).rows))
+        low = Matrix.exact(_low_rank(rng, base.n))
+        sm = _sympy_matrix(dense)
+        eye = sympy.eye(dense.n)
+        shifted = sm - sympy.Rational(lam.numerator, lam.denominator) * eye
+        sa, sb = (sympy.Rational(x.numerator, x.denominator) for x in (a, b))
+        q = (sm - sa * eye) ** 2 + sb**2 * eye
+        kmax = dense.n
+        want_real = [(shifted**k).rank() for k in range(kmax + 1)]
+        want_pair = [kmax - (kmax - (q**k).rank()) // 2 for k in range(kmax + 1)]
+        assert power_rank_sequence(dense, lam, kmax) == want_real, parts
+        pair = RationalComplex(a, b)
+        assert power_rank_sequence(dense, pair, kmax) == want_pair, parts
+        want_low = [(_sympy_matrix(low) ** k).rank() for k in range(kmax + 1)]
+        assert power_rank_sequence(low, 0, kmax) == want_low
+
+
+def test_rank_integer_kernel_matches_sympy(rng):
+    for _ in range(30):
+        n = rng.randint(2, 10)
+        if rng.random() < 0.5:
+            rows = _low_rank(rng, n)
+        else:
+            rows = [[Fraction(rng.randint(-9, 9), i + 1) for _ in range(n)]
+                    for i in range(n)]
+        m = Matrix.exact(rows)
+        assert rank(m) == _sympy_matrix(m).rank(), rows
+
+
+def test_power_rank_sequence_exact_input_errors():
+    a = Matrix.exact([[0, 1], [-1, 0]])
+    for lam, tol in ((0.5, None), (1j, None), (Fraction(0), 1e-9)):
+        with pytest.raises(InputError):
+            power_rank_sequence(a, lam, 2, tol)
+
+
 # ---- exact solves ------------------------------------------------------------------------
 
 
