@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -206,6 +207,8 @@ def _scan_real(x, path: str, ev: _Evidence):
     if isinstance(x, int):
         return ("int", x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise InputError(f"{path}: expected a finite number")
         if ev.float_at is None:
             ev.float_at = (path, x)
         return ("float", x)

@@ -141,6 +141,57 @@ def test_simulate_horizon_override_limits_search(capsys, tmp_path):
     assert data["probe"]["verdict"] == "undetermined"
 
 
+@pytest.mark.parametrize("bad", [".nan", ".inf", "-.inf"])
+def test_simulate_rejects_non_finite_numbers(capsys, tmp_path, bad):
+    doc = write_doc(
+        tmp_path, f"mode: float\nmatrix: [[0.0, {bad}], [1.0, 0.0]]\npoint: [1.0, 0.0]\n"
+    )
+    code, out, err = run(capsys, "simulate", doc)
+    assert code == 1 and out == ""
+    assert "matrix[0][1]: expected a finite number" in err
+    assert "Traceback" not in err
+
+    doc = write_doc(tmp_path, f"mode: float\nmatrix: [[0.0]]\npoint: [[1.0, {bad}]]\n")
+    code, out, err = run(capsys, "simulate", doc)
+    assert code == 1 and out == ""
+    assert "point[0][1]: expected a finite number" in err
+
+
+@pytest.mark.parametrize("bad", [".nan", ".inf", "-.inf"])
+def test_classify_rejects_non_finite_numbers(capsys, tmp_path, bad):
+    doc = write_doc(tmp_path, f"matrix: [[0.0, -1.0], [1.0, {bad}]]\n")
+    code, out, err = run(capsys, "classify", doc)
+    assert code == 1 and out == ""
+    assert "matrix[1][1]: expected a finite number" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [("--horizon", "inf"), ("--grid-step", "nan")])
+def test_simulate_rejects_non_finite_window(capsys, flag, value):
+    code, out, err = run(
+        capsys, "simulate", str(GOLDEN / "simulate_quarter.yaml"), flag, value
+    )
+    assert code == 1 and out == ""
+    assert "horizon and step must be positive and finite" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_refuses_overflowing_grid_step(capsys, tmp_path):
+    doc = write_doc(
+        tmp_path,
+        "mode: float\n"
+        "spectrum:\n"
+        "  - {re: 3000.0, im: 0.0, size: 1}\n"
+        "  - {re: 0.0, im: 1.0, size: 1}\n"
+        "  - {re: 0.0, im: -1.0, size: 1}\n"
+        "point: [0.0, 1.0, 0.0]\n",
+    )
+    code, out, err = run(capsys, "simulate", doc)
+    assert code == 2 and out == ""
+    assert err.startswith("flowclass: diagnostic:")
+    assert "grid step 0.25; use a smaller step" in err
+
+
 def test_witness_flips_corner_sign(capsys):
     code, out, err = run(
         capsys, "witness", str(GOLDEN / "witness_basic.yaml"),

@@ -11,6 +11,7 @@ import pytest
 
 from flowclass.errors import DiagnosticError, InputError
 from flowclass.flowsim import (
+    DEFAULT_PROBE_HORIZON,
     FactorialSystem,
     bounded_exact,
     bounded_probe,
@@ -56,6 +57,109 @@ def test_orbit_sample_rejects_bad_grid():
         orbit_sample(ROT, [1.0, 0.0], horizon=0.0, step=0.1)
     with pytest.raises(InputError):
         orbit_sample(ROT, [1.0, 0.0], horizon=1.0, step=-0.1)
+    for horizon, step in ((math.inf, 0.1), (1.0, math.nan), (math.nan, 0.1)):
+        with pytest.raises(InputError, match="positive and finite"):
+            orbit_sample(ROT, [1.0, 0.0], horizon=horizon, step=step)
+
+
+def _step_by_step(arr, vec, count, step):
+    """Reference walk: one application of exp(step*A) per grid point."""
+    prop = mat_exp_array(arr, step)
+    pts = np.empty((count, len(vec)), dtype=np.result_type(prop, vec))
+    pts[0] = vec
+    for k in range(1, count):
+        pts[k] = prop @ pts[k - 1]
+    return pts
+
+
+def _random_generator(gen, complex_kind, rate):
+    """S J S^-1 with J built from rotations, center Jordan blocks and mild
+    hyperbolic parts (real parts within +-rate), S a random orthogonal
+    (unitary for complex_kind) change of basis."""
+    cells = []
+    for _ in range(int(gen.integers(1, 4))):
+        w = float(gen.uniform(0.5, 3.0))
+        a = float(gen.choice([0.0, 0.0, gen.uniform(-rate, rate)]))
+        kind = gen.choice(["rotation", "center_jordan", "hyperbolic"])
+        if kind == "rotation":
+            cells.append(np.array([[a, -w], [w, a]]))
+        elif kind == "center_jordan":
+            rot = np.array([[0.0, -w], [w, 0.0]])
+            cells.append(np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]]))
+        else:
+            cells.append(np.array([[float(gen.uniform(-rate, rate))]]))
+    n = sum(c.shape[0] for c in cells)
+    j = np.zeros((n, n), dtype=complex if complex_kind else float)
+    at = 0
+    for c in cells:
+        j[at : at + c.shape[0], at : at + c.shape[0]] = c
+        at += c.shape[0]
+    g = gen.standard_normal((n, n))
+    vec = gen.standard_normal(n)
+    if complex_kind:
+        j += np.diag(1j * gen.uniform(-1.0, 1.0, n))
+        g = g + 1j * gen.standard_normal((n, n))
+        vec = vec + 1j * gen.standard_normal(n)
+    s = np.linalg.qr(g)[0]
+    return s @ j @ s.conj().T, vec
+
+
+# grid lengths at both default steps, up to the probe grid (4001 points at
+# step 0.25) and the period grid (12801 points at step 0.01)
+@pytest.mark.parametrize(
+    "count,step",
+    [(c, h) for c in (1, 2, 17, 4001) for h in (0.01, 0.25)] + [(12801, 0.01)],
+)
+@pytest.mark.parametrize("complex_kind", [False, True])
+def test_orbit_sample_matches_step_by_step_walk(count, step, complex_kind):
+    gen = np.random.default_rng(7100 + count + int(100 * step) + 5 * complex_kind)
+    horizon = (count - 1) * step or step / 2
+    for _ in range(6):
+        # growth and decay stay within e^(+-4) over the whole grid
+        arr, vec = _random_generator(gen, complex_kind, 4.0 / max(horizon, 1.0))
+        got = orbit_sample(arr, vec, horizon=horizon, step=step)
+        want = _step_by_step(arr, vec, count, step)
+        assert got.points.shape == want.shape
+        err = np.linalg.norm(got.points - want, axis=1)
+        assert np.all(err <= 1e-11 * np.linalg.norm(want, axis=1))
+
+
+def test_orbit_sample_block_cap_keeps_bounded_orbit_finite():
+    # exp(0.25 * 50) has norm e^12.5; an uncapped block of 64 steps would
+    # overflow P^64 and turn the zero expanding coordinate into nan rows
+    a, layout = realize_blocks([(50.0, 1, 1), (1j, 1, 1), (-1j, 1, 1)])
+    x0 = [0.0, 1.0, 0.0]
+    s = orbit_sample(a, x0, horizon=DEFAULT_PROBE_HORIZON, step=0.25)
+    assert s.points.shape == (4001, 3)
+    assert np.all(np.isfinite(s.points))
+    assert np.allclose(np.abs(s.points[:, 1]), 1.0, atol=1e-12)
+    assert bounded_exact(layout, x0).verdict == "bounded"
+    assert bounded_probe(a, x0).verdict != "unbounded"
+
+
+def test_orbit_sample_refuses_overflowing_step():
+    # exp(0.25 * 3000) is not a finite float; the probe used to report an
+    # overflowed orbit here although the orbit of x0 is a bounded rotation
+    a, layout = realize_blocks([(3000.0, 1, 1), (1j, 1, 1), (-1j, 1, 1)])
+    x0 = [0.0, 1.0, 0.0]
+    assert bounded_exact(layout, x0).verdict == "bounded"
+    with pytest.raises(DiagnosticError, match=r"step 0\.25; use a smaller step"):
+        orbit_sample(a, x0, horizon=10.0, step=0.25)
+    with pytest.raises(DiagnosticError, match="smaller step"):
+        bounded_probe(a, x0)
+    assert np.all(np.isfinite(orbit_sample(a, x0, horizon=1.0, step=0.01).points))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sampling_rejects_non_finite_input(bad):
+    with pytest.raises(InputError, match="generator has a non-finite entry"):
+        orbit_sample([[0.0, bad], [1.0, 0.0]], [1.0, 0.0], horizon=1.0, step=0.1)
+    with pytest.raises(InputError, match="generator has a non-finite entry"):
+        min_period([[0.0, complex(0.0, bad)], [1.0, 0.0]], [1.0, 0.0])
+    with pytest.raises(InputError, match="non-finite coordinate"):
+        orbit_sample(ROT, [1.0, bad], horizon=1.0, step=0.1)
+    with pytest.raises(InputError, match="non-finite coordinate"):
+        bounded_probe(ROT, [1.0, complex(bad, 0.0)])
 
 
 def test_jordan_flow_matches_matrix_exponential(rng):
@@ -128,6 +232,8 @@ def test_bounded_probe_origin_and_cap_validation():
     assert bounded_probe(ROT, [0.0, 0.0]).verdict == "bounded"
     with pytest.raises(InputError):
         bounded_probe(ROT, [1.0, 0.0], growth_cap=1.0)
+    with pytest.raises(InputError):
+        bounded_probe(ROT, [1.0, 0.0], growth_cap=math.nan)
 
 
 def test_bounded_probe_overflow_is_silent():
