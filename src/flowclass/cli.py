@@ -15,6 +15,7 @@ two-element lists [re, im] of same-flavor parts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -326,13 +327,14 @@ def _load_spectrum(items, path: str, ev: _Evidence):
 
 def _system_descriptor(doc: dict, args, where: str, diags: list) -> SpectrumDescriptor:
     """Descriptor of a system given as a matrix or a spectrum block list."""
+    label = where or "document"
     if not isinstance(doc, dict):
-        raise InputError(f"{where}: a system is a mapping")
-    _check_keys(doc, {"mode", "matrix", "spectrum", "n"}, where)
+        raise InputError(f"{label}: a system is a mapping")
+    _check_keys(doc, {"mode", "matrix", "spectrum", "n"}, label)
     has_matrix = "matrix" in doc
     has_spectrum = "spectrum" in doc
     if has_matrix == has_spectrum:
-        raise InputError(f"{where}: give exactly one of matrix or spectrum")
+        raise InputError(f"{label}: give exactly one of matrix or spectrum")
     ev = _Evidence(declared=_declared_mode(doc, where + ".", args.exact))
     prefix = where + "." if where else ""
 
@@ -623,6 +625,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -682,7 +685,8 @@ def _load_document(path: str) -> dict:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's parser when PyYAML was built with it; same safe constructors
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise InputError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import DiagnosticError, InconsistentInvariantsError, InputError
 from .numkit import lam_parts, re_sign
-from .spectral import Block, SpectrumDescriptor
+from .spectral import CENTER_TOL as _CENTER_TOL, Block, SpectrumDescriptor
 
 __all__ = [
     "ConjugacySignature",
@@ -51,7 +51,6 @@ __all__ = [
 
 DEFAULT_QMAX = 64
 DEFAULT_RATIO_TOL = 1e-9
-_CENTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,17 @@ modes.  `RationalComplex` (a pair of Fractions) is the scalar type of
 exact eigenvalues; it never enters a matrix.  `lam_parts`,
 `canonical_lam` and `re_sign` read any scalar of either mode.
 
-Provided here: the `Matrix` and `Poly` containers, rank by Gaussian
-elimination, characteristic polynomials (exact: Hessenberg reduction;
-float: the Faddeev-LeVerrier recurrence), matrix exponentials by
-scaling and squaring (with an exact terminating series for nilpotent
-generators), rank sequences of shifted powers, and exact linear solves.
+Provided here: the `Matrix` and `Poly` containers, ranks,
+characteristic polynomials (exact: Hessenberg reduction; float: from
+the LAPACK eigenvalues), matrix exponentials by scaling and squaring
+(with an exact terminating series for nilpotent generators), rank
+sequences of shifted powers, and exact linear solves.
 
 Exact ranks, and the powers behind exact rank sequences, run on Python
 ints: the matrix is scaled once by the lcm of its denominators (one
 scalar, never per row), then eliminated fraction-free over the
-integers.  Float ranks zero pivots below a scaled threshold.
+integers.  Float ranks count singular values (LAPACK) above a scaled
+threshold, and float rank sequences take their powers in numpy.
 """
 
 from __future__ import annotations
@@ -44,12 +45,16 @@ __all__ = [
     "mat_exp",
     "mat_exp_array",
     "power_rank_sequence",
+    "float_rank_sequence",
     "solve_exact",
     "inverse_exact",
     "DEFAULT_RANK_TOL",
 ]
 
 DEFAULT_RANK_TOL = 1e-10
+# float rank sequences: a singular value of (A - lam I)^k counts when it
+# exceeds this times ||A||_2^k
+_POWER_RANK_TOL = 1e-9
 
 # exp series: scale so the 1-norm of the scaled matrix is at most 0.5,
 # then 20 terms leave a truncation error below 1e-14
@@ -455,18 +460,6 @@ class Matrix:
 
     # ---- scalar summaries ----------------------------------------------
 
-    def trace(self):
-        t = _zero(self.mode, self.field)
-        for i in range(self.n):
-            t = t + self.rows[i][i]
-        return t
-
-    def max_abs(self) -> float:
-        return max(abs(x) for row in self.rows for x in row)
-
-    def inf_norm(self) -> float:
-        return max(sum(abs(x) for x in row) for row in self.rows)
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
 
@@ -516,10 +509,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def float_coeffs(self) -> tuple:
-        return tuple(complex(c) if isinstance(c, complex) else float(c)
-                     for c in self.coeffs)
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -543,20 +532,20 @@ class Poly:
 
 
 def rank(m: Matrix, tol: float | None = None) -> int:
-    """Rank by Gaussian elimination.
+    """Rank of a matrix.
 
     Exact mode requires tol = 0 (or omitted).  It clears one common
     denominator, scaling A by the lcm D of its entries' denominators,
     and eliminates the integer matrix D*A fraction-free over the
     integers (`_rank_int`); no Fraction arithmetic runs in the loop.
-    Float mode treats a pivot as zero when its magnitude is at most tol
-    times the largest entry magnitude of the initial matrix; tol
-    defaults to 1e-10.
+    Float mode counts the singular values (LAPACK SVD) above tol times
+    the largest one; tol defaults to 1e-10.
     """
     _check_tol(m, tol)
     if m.mode == "exact":
         return _rank_int(_cleared(m)[1])
-    return _rank_float(m, DEFAULT_RANK_TOL if tol is None else float(tol))
+    s = np.linalg.svd(m.to_numpy(), compute_uv=False)
+    return int(np.count_nonzero(s > (DEFAULT_RANK_TOL if tol is None else tol) * s[0]))
 
 
 def _check_tol(m: Matrix, tol) -> None:
@@ -622,31 +611,6 @@ def _rank_int(rows: list) -> int:
     return r
 
 
-def _rank_float(m: Matrix, tol: float) -> int:
-    rows = [list(r) for r in m.rows]
-    n = m.n
-    threshold = tol * m.max_abs()
-    r = 0
-    for col in range(n):
-        piv, best = None, threshold
-        for i in range(r, n):
-            a = abs(rows[i][col])
-            if a > best:
-                piv, best = i, a
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pval = rows[r][col]
-        for i in range(r + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pval
-                rows[i] = [rows[i][j] - f * rows[r][j] for j in range(n)]
-        r += 1
-        if r == n:
-            break
-    return r
-
-
 # ---- characteristic polynomial ---------------------------------------------
 
 
@@ -660,23 +624,15 @@ def char_poly(m: Matrix) -> Poly:
     coefficients off the three-term recurrence for the leading principal
     minors of tI - H.  This costs O(n^3) scalar operations.
 
-    Float mode keeps the Faddeev-LeVerrier trace recurrence, O(n^4).
-    Its rounding is what the float eigenvalue clustering and every
-    float answer downstream were tuned against, so its coefficients stay
-    bit-for-bit as they were.
+    Float mode expands the product of (t - lam) over the LAPACK
+    eigenvalues (`numpy.poly`); a real matrix keeps the real part.
     """
     if m.mode == "exact":
         return _char_poly_hessenberg(m)
-    n = m.n
-    one = _one(m.mode, m.field)
-    ident = Matrix.identity(n, m.mode, m.field)
-    # c[0] multiplies t^n, c[k] multiplies t^(n-k)
-    c = [one]
-    mk = Matrix.zeros(n, m.mode, m.field)
-    for k in range(1, n + 1):
-        mk = (m @ mk) + ident.scaled(c[k - 1])
-        c.append(-(m @ mk).trace() / k)
-    return Poly.make(tuple(reversed(c)))
+    coeffs = np.poly(m.to_numpy())  # descending
+    if m.field == "real":
+        return Poly.make(tuple(float(c) for c in reversed(coeffs.real)))
+    return Poly.make(tuple(complex(c) for c in reversed(coeffs)))
 
 
 def _hessenberg_exact(m: Matrix) -> list:
@@ -819,20 +775,47 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     raises DiagnosticError.  Each rank is a fraction-free elimination
     over the integers (see `rank`).
 
-    A float A shifts by lam directly and takes float ranks under tol.
-    A sequence that rises (under the float tolerance) raises
-    DiagnosticError.
+    A float A is measured by `float_rank_sequence`.
     """
     if kmax < 0:
         raise InputError("kmax must be nonnegative")
-    n = a.n
     lam = canonical_lam(lam)
-    if a.mode == "exact":
-        step, pair = _integer_step(a, lam, tol)
-        multiply, measure = partial(_row_product, zero=0), _rank_int
-    else:
-        step, pair = a.shifted(lam), False
-        multiply, measure = Matrix.__matmul__, partial(rank, tol=tol)
+    if a.mode == "float":
+        _check_tol(a, tol)
+        arr = a.to_numpy()
+        return float_rank_sequence(arr, float(np.linalg.norm(arr, 2)), lam, kmax, tol)
+    step, pair = _integer_step(a, lam, tol)
+    return _stable_ranks(step, partial(_row_product, zero=0), _rank_int, lam, kmax, pair)
+
+
+def float_rank_sequence(arr: np.ndarray, norm: float, lam, kmax: int,
+                        tol: float | None = None) -> list:
+    """power_rank_sequence of a float matrix given as an ndarray with its
+    2-norm, so a caller measuring many shifts converts and normalizes once.
+
+    S = (A - lam I) / ||A||_2 (complex for a non-real lam; divided by 1
+    for A = 0) is formed once and its powers are taken with `@`, so they
+    cannot overflow.  rank(S^k) is the number of singular values above
+    1e-9, or above tol when it is given: relative to ||A||_2^k, so the
+    ranks of cA are those of A for every c > 0.
+    """
+    re, im = lam_parts(lam)
+    shift = complex(float(re), float(im)) if im else float(re)
+    step = (arr - shift * np.eye(len(arr))) / (norm or 1.0)
+    rel = _POWER_RANK_TOL if tol is None else tol
+    return _stable_ranks(
+        step, np.matmul,
+        lambda p: int(np.count_nonzero(np.linalg.svd(p, compute_uv=False) > rel)),
+        lam, kmax, False,
+    )
+
+
+def _stable_ranks(step, multiply, measure, lam, kmax: int, pair: bool) -> list:
+    """The rank loop of power_rank_sequence over one step matrix: measure
+    step^k for k = 1, 2, ... until two ranks agree, then fill to kmax.
+    For a pair step q(A) each rank is halved onto lam (see above).  A
+    rank that rises raises DiagnosticError."""
+    n = len(step)
     seq = [n]
     power = None
     while len(seq) <= kmax:

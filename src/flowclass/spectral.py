@@ -3,13 +3,19 @@
 Exact matrices are real-only (Fraction entries); their eigenvalues are
 Fraction or RationalComplex values.
 
-Eigenvalues come from the characteristic polynomial.  In exact mode the
-polynomial is factored over the rationals and succeeds only when every
-root has rational real and imaginary parts; anything else raises
+In exact mode eigenvalues come from the characteristic polynomial,
+factored over the rationals; this succeeds only when every root has
+rational real and imaginary parts, and anything else raises
 ExactModeError with a pointer to the float fallback.  In float mode the
-roots come from a simultaneous (Aberth) iteration followed by clustering
-at a radius that defaults to 1e-8 * (1 + max row sum of A), and clusters
-are paired into conjugates before any counting happens.
+roots come from LAPACK (`numpy.linalg.eigvals`).  Rounding splits an
+eigenvalue with a size-k Jordan block into k roots about
+(u ||A||)^(1/k) ||A||^(1-1/k) apart (Golub & Wilkinson, SIAM Rev. 18,
+1976), so by default a group of roots may merge within a radius that
+grows with the group size, or within an explicit tol.  A group stands
+for its mean, which is accurate to O(u ||A||) even for a defective
+eigenvalue (Kato, Perturbation Theory for Linear Operators, II.1), and
+is kept only when the ranks at its mean confirm its size.  Clusters are
+paired into conjugates before any counting happens.
 
 Block sizes are never computed from eigenvectors.  The count of size-m
 blocks at an eigenvalue is the second difference of the rank sequence of
@@ -34,6 +40,7 @@ from .numkit import (
     RationalComplex,
     canonical_lam,
     char_poly,
+    float_rank_sequence,
     lam_parts,
     power_rank_sequence,
     re_sign,
@@ -48,10 +55,17 @@ __all__ = [
     "jordan_counts",
     "spectrum_descriptor",
     "DEFAULT_CLUSTER_FACTOR",
+    "CENTER_TOL",
 ]
 
 DEFAULT_CLUSTER_FACTOR = 1e-8
-_ABERTH_MAX_ITER = 500
+# float real parts within this of zero count as center (see `invariants`)
+CENTER_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
+# default float clusters: slack over the splitting radius of a Jordan block, and
+# the largest group size whose radius still grows with the size
+_CLUSTER_SLACK = 100.0
+_MAX_CLUSTER_ORDER = 4
 
 
 class Block(NamedTuple):
@@ -211,69 +225,71 @@ def _eigenvalues_exact(a: Matrix):
 # ---- eigenvalues: float path -------------------------------------------------
 
 
-def _aberth_roots(coeffs) -> np.ndarray:
-    """All roots of a monic polynomial, ascending complex coefficients."""
-    cs = np.asarray(coeffs, dtype=complex)
-    d = len(cs) - 1
-    if d == 0:
-        return np.zeros(0, dtype=complex)
-    center = -cs[d - 1] / d
-    radius = 1.0 + max(abs(c) for c in cs[:-1])
-    angles = 2 * np.pi * (np.arange(d) + 0.35) / d
-    z = center + radius * np.exp(1j * angles)
-    dcs = cs[1:] * np.arange(1, d + 1)
-    abs_cs = np.abs(cs)
-    for _ in range(_ABERTH_MAX_ITER):
-        p = np.polyval(cs[::-1], z)
-        dp = np.polyval(dcs[::-1], z)
-        # noise floor of the Horner evaluation at each point
-        scale = np.polyval(abs_cs[::-1], np.abs(z))
-        settled = np.abs(p) <= 1e-14 * (d + 1) * scale
-        dp = np.where(dp == 0, 1e-300, dp)
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulse = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * repulse
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        step = np.where(settled, 0.0, newton / denom)
-        z = z - step
-        if np.all(np.abs(step) <= 1e-13 * (1.0 + np.abs(z))):
-            return z
-    raise NonConvergenceError(
-        f"root iteration did not converge within {_ABERTH_MAX_ITER} sweeps"
-    )
+def _float_clusters(a: Matrix, tol: float | None):
+    """Clusters of the LAPACK roots of a float A; (mean, size, radius,
+    rank sequence at the mean) per cluster.
 
-
-def _cluster(points: np.ndarray, radius: float):
-    """Chain points within radius into clusters; (mean, size) per cluster."""
-    n = len(points)
-    unused = set(range(n))
+    A group of k roots may merge when its spread (largest pairwise
+    distance) is at most limit(k): tol when it is given, else
+    100 (u s)^(1/k) s^(1-1/k) = 100 u^(1/k) s with s = ||A||_2 and k
+    capped at _MAX_CLUSTER_ORDER, beyond which it nears s.  Taking roots
+    in (re, im) order, the first one left seeds a group grown by its
+    nearest remaining roots.  Of the sizes that fit, the largest whose
+    rank sequence at the group mean confirms that multiplicity is kept,
+    so distinct eigenvalues that only lie within the limit are measured
+    one by one; a lone root is kept unconfirmed, for the block counts to
+    check.  A mean whose real part is above CENTER_TOL but within
+    100 u s, where rounding hides its sign, raises DiagnosticError.
+    """
+    if tol is not None and tol <= 0:
+        raise InputError("float mode needs a positive tolerance")
+    arr = a.to_numpy()
+    try:
+        roots = np.linalg.eigvals(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"eigenvalue iteration failed: {exc}") from None
+    n = a.n
+    scale = float(np.linalg.norm(arr, 2))
+    order = np.minimum(np.arange(1, n + 1), _MAX_CLUSTER_ORDER)
+    limit = (_CLUSTER_SLACK * _EPS ** (1.0 / order) * scale if tol is None
+             else np.full(n, float(tol)))
+    axis = _CLUSTER_SLACK * _EPS * scale
+    measured = {}
+    dist = np.abs(roots[:, None] - roots[None, :])
+    left = sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))
     clusters = []
-    while unused:
-        seed = unused.pop()
-        group = [seed]
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            near = [j for j in unused if abs(points[i] - points[j]) <= radius]
-            for j in near:
-                unused.remove(j)
-                group.append(j)
-                frontier.append(j)
-        vals = points[group]
-        clusters.append((complex(vals.mean()), len(group)))
+    while left:
+        idx = np.array(left)
+        near = idx[np.argsort(dist[idx[0], idx], kind="stable")]
+        spread = np.maximum.accumulate(np.tril(dist[np.ix_(near, near)]).max(axis=1))
+        for size in np.flatnonzero(spread <= limit[: len(near)])[::-1] + 1:
+            mean = complex(roots[near[:size]].mean())
+            # a real A has equal ranks at conjugate shifts: measure one of each pair
+            if mean.conjugate() not in measured:
+                measured[mean] = float_rank_sequence(arr, scale, mean, n, tol)
+            ranks = measured.get(mean.conjugate(), measured.get(mean))
+            if n - ranks[-1] == size:
+                break
+        if CENTER_TOL < abs(mean.real) <= axis:
+            raise DiagnosticError(
+                f"the real part of {mean:.6g} is within rounding ({axis:.2g}) "
+                "of the imaginary axis: center or hyperbolic cannot be told"
+            )
+        clusters.append((mean, int(size), float(limit[size - 1]), ranks))
+        taken = set(near[:size].tolist())
+        left = [i for i in left if i not in taken]
     return clusters
 
 
-def _pair_conjugates(clusters, radius: float):
-    """Symmetrize clusters of a real matrix into conjugate pairs."""
+def _pair_conjugates(clusters):
+    """Symmetrize clusters of a real matrix into conjugate pairs; (value,
+    multiplicity, rank sequence) each, sorted by (re, im)."""
     reals, pos, neg = [], [], []
-    for lam, mult in clusters:
+    for lam, mult, radius, ranks in clusters:
         if abs(lam.imag) <= radius:
-            reals.append((lam.real, mult))
+            reals.append((lam.real, mult, ranks))
         elif lam.imag > 0:
-            pos.append((lam, mult))
+            pos.append((lam, mult, radius, ranks))
         else:
             neg.append((lam, mult))
     if len(pos) != len(neg):
@@ -281,8 +297,7 @@ def _pair_conjugates(clusters, radius: float):
             "conjugate pairing failed: unbalanced cluster counts; widen tol"
         )
     paired = []
-    neg = list(neg)
-    for lam, mult in pos:
+    for lam, mult, radius, ranks in pos:
         best, best_d = None, None
         for idx, (mu, mmult) in enumerate(neg):
             d = abs(mu.conjugate() - lam)
@@ -295,27 +310,11 @@ def _pair_conjugates(clusters, radius: float):
             )
         del neg[best]
         sym = complex((lam.real + mu.real) / 2, (lam.imag - mu.imag) / 2)
-        paired.append((sym, mult))
-        paired.append((sym.conjugate(), mult))
+        paired.append((sym, mult, ranks))
+        paired.append((sym.conjugate(), mult, ranks))
     out = reals + paired
     out.sort(key=lambda p: (p[0].real, p[0].imag))
     return out
-
-
-def _default_radius(a: Matrix, tol: float | None) -> float:
-    if tol is not None:
-        if tol <= 0:
-            raise InputError("float mode needs a positive tolerance")
-        return float(tol)
-    return DEFAULT_CLUSTER_FACTOR * (1.0 + a.inf_norm())
-
-
-def _eigenvalues_float(a: Matrix, tol: float | None):
-    radius = _default_radius(a, tol)
-    poly = char_poly(a)
-    roots = _aberth_roots(poly.float_coeffs())
-    clusters = _cluster(roots, radius)
-    return tuple(_pair_conjugates(clusters, radius))
 
 
 def eigenvalues(a: Matrix, tol: float | None = None):
@@ -323,15 +322,17 @@ def eigenvalues(a: Matrix, tol: float | None = None):
 
     Returns a tuple of (value, multiplicity) sorted by (re, im).  Exact
     matrices give Fraction or RationalComplex values or raise
-    ExactModeError; float
-    matrices give complex values clustered at radius tol (default
-    1e-8 * (1 + max row sum)) and symmetrized into conjugate pairs.
+    ExactModeError.  Float matrices give the means of clusters of LAPACK
+    roots, symmetrized into conjugate pairs.  A group merges when its
+    spread is at most tol, or by default a limit that grows with the
+    group size, and only when the ranks at its mean confirm its size
+    (see `_float_clusters`).
     """
     if a.field != "real":
         raise InputError("eigenvalue extraction expects a real matrix")
     if a.mode == "exact":
         return _eigenvalues_exact(a)
-    return _eigenvalues_float(a, tol)
+    return tuple((lam, mult) for lam, mult, _ in _pair_conjugates(_float_clusters(a, tol)))
 
 
 # ---- real-part split ---------------------------------------------------------
@@ -374,15 +375,21 @@ def jordan_counts(a: Matrix, lam, tol: float | None = None):
     sequence is stable.
 
     A rank sequence that rises, a negative block count, or block sizes
-    that do not sum to the multiplicity raise DiagnosticError; a lam at
-    which nothing drops raises InputError.
+    that do not sum to the multiplicity raise DiagnosticError.  A lam at
+    which nothing drops raises InputError for an exact A, where lam is
+    certainly not an eigenvalue, and DiagnosticError for a float A, where
+    the ranks under the tolerance refuse to confirm it.
     """
-    n = a.n
-    ranks = power_rank_sequence(a, lam, n, tol)
-    stable = ranks[-1]
+    return _block_counts(power_rank_sequence(a, lam, a.n, tol), lam, a.mode)
+
+
+def _block_counts(ranks: list, lam, mode: str):
+    """jordan_counts from the rank sequence at lam, up to k = n."""
+    n, stable = ranks[0], ranks[-1]
     mult = n - stable
     if mult == 0:
-        raise InputError(f"{lam} is not an eigenvalue: shifted matrix has full rank")
+        error = InputError if mode == "exact" else DiagnosticError
+        raise error(f"{lam} is not an eigenvalue: shifted matrix has full rank")
     ext = ranks + [stable]
     counts = []
     total = 0
@@ -410,15 +417,20 @@ def spectrum_descriptor(a: Matrix, tol: float | None = None) -> SpectrumDescript
     """Validated block descriptor of a real matrix.
 
     Block counts are measured on the nonnegative-imaginary side and
-    mirrored, so the result is conjugate-symmetric by construction.
+    mirrored, so the result is conjugate-symmetric by construction.  A
+    float A reuses the rank sequences its clusters were measured with.
     """
-    eigs = eigenvalues(a, tol)
+    if a.mode == "float" and a.field == "real":
+        eigs = _pair_conjugates(_float_clusters(a, tol))
+    else:
+        eigs = [(lam, mult, None) for lam, mult in eigenvalues(a, tol)]
     blocks = []
-    for lam, mult in eigs:
+    for lam, mult, ranks in eigs:
         _, im = lam_parts(lam)
         if im < 0:
             continue
-        counts = jordan_counts(a, lam, tol)
+        counts = (jordan_counts(a, lam, tol) if ranks is None
+                  else _block_counts(ranks, lam, a.mode))
         measured = sum(m * c for m, c in counts)
         if measured != mult:
             raise DiagnosticError(

@@ -1,4 +1,5 @@
-"""Shared generators: exact block realizations and unimodular similarity.
+"""Shared generators: exact block realizations and unimodular similarity,
+and float real Jordan forms under Haar-random orthogonal similarity.
 
 Random systems are built from known block data and realized as real
 matrices, so every expected invariant is known by construction and the
@@ -11,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flowclass.numkit import Matrix, RationalComplex
@@ -114,6 +116,52 @@ def random_unimodular(rng: random.Random, n: int, ops: int | None = None):
             for k in range(n):
                 s_inv[k][i], s_inv[k][j] = s_inv[k][j], s_inv[k][i]
     return Matrix.exact(s), Matrix.exact(s_inv)
+
+
+def rotation(re: float, im: float) -> np.ndarray:
+    """Real 2x2 block with eigenvalues re +- i im."""
+    return np.array([[re, im], [-im, re]])
+
+
+def hyperbolic_blocks(rng: np.random.Generator, taken: list, dim: int):
+    """Blocks of simple hyperbolic eigenvalues filling dim dimensions, and
+    the (expanding, contracting) dimensions they add.
+
+    Reals and pairs lam, conj(lam) with |re lam| in [0.3, 3]; each lies at
+    least 0.2 from every value in taken, which is extended in place.
+    """
+    blocks, dims = [], [0, 0]
+    while dim:
+        pair = dim >= 2 and rng.random() < 0.4
+        lam = complex(rng.choice((-1, 1)) * rng.uniform(0.3, 3.0),
+                      rng.uniform(0.3, 2.0) if pair else 0.0)
+        if min(abs(lam - mu) for mu in taken) < 0.2:
+            continue
+        taken += [lam, lam.conjugate()]
+        blocks.append(rotation(lam.real, lam.imag) if pair else np.array([[lam.real]]))
+        dims[lam.real < 0] += len(blocks[-1])
+        dim -= len(blocks[-1])
+    return blocks, tuple(dims)
+
+
+def direct_sum(blocks) -> np.ndarray:
+    """Block-diagonal matrix of square ndarray blocks."""
+    n = sum(len(b) for b in blocks)
+    j = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        j[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return j
+
+
+def haar_similar(rng: np.random.Generator, blocks) -> np.ndarray:
+    """Q diag(blocks) Q^T for a Haar-random orthogonal Q."""
+    j = direct_sum(blocks)
+    n = len(j)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    return q @ j @ q.T
 
 
 @pytest.fixture

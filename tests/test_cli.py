@@ -3,14 +3,18 @@ validation, report round trips, and the exact-to-float fallback."""
 
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 
-from flowclass.cli import Report, emit_json, emit_text, main, parse_report
+from conftest import haar_similar, hyperbolic_blocks, rotation
+from flowclass.cli import Report, _load_document, emit_json, emit_text, main, parse_report
 from flowclass.errors import InputError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -277,6 +281,51 @@ def test_exact_flag_refuses_irrational_spectrum(capsys, tmp_path):
     assert err.startswith("flowclass: diagnostic:")
 
 
+def test_options_do_not_carry_over_between_calls(capsys, tmp_path):
+    doc = write_doc(tmp_path, "matrix: [[0, 2], [1, 0]]\n")
+    assert run(capsys, "classify", doc, "--exact")[0] == 2
+    code, out, _ = run(capsys, "classify", doc)
+    assert code == 0 and out.startswith("mode: float")
+
+
+def _simple_float_doc(rng, n):
+    """Float document of a matrix with eigenvalues 0, +-i beta p for
+    p = 1, 2, 3 and simple hyperbolic values, all at least 0.2 apart; with
+    the expected (expanding, contracting) dimensions."""
+    beta = rng.uniform(0.5, 1.5)
+    blocks = [np.zeros((1, 1))] + [rotation(0, beta * p) for p in (1, 2, 3)]
+    taken = [0j] + [complex(0, s * beta * p) for p in (1, 2, 3) for s in (1, -1)]
+    hyperbolic, dims = hyperbolic_blocks(rng, taken, n - 7)
+    rows = "".join(
+        "  - [" + ", ".join(format(float(x), ".17e") for x in row) + "]\n"
+        for row in haar_similar(rng, blocks + hyperbolic)
+    )
+    return "matrix:\n" + rows, dims
+
+
+def test_valid_float_documents_exit_0(capsys, tmp_path):
+    # distinct simple eigenvalues at n = 16: every document is certified,
+    # none ends in an input error or a refusal
+    rng = np.random.default_rng(16)
+    for i in range(60):
+        text, (plus, minus) = _simple_float_doc(rng, 16)
+        code, out, err = run(capsys, "classify", write_doc(tmp_path, text), "--format", "json")
+        assert code == 0, (i, err)
+        sig = json.loads(out)["payload"]["signature"]
+        assert (sig["expanding"], sig["contracting"]) == (plus, minus), i
+        assert [(b["size"], b["count"]) for b in sig["center"]] == [(1, 1)] * 7, i
+
+
+def test_loader_matches_pyyaml_safe_load(tmp_path):
+    texts = [p.read_text() for p in sorted(GOLDEN.glob("*.yaml"))]
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    texts += re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    rng = np.random.default_rng(5)
+    texts += [_simple_float_doc(rng, int(rng.integers(7, 13)))[0] for _ in range(100)]
+    for text in texts:
+        assert _load_document(write_doc(tmp_path, text)) == yaml.safe_load(text), text
+
+
 def test_exact_flag_conflicts_with_float_document(capsys, tmp_path):
     doc = write_doc(tmp_path, "mode: float\nmatrix: [[0.0]]\n")
     code, _, err = run(capsys, "classify", doc, "--exact")
@@ -303,6 +352,12 @@ def test_unknown_key_is_rejected(capsys, tmp_path):
     doc = write_doc(tmp_path, "matrix: [[0]]\nbogus: 1\n")
     code, _, err = run(capsys, "classify", doc)
     assert code == 1 and "unknown keys bogus" in err
+
+
+def test_top_level_unknown_key_names_the_document(capsys):
+    code, _, err = run(capsys, "classify", str(GOLDEN / "simulate_quarter.yaml"))
+    assert code == 1
+    assert err.startswith("flowclass: error: document: unknown keys point")
 
 
 def test_matrix_and_spectrum_together_rejected(capsys, tmp_path):

@@ -11,8 +11,18 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expected_blocks, random_parts, random_unimodular, realize_real
+from conftest import (
+    direct_sum,
+    expected_blocks,
+    haar_similar,
+    hyperbolic_blocks,
+    random_parts,
+    random_unimodular,
+    realize_real,
+    rotation,
+)
 from flowclass.errors import DiagnosticError, ExactModeError, InputError
+from flowclass.invariants import conjugacy_signature
 from flowclass.numkit import Matrix, RationalComplex
 from flowclass.spectral import (
     SpectrumDescriptor,
@@ -119,13 +129,78 @@ def test_float_conjugate_symmetry_is_exact():
 
 
 def test_float_multiple_root_needs_wider_tol():
-    # root-finding plateau of a triple eigenvalue is ~1e-4 wide: the
-    # default radius splinters it, an explicit 1e-3 radius clusters it
+    # an explicit tol merges the split triple root within that spread
     j = Matrix.jordan_block(1.0, 3, "float")
     eigs = eigenvalues(j, tol=1e-3)
     assert len(eigs) == 1
     lam, mult = eigs[0]
     assert mult == 3 and abs(complex(lam) - 1.0) < 1e-3
+
+
+def test_float_default_clusters_larger_jordan_blocks():
+    # J3(0) and J4(0) split into rings whose nearest pairs are wider than
+    # the size-2 radius: the group of all k roots must still merge
+    rng = np.random.default_rng(31)
+    for k in (3, 4):
+        j = np.diag([0.0] * k + [1.0, -2.0, 0.7]) + np.diag([1.0] * (k - 1) + [0.0] * 3, 1)
+        for _ in range(10):
+            d = spectrum_descriptor(Matrix.from_numpy(haar_similar(rng, [j])))
+            assert [b.m for b in d.center_blocks(1e-8)] == [k]
+
+
+def test_float_classification_across_scales():
+    # ranks are relative to ||A||_2, so cA is classified like A; once
+    # rounding of the J2(0) mean (about u ||A||) can pass the center
+    # tolerance, the mean is refused, never counted as hyperbolic
+    rng = np.random.default_rng(37)
+    blocks = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -2.0])]
+    for c in (1e-4, 1e-2, 1.0, 1e8, 1e12):
+        for _ in range(10):
+            a = Matrix.from_numpy(c * haar_similar(rng, blocks))
+            try:
+                sig = conjugacy_signature(spectrum_descriptor(a))
+            except DiagnosticError:
+                assert c >= 1e8, c
+                continue
+            assert (sig.dim_plus, sig.dim_minus) == (1, 1), c
+            assert [(m, count) for _, m, count in sig.center] == [(2, 1)], c
+
+
+def test_float_close_eigenvalues_are_measured_apart():
+    # distinct simple eigenvalues within the size-4 merge limit: the ranks
+    # at the group mean refuse the merge, and each root is measured alone
+    stiff = direct_sum([np.diag([100.0, -0.3, 0.3]), rotation(0, 0.5)])
+    sig = conjugacy_signature(spectrum_descriptor(Matrix.from_numpy(stiff)))
+    assert (sig.dim_plus, sig.dim_minus) == (2, 1)
+    assert [(round(float(im), 9), m, c) for im, m, c in sig.center] == [(-0.5, 1, 1), (0.5, 1, 1)]
+    close = Matrix.from_numpy(np.diag([1.0, 1.001, 1.002, 1.003]))
+    assert [mult for _, mult in eigenvalues(close)] == [1, 1, 1, 1]
+    assert conjugacy_signature(spectrum_descriptor(close)).dim_plus == 4
+
+
+def test_float_sign_within_rounding_is_refused():
+    # 1e-4 lies above the center tolerance but within 100 u ||A||_2 of the
+    # axis, so its sign is not certified: refused, not put on the axis
+    with pytest.raises(DiagnosticError, match="within rounding"):
+        spectrum_descriptor(Matrix.from_numpy(np.diag([1e10, 1e-4, 1000.0])))
+
+
+def test_float_stiff_sweep_classifies_every_case():
+    # one fast eigenvalue of modulus 50 to 500 over simple slow values at
+    # least 0.2 apart: the slow ones fall within the size-3 and size-4
+    # merge limits, and each must still be measured as its own eigenvalue
+    rng = np.random.default_rng(41)
+    for n in (8, 12, 16):
+        for _ in range(20):
+            fast = float(rng.choice((-1, 1)) * rng.uniform(50, 500))
+            beta = float(rng.uniform(0.3, 1.5))
+            taken = [complex(0, beta), complex(0, -beta)]
+            hyperbolic, (plus, minus) = hyperbolic_blocks(rng, taken, n - 3)
+            a = haar_similar(rng, [np.array([[fast]]), rotation(0, beta)] + hyperbolic)
+            sig = conjugacy_signature(spectrum_descriptor(Matrix.from_numpy(a)))
+            assert (sig.dim_plus, sig.dim_minus) == (plus + (fast > 0), minus + (fast < 0))
+            assert [(m, c) for _, m, c in sig.center] == [(1, 1), (1, 1)]
+            assert abs(float(sig.center[1][0]) - beta) < 1e-6
 
 
 def test_float_tol_must_be_positive():
@@ -214,6 +289,9 @@ def test_jordan_counts_rejects_non_eigenvalue():
     a = Matrix.exact([[1, 0], [0, 2]])
     with pytest.raises(InputError):
         jordan_counts(a, Fraction(5))
+    # in float mode full rank is a refusal to certify, not an input error
+    with pytest.raises(DiagnosticError):
+        jordan_counts(a.to_float(), 5.0)
 
 
 def test_jordan_counts_float_defective():
@@ -301,3 +379,46 @@ def test_descriptor_make_idempotent(m, count):
     d1 = SpectrumDescriptor.make(blocks)
     d2 = SpectrumDescriptor.make(list(d1.blocks))
     assert d1 == d2
+
+
+# ---- float robustness sweep ----------------------------------------------------------
+
+# refusals allowed per size in the sweep below: the measured rate, as a ceiling
+SWEEP_MAX_REFUSED = 0
+
+
+def _sweep_case(rng, n):
+    """J2(0), a 4x4 real Jordan block at +-i, a simple pair +-i beta, and
+    simple hyperbolic values, under Haar similarity; with the expected
+    (expanding, contracting) dimensions and center entries."""
+    beta = float(rng.uniform(1.5, 2.5))
+    jordan_i = np.block([[rotation(0, 1), np.eye(2)], [np.zeros((2, 2)), rotation(0, 1)]])
+    blocks = [np.array([[0.0, 1.0], [0.0, 0.0]]), jordan_i, rotation(0, beta)]
+    taken = [0j, 1j, -1j, complex(0, beta), complex(0, -beta)]
+    hyperbolic, dims = hyperbolic_blocks(rng, taken, n - 8)
+    center = sorted([(0.0, 2, 1), (1.0, 2, 1), (-1.0, 2, 1), (beta, 1, 1), (-beta, 1, 1)])
+    return haar_similar(rng, blocks + hyperbolic), dims, center
+
+
+def test_float_jordan_sweep_never_gives_a_wrong_signature():
+    # a nilpotent J2(0) splits into roots about sqrt(u ||A||) apart and the
+    # 4x4 block at +-i into two such pairs: each must be measured as one
+    # size-2 block at its cluster mean, or refused, never split into
+    # hyperbolic or size-1 center blocks
+    rng = np.random.default_rng(2026)
+    for n in (10, 12, 16, 20, 24):
+        wrong = refused = 0
+        for _ in range(20):
+            a, dims, center = _sweep_case(rng, n)
+            try:
+                sig = conjugacy_signature(spectrum_descriptor(Matrix.from_numpy(a)))
+            except DiagnosticError:
+                refused += 1
+                continue
+            got = sorted((float(im), m, c) for im, m, c in sig.center)
+            if (sig.dim_plus, sig.dim_minus) != dims or len(got) != len(center) or any(
+                abs(g[0] - w[0]) > 1e-6 or g[1:] != w[1:] for g, w in zip(got, center)
+            ):
+                wrong += 1
+        assert wrong == 0, (n, wrong)
+        assert refused <= SWEEP_MAX_REFUSED, (n, refused)
