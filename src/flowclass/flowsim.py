@@ -60,6 +60,7 @@ _BISECT_STEPS = 40
 _VERIFY_SPAN = 1000.0
 _VERIFY_STEP = 0.01
 _VERIFY_MARGIN = 1e-9
+_SCAN_CHUNK = 1 << 15
 _LOG_JUMP_CAP = 300.0
 
 
@@ -359,29 +360,46 @@ def min_period(
     prefilter are refined on the squared distance phi: its derivative
     phi'(t) = 2 Re <x(t) - x0, A x(t)> changes sign across a
     nondegenerate minimum, and 40 bisection steps pin it down to
-    rounding level.  A refined minimum is accepted as a period when the
-    return distance falls under tol * (1 + |x0|).  Periods shorter than
-    two grid steps are not resolved.
+    rounding level.  A refinement brackets [lo, lo + h] with h = 2*step
+    and starts from x(lo) = exp(lo*A) x0.  Every bisection point is
+    lo + h/2^j, so the propagators exp((h/2^j) A), j = 0..40, computed
+    once per call in one batch, carry the lower end to each midpoint by
+    one matrix-vector product.  The refined minimum t* is checked
+    directly: it is accepted as a period when |exp(t*A) x0 - x0| falls
+    under tol * (1 + |x0|), so the rounding of the walk never enters
+    the acceptance test.  Where exp(lo*A) or exp(t*A) overflows (a stiff
+    generator whose orbit avoids its expanding directions), the
+    refinement starts from the sampled grid point at lo and is checked
+    by flowing that point instead.  Periods shorter than two grid steps
+    are not resolved.
     """
     arr = _as_array(a)
     vec = _as_vector(x0, arr.shape[0])
     scale = 1.0 + float(np.linalg.norm(vec))
-    if float(np.linalg.norm(arr @ vec)) <= tol * scale:
-        return PeriodResult("fixed_point", residual=float(np.linalg.norm(arr @ vec)))
+    speed = float(np.linalg.norm(arr @ vec))
+    if speed <= tol * scale:
+        return PeriodResult("fixed_point", residual=speed)
 
     sample = orbit_sample(a, x0, horizon, step)
-    dist = np.linalg.norm(sample.points - vec, axis=1)
+    # an orbit that grows past the float range leaves inf/nan distances,
+    # which the scan below skips
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.linalg.norm(sample.points - vec, axis=1)
     a_norm = float(np.abs(arr).sum(axis=0).max())
     reach = float(np.nanmax(dist[np.isfinite(dist)], initial=0.0))
     prefilter = 2.0 * a_norm * step * (scale + reach) + 10.0 * tol * scale
 
-    def point_at(t: float) -> np.ndarray:
-        return mat_exp_array(arr, t) @ vec
+    def flow(t: float, start: np.ndarray) -> np.ndarray | None:
+        """exp(tA) start, or None where it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = mat_exp_array(arr, t) @ start
+        return x if np.all(np.isfinite(x)) else None
 
-    def dphi(t: float) -> float:
-        x = point_at(t)
+    def dphi(x: np.ndarray) -> float:
         return 2.0 * float(np.real(np.vdot(x - vec, arr @ x)))
 
+    width = 2.0 * step
+    props = None
     accept = tol * scale
     refined = 0
     for k in range(1, dist.size - 1):
@@ -392,20 +410,33 @@ def min_period(
         if not (np.isfinite(dist[k]) and dist[k] < prefilter):
             continue
         lo = float(sample.times[k - 1])
-        hi = float(sample.times[k + 1])
         if lo <= 0.0:
             continue
         refined += 1
-        if dphi(lo) >= 0.0 or dphi(hi) <= 0.0:
+        grid_lo = sample.points[k - 1]
+        x_lo = flow(lo, vec)
+        from_grid = x_lo is None
+        if from_grid:
+            x_lo = grid_lo
+        if not dphi(x_lo) < 0.0:
             continue
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if dphi(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t_star = 0.5 * (lo + hi)
-        residual = float(np.linalg.norm(point_at(t_star) - vec))
+        if props is None:
+            props = mat_exp_array(arr, width / 2.0 ** np.arange(_BISECT_STEPS + 1))
+        if not dphi(props[0] @ x_lo) > 0.0:
+            continue
+        t_lo = lo
+        for j in range(1, _BISECT_STEPS + 1):
+            x_mid = props[j] @ x_lo
+            if dphi(x_mid) < 0.0:
+                t_lo += width / 2.0**j
+                x_lo = x_mid
+        t_star = t_lo + width / 2.0 ** (_BISECT_STEPS + 1)
+        x_star = None if from_grid else flow(t_star, vec)
+        if x_star is None:
+            x_star = flow(t_star - lo, grid_lo)
+        if x_star is None:
+            continue
+        residual = float(np.linalg.norm(x_star - vec))
         if residual <= accept:
             return PeriodResult("period", t_star, residual)
     return PeriodResult("none_found")
@@ -515,21 +546,69 @@ def _head_sum(head, i: int, r: int, t: float) -> complex:
     return total
 
 
-def _orbit_dist2(beta: float, x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _orbit_dist2(
+    beta: float, x: np.ndarray, y: np.ndarray, ts: np.ndarray, rot: np.ndarray | None = None
+) -> np.ndarray:
     """Squared distance |exp(tJ) x - y|^2 on a vector of times, for the
-    single block J with eigenvalue i*beta."""
-    m = x.size
-    acc = np.zeros((m, ts.size), dtype=complex)
-    power = np.ones_like(ts)
-    fact = 1.0
-    for k in range(m):
-        if k:
-            power = power * ts
-            fact *= k
-        for i in range(m - k):
-            acc[i] += x[i + k] * (power / fact)
-    acc *= np.exp(1j * beta * ts)
-    return np.sum(np.abs(acc - y[:, None]) ** 2, axis=0)
+    single block J with eigenvalue i*beta; rot, when given, holds
+    exp(i beta t) on ts.
+
+    Coordinate i of exp(tJ) x is exp(i beta t) times the polynomial
+    sum_k x[i+k] t^k/k!, evaluated by Horner from the last nonzero entry
+    of x down, one coordinate at a time.  Each difference from y is
+    formed before it is squared, so a near-collision keeps its digits.
+    """
+    if rot is None:
+        rot = np.exp(1j * beta * ts)
+    nonzero = np.flatnonzero(x)
+    top = int(nonzero[-1]) if nonzero.size else -1
+    acc = np.zeros(ts.size)
+    val = np.empty(ts.size, dtype=complex)
+    square = np.empty(ts.size)
+    for i in range(x.size):
+        if i > top:
+            acc += abs(y[i]) ** 2
+            continue
+        val.fill(x[top] / math.factorial(top - i))
+        for k in range(top - i - 1, -1, -1):
+            val *= ts
+            val += x[i + k] / math.factorial(k)
+        val *= rot
+        val -= y[i]
+        np.multiply(val.real, val.real, out=square)
+        acc += square
+        np.multiply(val.imag, val.imag, out=square)
+        acc += square
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _scan_times() -> np.ndarray:
+    ts = np.arange(-_VERIFY_SPAN, _VERIFY_SPAN + _VERIFY_STEP / 2, _VERIFY_STEP)
+    ts.flags.writeable = False
+    return ts
+
+
+def _scan_dist2(beta: float, x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """_orbit_dist2 on a uniform grid t_k = ts[0] + k*(ts[1] - ts[0]), in
+    chunks of about _SCAN_CHUNK points so that every buffer stays small.
+
+    The grid is cut into blocks of about sqrt(N) points, and the rotation
+    factor of a chunk is the outer product of its block starts with the
+    in-block offsets: about 2*sqrt(N) complex exponentials instead of N.
+    """
+    count = ts.size
+    length = math.isqrt(count - 1) + 1
+    delta = float(ts[1] - ts[0])
+    starts = np.exp(1j * beta * (ts[0] + (delta * length) * np.arange(-(-count // length))))
+    offsets = np.exp(1j * beta * delta * np.arange(length))
+    per = max(1, _SCAN_CHUNK // length)
+    parts = []
+    for k in range(0, starts.size, per):
+        rot = np.multiply.outer(starts[k : k + per], offsets).ravel()
+        chunk = ts[k * length : k * length + rot.size]
+        parts.append(_orbit_dist2(beta, x, y, chunk, rot[: chunk.size]))
+    return np.concatenate(parts)
 
 
 def _assert_distinct_orbits(beta: float, x_lim, y_lim) -> None:
@@ -537,35 +616,37 @@ def _assert_distinct_orbits(beta: float, x_lim, y_lim) -> None:
 
     The lowest local minima of the sampled distance are refined by
     shrinking rescans, so a collision between grid points is still
-    driven down to rounding level.  Raises DiagnosticError when the
-    refined distance falls within the margin; a pass certifies
+    driven down to rounding level.  The candidates are rescanned
+    together, one batch of fine grids per round.  Raises DiagnosticError
+    when the refined distance falls within the margin; a pass certifies
     separation of the scanned window up to that refinement.
     """
     x = np.asarray(x_lim, dtype=complex)
     y = np.asarray(y_lim, dtype=complex)
-    ts = np.arange(-_VERIFY_SPAN, _VERIFY_SPAN + _VERIFY_STEP / 2, _VERIFY_STEP)
-    d2 = _orbit_dist2(beta, x, y, ts)
+    ts = _scan_times()
+    d2 = _scan_dist2(beta, x, y, ts)
 
     inner = d2[1:-1]
     is_min = (inner <= d2[:-2]) & (inner <= d2[2:])
-    candidates = list(np.flatnonzero(is_min) + 1) + [0, d2.size - 1]
-    candidates.sort(key=lambda i: d2[i])
+    candidates = np.concatenate([np.flatnonzero(is_min) + 1, [0, d2.size - 1]])
+    picked = candidates[np.argsort(d2[candidates], kind="stable")[:8]]
 
-    best = math.inf
-    best_t = 0.0
-    for idx in candidates[:8]:
-        t0 = float(ts[idx])
-        span = _VERIFY_STEP
-        local = float(d2[idx])
-        while span > 1e-13 * (1.0 + abs(t0)):
-            fine = np.linspace(t0 - span, t0 + span, 101)
-            vals = _orbit_dist2(beta, x, y, fine)
-            at = int(vals.argmin())
-            t0 = float(fine[at])
-            local = float(vals[at])
-            span /= 50.0
-        if local < best:
-            best, best_t = local, t0
+    t0 = ts[picked]
+    local = d2[picked]
+    span = np.full(picked.size, _VERIFY_STEP)
+    while True:
+        live = np.flatnonzero(span > 1e-13 * (1.0 + np.abs(t0)))
+        if not live.size:
+            break
+        fine = np.linspace(t0[live] - span[live], t0[live] + span[live], 101, axis=1)
+        vals = _orbit_dist2(beta, x, y, fine.ravel()).reshape(fine.shape)
+        at = vals.argmin(axis=1)
+        rows = np.arange(live.size)
+        t0[live] = fine[rows, at]
+        local[live] = vals[rows, at]
+        span[live] /= 50.0
+    first = int(local.argmin())
+    best, best_t = float(local[first]), float(t0[first])
 
     scale = 1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y))
     if math.sqrt(best) <= _VERIFY_MARGIN * scale:

@@ -9,8 +9,9 @@ exact eigenvalues; it never enters a matrix.  `lam_parts`,
 
 Provided here: the `Matrix` and `Poly` containers, ranks,
 characteristic polynomials (exact: Hessenberg reduction; float: from
-the LAPACK eigenvalues), matrix exponentials by scaling and squaring
-(with an exact terminating series for nilpotent generators), rank
+the LAPACK eigenvalues), matrix exponentials by scaling and squaring,
+at one time or a batch of times (with an exact terminating series for
+nilpotent generators), rank
 sequences of shifted powers, and exact linear solves.
 
 Exact ranks, and the powers behind exact rank sequences, run on Python
@@ -697,21 +698,39 @@ def _char_poly_hessenberg(m: Matrix) -> Poly:
 # ---- matrix exponential ------------------------------------------------------
 
 
-def mat_exp_array(arr: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t * arr) for a numpy square matrix by scaling and squaring."""
-    a = np.asarray(arr, dtype=complex if np.iscomplexobj(arr) else float) * float(t)
-    nrm = float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
-    s = 0 if nrm <= _EXP_TARGET else int(math.ceil(math.log2(nrm / _EXP_TARGET)))
-    b = a / (2.0 ** s)
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    acc = eye.copy()
-    term = eye.copy()
+def mat_exp_array(arr: np.ndarray, t=1.0) -> np.ndarray:
+    """exp(t * arr) for a numpy square matrix by scaling and squaring.
+
+    t may also be a 1-D array of times; the result is then the stack of
+    exp(t_i * arr), each slice scaled and squared by its own count.  A
+    slice whose squaring overflows comes back non-finite, silently.
+    """
+    base = np.asarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
+    a = np.asarray(t, dtype=float)[..., None, None] * base
+    nrm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    s = np.reshape(
+        [
+            0 if v <= _EXP_TARGET else math.ceil(math.log2(v / _EXP_TARGET))
+            for v in nrm.ravel().tolist()
+        ],
+        nrm.shape,
+    ).astype(int)
+    b = a / (2.0**s)[..., None, None]
+    acc = np.empty_like(a)
+    acc[...] = np.eye(base.shape[0])
+    term = acc.copy()
     for k in range(1, _EXP_TERMS + 1):
         term = term @ b / k
         acc = acc + term
+    most = int(s.max(initial=0))
+    least = int(s.min(initial=most))
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            acc = acc @ acc
+        for i in range(most):
+            if i < least:
+                acc = acc @ acc
+            else:
+                sel = s > i
+                acc[sel] = acc[sel] @ acc[sel]
     return acc
 
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import direct_sum, rotation
+from flowclass import flowsim
 from flowclass.errors import DiagnosticError, InputError
 from flowclass.flowsim import (
     DEFAULT_PROBE_HORIZON,
@@ -320,6 +322,77 @@ def test_min_period_skips_drifting_near_miss():
     assert r.kind == "none_found"
 
 
+@pytest.mark.parametrize("lam", [12.0, 20.0, 200.0])
+def test_min_period_stiff_generator_finds_period(lam):
+    # exp(tA) overflows once t*lam > 709, long before the period 20*pi,
+    # but the orbit of e3 never touches the expanding direction
+    arr = direct_sum([np.diag([lam, -lam]), rotation(0.0, -0.1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = min_period(arr, [0.0, 0.0, 1.0, 0.0])
+    assert r.kind == "period"
+    assert abs(r.period - 20.0 * math.pi) < 1e-9
+    assert r.residual <= 1e-9
+
+
+def _non_normal_rotation(gen):
+    """S (rotation(w) + real J2(+-i w2) + diag(-a, b)) S^-1 with a
+    non-orthogonal S (condition number at most 30), and a point whose
+    weight sits on the rotation plane only: its minimal period is 2 pi/w."""
+    w = float(gen.uniform(0.6, 2.5))
+    w2 = float(gen.uniform(0.3, 3.0))
+    j2 = np.block([[rotation(0.0, w2), np.eye(2)], [np.zeros((2, 2)), rotation(0.0, w2)]])
+    hyper = np.diag([-gen.uniform(0.05, 1.0), gen.uniform(0.05, 0.5)])
+    q1 = np.linalg.qr(gen.standard_normal((8, 8)))[0]
+    q2 = np.linalg.qr(gen.standard_normal((8, 8)))[0]
+    s = q1 @ np.diag(np.exp(gen.uniform(0.0, math.log(30.0), 8))) @ q2
+    arr = s @ direct_sum([rotation(0.0, w), j2, hyper]) @ np.linalg.inv(s)
+    z = np.zeros(8)
+    z[:2] = gen.uniform(-1.0, 1.0, 2)
+    return arr, s @ z, 2.0 * math.pi / w
+
+
+@pytest.mark.parametrize("horizon,step", [(128.0, 0.01), (1000.0, 0.25)])
+def test_min_period_non_normal_generators(horizon, step):
+    gen = np.random.default_rng(950 + int(step * 100))
+    for _ in range(6):
+        arr, x0, want = _non_normal_rotation(gen)
+        r = min_period(arr, x0, horizon=horizon, step=step)
+        assert r.kind == "period", (want, r)
+        assert abs(r.period - want) < 1e-8 * want
+
+
+def test_min_period_exponentials_per_refinement(monkeypatch):
+    """The orbit sample takes one exponential, the bisection one batch of
+    propagators per call, and each refinement at most two more: its
+    start and the check of its minimum."""
+    calls = {"scalar": 0, "batched": 0}
+    plain = flowsim.mat_exp_array
+
+    def counting(arr, t=1.0):
+        calls["batched" if np.ndim(t) else "scalar"] += 1
+        return plain(arr, t)
+
+    # frequencies 6 and 7 come close to x0 twice before the full turn
+    # at 2 pi, so three minima are refined; the sampled distance has
+    # more local minima than that, which bounds the refinements
+    beats = realize_class(RationalClass(Fraction(1), (6, 7)))
+    sample = orbit_sample(beats, [1.0, 1.0], 7.0, 0.01)
+    dist = np.linalg.norm(sample.points - sample.points[0], axis=1)
+    minima = int(np.sum((dist[1:-1] <= dist[:-2]) & (dist[1:-1] <= dist[2:])))
+    monkeypatch.setattr(flowsim, "mat_exp_array", counting)
+
+    fifth = [[0.0, -2.0 * math.pi / 5.0], [2.0 * math.pi / 5.0, 0.0]]
+    assert min_period(fifth, [1.0, 0.0]).kind == "period"
+    assert calls == {"scalar": 3, "batched": 1}
+
+    calls.update(scalar=0, batched=0)
+    r = min_period(beats, [1.0, 1.0], horizon=7.0)
+    assert r.kind == "period" and abs(r.period - 2.0 * math.pi) < 1e-9
+    assert calls["batched"] == 1
+    assert 3 < calls["scalar"] <= 1 + 2 * minima
+
+
 # ---- factorial-reciprocal systems -------------------------------------------
 
 
@@ -440,6 +513,34 @@ def test_witness_zero_frequency_uses_integer_times():
     w = witness_sequence([0.25, -0.5], beta=0.0, count=5)
     assert w.times == (1.0, 2.0, 3.0, 4.0, 5.0)
     assert flows_onto(w) < 1e-9
+
+
+def _dist2_reference(beta, x, y, t):
+    """|exp(tJ) x - y|^2 from the closed-form block exponential, and the
+    size of the terms it sums."""
+    m = x.size
+    val = jordan_flow(1j * beta, m, t) @ x - y
+    scale = np.linalg.norm(jordan_flow(0.0, m, abs(t)) @ np.abs(x)) + np.linalg.norm(y)
+    return float(np.sum(np.abs(val) ** 2)), scale
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 2.0])
+def test_orbit_dist2_matches_jordan_flow(beta):
+    gen = np.random.default_rng(int(10 * beta) + 31)
+    ts = np.concatenate([np.linspace(-7.0, 7.0, 29), [-1000.0, -999.99, 123.45, 1000.0]])
+    grid = flowsim._scan_times()
+    picks = np.concatenate([[0, 1, 447, 448, 449, grid.size - 1], gen.integers(0, grid.size, 12)])
+    for r in range(5):
+        for m in {2 * r + 1, max(1, 2 * r)}:
+            y = gen.standard_normal(m) + 1j * gen.standard_normal(m)
+            x = gen.standard_normal(m) + 1j * gen.standard_normal(m)
+            for tail in (0, r):
+                x[m - tail :] = 0.0
+                got = flowsim._orbit_dist2(beta, x, y, ts)
+                scanned = flowsim._scan_dist2(beta, x, y, grid)
+                for t, value in list(zip(ts, got)) + list(zip(grid[picks], scanned[picks])):
+                    want, scale = _dist2_reference(beta, x, y, float(t))
+                    assert abs(value - want) <= 1e-12 * (1.0 + scale) ** 2, (m, tail, t)
 
 
 def test_witness_rejects_orbit_equal_limits():

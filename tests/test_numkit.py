@@ -5,6 +5,7 @@ closed forms for exponentials)."""
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -308,6 +309,39 @@ def test_mat_exp_non_nilpotent_exact_falls_to_float():
 def test_mat_exp_infinite_time_rejected():
     with pytest.raises(InputError):
         mat_exp(Matrix.floating([[1.0]]), float("inf"))
+
+
+@pytest.mark.parametrize("complex_kind", [False, True])
+def test_mat_exp_array_batch_matches_scalar_calls(complex_kind):
+    """Each slice of a batched call is the scalar call at that time,
+    bit for bit: t = 0, series-only slices (|tA|_1 <= 0.5) and slices
+    that need squaring, in one mixed batch."""
+    gen = np.random.default_rng(4400 + complex_kind)
+    for _ in range(20):
+        n = int(gen.integers(1, 7))
+        arr = gen.standard_normal((n, n)) * 10 ** gen.uniform(-2, 1)
+        if complex_kind:
+            arr = arr + 1j * gen.standard_normal((n, n))
+        norm = np.abs(arr).sum(axis=0).max()
+        ts = np.array([0.0, 0.1 / norm, -0.4 / norm, 3.0 / norm, -40.0 / norm, 7.5])
+        stack = mat_exp_array(arr, ts)
+        assert stack.shape == (ts.size, n, n)
+        assert stack.dtype == (complex if complex_kind else float)
+        for t, got in zip(ts, stack):
+            assert np.array_equal(got, mat_exp_array(arr, float(t)))
+        assert np.array_equal(stack[0], np.eye(n))
+
+
+def test_mat_exp_array_overflowing_slice_is_silent():
+    arr = np.diag([200.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = mat_exp_array(arr, np.array([0.5, 1.0, 10.0]))
+        alone = mat_exp_array(arr, 10.0)
+    assert np.all(np.isfinite(stack[:2]))
+    assert np.array_equal(stack[1], mat_exp_array(arr, 1.0))
+    assert not np.all(np.isfinite(stack[2]))
+    assert not np.all(np.isfinite(alone))
 
 
 # ---- rank sequences --------------------------------------------------------------------
