@@ -16,9 +16,11 @@ sequences of shifted powers, and exact linear solves.
 
 Exact ranks, and the powers behind exact rank sequences, run on Python
 ints: the matrix is scaled once by the lcm of its denominators (one
-scalar, never per row), then eliminated fraction-free over the
-integers.  Float ranks count singular values (LAPACK) above a scaled
-threshold, and float rank sequences take their powers in numpy.
+scalar, never per row; `cleared`), then eliminated fraction-free over
+the integers.  A caller measuring many shifts clears once and passes
+the integer matrix to `integer_rank_sequence`.  Float ranks count
+singular values (LAPACK) above a scaled threshold, and float rank
+sequences take their powers in numpy.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ __all__ = [
     "mat_exp_array",
     "power_rank_sequence",
     "float_rank_sequence",
+    "integer_rank_sequence",
+    "cleared",
     "solve_exact",
     "inverse_exact",
     "DEFAULT_RANK_TOL",
@@ -544,7 +548,7 @@ def rank(m: Matrix, tol: float | None = None) -> int:
     """
     _check_tol(m, tol)
     if m.mode == "exact":
-        return _rank_int(_cleared(m)[1])
+        return _rank_int(cleared(m)[1])
     s = np.linalg.svd(m.to_numpy(), compute_uv=False)
     return int(np.count_nonzero(s > (DEFAULT_RANK_TOL if tol is None else tol) * s[0]))
 
@@ -556,7 +560,7 @@ def _check_tol(m: Matrix, tol) -> None:
         raise InputError("exact mode requires tol = 0")
 
 
-def _cleared(m: Matrix, *extra: Fraction) -> tuple:
+def cleared(m: Matrix, *extra: Fraction) -> tuple:
     """(D, rows of D*m as ints), D the lcm of the denominators of m's
     entries and of extra.  One scalar D keeps the rank of every power of
     a shifted matrix; clearing each row by its own denominator would
@@ -799,12 +803,15 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     if kmax < 0:
         raise InputError("kmax must be nonnegative")
     lam = canonical_lam(lam)
+    _check_tol(a, tol)
     if a.mode == "float":
-        _check_tol(a, tol)
         arr = a.to_numpy()
         return float_rank_sequence(arr, float(np.linalg.norm(arr, 2)), lam, kmax, tol)
-    step, pair = _integer_step(a, lam, tol)
-    return _stable_ranks(step, partial(_row_product, zero=0), _rank_int, lam, kmax, pair)
+    re, im = lam_parts(lam)
+    if not isinstance(re, Fraction):
+        raise InputError(f"an exact matrix needs an exact eigenvalue, got {lam!r}")
+    d, b = cleared(a, re, im)
+    return integer_rank_sequence(d, b, lam, kmax)
 
 
 def float_rank_sequence(arr: np.ndarray, norm: float, lam, kmax: int,
@@ -856,20 +863,33 @@ def _stable_ranks(step, multiply, measure, lam, kmax: int, pair: bool) -> list:
     return seq + [seq[-1]] * (kmax + 1 - len(seq))
 
 
-def _integer_step(a: Matrix, lam, tol) -> tuple:
+def integer_rank_sequence(d: int, b: list, lam, kmax: int) -> list:
+    """power_rank_sequence of an exact matrix given as `cleared` gives it:
+    D and the integer rows of B = D A, so a caller measuring many shifts
+    clears once.  lam must be exact, with D re lam and D im lam integers,
+    as they are for every eigenvalue of A with rational parts (D lam is
+    then a root of the monic integer polynomial det(tI - B) in Q(i),
+    hence in Z[i]).  The rows of B are not modified."""
+    if kmax < 0:
+        raise InputError("kmax must be nonnegative")
+    lam = canonical_lam(lam)
+    step, pair = _integer_step(d, b, lam)
+    return _stable_ranks(step, partial(_row_product, zero=0), _rank_int, lam, kmax, pair)
+
+
+def _integer_step(d: int, b: list, lam) -> tuple:
     """(integer rows of the step matrix, whether lam is a non-real pair)
-    for an exact A; see power_rank_sequence."""
-    _check_tol(a, tol)
+    from D and B = D A; see power_rank_sequence."""
     re, im = lam_parts(lam)
-    if not isinstance(re, Fraction):
-        raise InputError(f"an exact matrix needs an exact eigenvalue, got {lam!r}")
-    d, b = _cleared(a, re, im)
-    da = re.numerator * (d // re.denominator)
-    if not im:
-        for i, row in enumerate(b):
+    da, db = d * re, d * im
+    if da.denominator != 1 or db.denominator != 1:
+        raise InputError(f"{lam} times the common denominator {d} is not a Gaussian integer")
+    da, db = da.numerator, db.numerator
+    if not db:
+        step = [list(row) for row in b]
+        for i, row in enumerate(step):
             row[i] -= da
-        return b, False
-    db = im.numerator * (d // im.denominator)
+        return step, False
     step = _row_product(b, b, 0)
     for i, (row, brow) in enumerate(zip(step, b)):
         for j, x in enumerate(brow):

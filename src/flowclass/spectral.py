@@ -3,15 +3,26 @@
 Exact matrices are real-only (Fraction entries); their eigenvalues are
 Fraction or RationalComplex values.
 
-In exact mode eigenvalues come from the characteristic polynomial,
-factored over the rationals; this succeeds only when every root has
-rational real and imaginary parts, and anything else raises
-ExactModeError with a pointer to the float fallback.  In float mode the
-roots come from LAPACK (`numpy.linalg.eigvals`).  Rounding splits an
-eigenvalue with a size-k Jordan block into k roots about
-(u ||A||)^(1/k) ||A||^(1-1/k) apart (Golub & Wilkinson, SIAM Rev. 18,
-1976), so by default a group of roots may merge within a radius that
-grows with the group size, or within an explicit tol.  A group stands
+In exact mode the eigenvalues are LAPACK candidates certified by exact
+ranks.  With B = D A, D the lcm of the denominators of A, det(tI - B)
+is monic with integer coefficients, so D lam is a Gaussian integer for
+every eigenvalue lam with rational real and imaginary parts.  The roots
+of B as floats, rounded to the nearest Gaussian integers, give the
+candidates; a candidate is accepted when the integer rank sequence of
+its shifted powers drops, and n minus the stable rank is its
+multiplicity.  Generalized eigenspaces are independent, so when the
+accepted multiplicities sum to n the spectrum is complete.  When the
+count falls short (irrational parts, roots that round away from their
+eigenvalue, or entries of B too large for floats) the characteristic
+polynomial is factored over the rationals by sympy instead; a root with
+an irrational part then raises ExactModeError with a pointer to the
+float fallback.  Either way the block counts reuse the rank sequences.
+
+In float mode the roots come from LAPACK (`numpy.linalg.eigvals`).
+Rounding splits an eigenvalue with a size-k Jordan block into k roots
+about (u ||A||)^(1/k) ||A||^(1-1/k) apart (Golub & Wilkinson, SIAM
+Rev. 18, 1976), so by default a group of roots may merge within a
+radius that grows with the group size, or within an explicit tol.  A group stands
 for its mean, which is accurate to O(u ||A||) even for a defective
 eigenvalue (Kato, Perturbation Theory for Linear Operators, II.1), and
 is kept only when the ranks at its mean confirm its size.  Clusters are
@@ -20,13 +31,15 @@ paired into conjugates before any counting happens.
 Block sizes are never computed from eigenvectors.  The count of size-m
 blocks at an eigenvalue is the second difference of the rank sequence of
 shifted powers:  count(lam, m) = r(m-1) - 2 r(m) + r(m+1), with the
-sequence from `numkit.power_rank_sequence`.  In exact mode a conjugate
-pair a +- bi is measured there through the real quadratic
-(A - aI)^2 + b^2 I, so the ranks stay over the rationals.
+sequence from `numkit.power_rank_sequence` (`integer_rank_sequence` on
+the cleared B in exact mode, `float_rank_sequence` in float mode).  In
+exact mode a conjugate pair a +- bi is measured there through the real
+quadratic (A - aI)^2 + b^2 I, so the ranks stay over the integers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -38,9 +51,12 @@ from .errors import DiagnosticError, ExactModeError, InputError, NonConvergenceE
 from .numkit import (
     Matrix,
     RationalComplex,
+    _check_tol,
     canonical_lam,
     char_poly,
+    cleared,
     float_rank_sequence,
+    integer_rank_sequence,
     lam_parts,
     power_rank_sequence,
     re_sign,
@@ -66,6 +82,8 @@ _EPS = float(np.finfo(float).eps)
 # the largest group size whose radius still grows with the size
 _CLUSTER_SLACK = 100.0
 _MAX_CLUSTER_ORDER = 4
+# exact candidates: integer entries up to this convert to float exactly
+_FLOAT_EXACT = 2**53
 
 
 class Block(NamedTuple):
@@ -186,6 +204,8 @@ def _fraction_sqrt(f: Fraction):
 
 
 def _eigenvalues_exact(a: Matrix):
+    """Eigenvalues of an exact A by factoring char_poly over the rationals
+    (sympy); the fallback of `_exact_spectrum`."""
     import sympy
 
     poly = char_poly(a)
@@ -220,6 +240,62 @@ def _eigenvalues_exact(a: Matrix):
             )
     found.sort(key=lambda p: lam_parts(p[0]))
     return tuple(found)
+
+
+def _candidates(b: list) -> list:
+    """Gaussian integers (x, y), y >= 0, nearest to the LAPACK roots of the
+    integer matrix B, one per conjugate pair, those nearest to the most
+    roots first; none when an entry of B is too large to convert exactly."""
+    if max(abs(x) for row in b for x in row) > _FLOAT_EXACT:
+        return []
+    try:
+        roots = np.linalg.eigvals(np.array(b, dtype=float))
+    except np.linalg.LinAlgError:
+        return []
+    if not np.isfinite(roots).all():
+        return []
+    votes = Counter((round(z.real), abs(round(z.imag))) for z in roots.tolist())
+    return [xy for xy, _ in votes.most_common()]
+
+
+def _exact_spectrum(a: Matrix) -> list:
+    """(value, multiplicity, rank sequence) per eigenvalue of an exact A,
+    sorted by (re, im); a conjugate pair shares one sequence.
+
+    With B = D A cleared of denominators, each candidate z = x + yi from
+    `_candidates` stands for lam = z / D, and is accepted when the rank
+    sequence at lam drops, with multiplicity n minus its stable rank.
+    Once the multiplicities (a pair counting twice) sum to n the spectrum
+    is certified, since generalized eigenspaces are independent.  When
+    the count falls short, the eigenvalues come from `_eigenvalues_exact`
+    instead (which raises ExactModeError on irrational parts), and their
+    ranks reuse the sequences measured so far.
+    """
+    n = a.n
+    d, b = cleared(a)
+    measured = {}
+
+    def ranks_at(lam):
+        if lam not in measured:
+            measured[lam] = integer_rank_sequence(d, b, lam, n)
+        return measured[lam]
+
+    found, total = [], 0
+    for x, y in _candidates(b):
+        lam = RationalComplex(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d)
+        ranks = ranks_at(lam)
+        mult = n - ranks[-1]
+        if mult:
+            found.append((lam, mult, ranks))
+            total += 2 * mult if y else mult
+            if total == n:
+                break
+    if total < n:
+        found = [(lam, mult, ranks_at(lam)) for lam, mult in _eigenvalues_exact(a)
+                 if lam_parts(lam)[1] >= 0]
+    found += [(lam.conjugate(), mult, ranks) for lam, mult, ranks in found
+              if lam_parts(lam)[1]]
+    return sorted(found, key=lambda p: lam_parts(p[0]))
 
 
 # ---- eigenvalues: float path -------------------------------------------------
@@ -320,19 +396,35 @@ def _pair_conjugates(clusters):
 def eigenvalues(a: Matrix, tol: float | None = None):
     """Eigenvalues of a real square matrix with algebraic multiplicities.
 
-    Returns a tuple of (value, multiplicity) sorted by (re, im).  Exact
-    matrices give Fraction or RationalComplex values or raise
-    ExactModeError.  Float matrices give the means of clusters of LAPACK
-    roots, symmetrized into conjugate pairs.  A group merges when its
-    spread is at most tol, or by default a limit that grows with the
-    group size, and only when the ranks at its mean confirm its size
-    (see `_float_clusters`).
+    Returns a tuple of (value, multiplicity) sorted by (re, im).
+
+    Exact matrices give Fraction or RationalComplex values or raise
+    ExactModeError.  The LAPACK roots of B = D A, with D the lcm of the
+    denominators of A, rounded to the nearest Gaussian integers z, give
+    the candidates z / D; a candidate is accepted when the exact rank
+    sequence of its shifted powers drops, and its multiplicity is n
+    minus the stable rank.  When the accepted multiplicities sum to n,
+    that is the whole spectrum.  Otherwise (an eigenvalue with
+    irrational parts, a defective one whose roots round away from it,
+    or an entry of B beyond 2^53) the characteristic polynomial is
+    factored over the rationals by sympy (see `_exact_spectrum`).
+
+    Float matrices give the means of clusters of LAPACK roots,
+    symmetrized into conjugate pairs.  A group merges when its spread is
+    at most tol, or by default a limit that grows with the group size,
+    and only when the ranks at its mean confirm its size (see
+    `_float_clusters`).
     """
+    return tuple((lam, mult) for lam, mult, _ in _spectrum(a, tol))
+
+
+def _spectrum(a: Matrix, tol):
+    """(value, multiplicity, rank sequence) per eigenvalue of a real A."""
     if a.field != "real":
         raise InputError("eigenvalue extraction expects a real matrix")
     if a.mode == "exact":
-        return _eigenvalues_exact(a)
-    return tuple((lam, mult) for lam, mult, _ in _pair_conjugates(_float_clusters(a, tol)))
+        return _exact_spectrum(a)
+    return _pair_conjugates(_float_clusters(a, tol))
 
 
 # ---- real-part split ---------------------------------------------------------
@@ -416,21 +508,20 @@ def _block_counts(ranks: list, lam, mode: str):
 def spectrum_descriptor(a: Matrix, tol: float | None = None) -> SpectrumDescriptor:
     """Validated block descriptor of a real matrix.
 
-    Block counts are measured on the nonnegative-imaginary side and
-    mirrored, so the result is conjugate-symmetric by construction.  A
-    float A reuses the rank sequences its clusters were measured with.
+    Block counts are read off the rank sequences the eigenvalues were
+    confirmed or measured with, on the nonnegative-imaginary side, and
+    mirrored, so the result is conjugate-symmetric by construction.  An
+    exact A takes no tolerance.
     """
-    if a.mode == "float" and a.field == "real":
-        eigs = _pair_conjugates(_float_clusters(a, tol))
-    else:
-        eigs = [(lam, mult, None) for lam, mult in eigenvalues(a, tol)]
+    eigs = _spectrum(a, tol)
+    if a.mode == "exact":
+        _check_tol(a, tol)
     blocks = []
     for lam, mult, ranks in eigs:
         _, im = lam_parts(lam)
         if im < 0:
             continue
-        counts = (jordan_counts(a, lam, tol) if ranks is None
-                  else _block_counts(ranks, lam, a.mode))
+        counts = _block_counts(ranks, lam, a.mode)
         measured = sum(m * c for m, c in counts)
         if measured != mult:
             raise DiagnosticError(

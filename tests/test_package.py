@@ -1,6 +1,6 @@
 """Package-level guards: the README's library example runs as written,
-and importing flowclass leaves sympy unimported (exact eigenvalues load
-it on first use)."""
+and sympy stays unimported by importing flowclass and by exact spectra
+that the candidate certificate closes (only its fallback loads sympy)."""
 
 import os
 import re
@@ -19,13 +19,30 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out.strip() == "center eigenvalue -1i vs -2i"
 
 
-def test_import_does_not_load_sympy():
+def _fresh_python(code: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, flowclass; print('sympy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_does_not_load_sympy():
+    assert _fresh_python("import sys, flowclass; print('sympy' in sys.modules)") == "False"
+
+
+def test_certified_exact_spectra_do_not_load_sympy():
+    golden = ROOT / "tests" / "golden" / "classify_saddle_rotor.yaml"
+    code = (
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "from flowclass import Matrix, cli, spectrum_descriptor\n"
+        "d = spectrum_descriptor(Matrix.exact([[F(1, 2), F(-9, 4)], [1, F(1, 2)]]))\n"
+        "assert d.n == 2 and len(d.blocks) == 2, d\n"
+        f"assert cli.main(['classify', {str(golden)!r}]) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    assert _fresh_python(code) == "False"

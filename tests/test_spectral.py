@@ -4,6 +4,7 @@ eigenvalue multiplicities, and constructed block data."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ from conftest import (
 )
 from flowclass.errors import DiagnosticError, ExactModeError, InputError
 from flowclass.invariants import conjugacy_signature
-from flowclass.numkit import Matrix, RationalComplex
+from flowclass import spectral
+from flowclass.numkit import Matrix, RationalComplex, cleared
 from flowclass.spectral import (
     SpectrumDescriptor,
+    _candidates,
+    _eigenvalues_exact,
     eigenvalues,
     jordan_counts,
     spectrum_descriptor,
@@ -99,6 +103,103 @@ def test_eigenvalues_reject_complex_field_matrix():
     m = Matrix.floating([[1j]])
     with pytest.raises(InputError):
         eigenvalues(m)
+
+
+# ---- exact eigenvalues: certified candidates against the sympy reference ------
+
+
+def _reference_descriptor(a):
+    """Descriptor from the factored characteristic polynomial and one
+    jordan_counts call per eigenvalue."""
+    blocks = [(lam, m, c) for lam, _ in _eigenvalues_exact(a)
+              for m, c in jordan_counts(a, lam)]
+    return SpectrumDescriptor.make(blocks, n=a.n, exact=True, real_source=True)
+
+
+def _assert_certified_matches_reference(monkeypatch, mats):
+    want = [(_eigenvalues_exact(a), repr(_reference_descriptor(a))) for a in mats]
+
+    def no_fallback(a):
+        raise AssertionError("the candidate certificate fell short")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "_eigenvalues_exact", no_fallback)
+        for a, (eigs, desc) in zip(mats, want):
+            assert repr(eigenvalues(a)) == repr(eigs)
+            assert repr(spectrum_descriptor(a)) == desc
+
+
+def test_certified_eigenvalues_match_reference_on_random_similar(monkeypatch):
+    rng = random.Random(4141)
+    mats = []
+    for _ in range(25):
+        a = realize_real(random_parts(rng, max_n=10))
+        s, s_inv = random_unimodular(rng, a.n)
+        mats += [a, (s @ a) @ s_inv]
+    _assert_certified_matches_reference(monkeypatch, mats)
+
+
+def test_certified_eigenvalues_match_reference_on_large_blocks(monkeypatch):
+    # Jordan blocks up to size 5 at rational values with denominators up
+    # to 7, and pairs a +- bi with a != 0: the LAPACK roots of a defective
+    # value scatter, and still round onto a confirmed candidate
+    rng = random.Random(5757)
+    mats = []
+    for _ in range(12):
+        parts, left = [], 12
+        while left:
+            if left >= 2 and rng.random() < 0.4:
+                m = rng.randint(1, min(2, left // 2))
+                re = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+                parts.append((re, Fraction(rng.randint(1, 9), rng.randint(1, 7)), m, 1))
+                left -= 2 * m
+            else:
+                m = rng.randint(1, min(5, left))
+                parts.append((Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                              Fraction(0), m, 1))
+                left -= m
+        s, s_inv = random_unimodular(rng, 12)
+        mats.append((s @ realize_real(parts)) @ s_inv)
+    _assert_certified_matches_reference(monkeypatch, mats)
+
+
+def test_certified_eigenvalues_match_reference_on_benchmark_inputs(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    mats = [Matrix.exact(op.data[side])
+            for op in workloads.ExactDecide().inputs(9)
+            for side in ("left", "right")]
+    _assert_certified_matches_reference(monkeypatch, mats)
+
+
+def test_exact_entries_beyond_float_fall_back():
+    # D A = J_2(7 (10^17 + 1)) + [-3]: 7 (10^17 + 1) has no exact float,
+    # so no candidate is tried and the factored polynomial answers
+    big = 10**17 + 1
+    a = Matrix.block_diag([Matrix.jordan_block(Fraction(big), 2),
+                           Matrix.exact([[Fraction(-3, 7)]])])
+    assert _candidates(cleared(a)[1]) == []
+    assert eigenvalues(a) == ((Fraction(-3, 7), 1), (Fraction(big), 2))
+    assert spectrum_descriptor(a).blocks == (
+        (Fraction(-3, 7), 1, 1), (Fraction(big), 2, 1))
+    # an entry beyond the float range cannot be converted at all
+    assert eigenvalues(Matrix.exact([[10**400, 1], [0, 2]])) == (
+        (Fraction(2), 1), (Fraction(10**400), 1))
+    assert spectrum_descriptor(Matrix.exact([[1, 10**400], [0, 1]])).blocks == (
+        (Fraction(1), 2, 1),)
+
+
+def test_irrational_spectrum_falls_back_to_the_same_refusal():
+    # the candidates 5 and +-1 leave the dimension count at 1 of 3
+    a = Matrix.block_diag([Matrix.exact([[0, 2], [1, 0]]), Matrix.exact([[5]])])
+    text = ("characteristic polynomial has the irreducible factor "
+            "t^2 + (0)t + (-2) whose roots have irrational parts; "
+            "rerun in float mode or supply spectrum blocks directly")
+    for call in (eigenvalues, spectrum_descriptor):
+        with pytest.raises(ExactModeError) as err:
+            call(a)
+        assert str(err.value) == text
 
 
 # ---- float eigenvalues ----------------------------------------------------------
