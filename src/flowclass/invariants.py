@@ -118,6 +118,8 @@ def decide_conjugate(
 
     The certificate names the first invariant that differs.  Center
     frequencies of float signatures are matched within tol.
+    `decide_equivalent` is this same function: topological equivalence
+    of linear flows has the same criterion as topological conjugacy.
     """
     if tol is None:
         tol = 0.0 if (a.exact and b.exact) else _CENTER_TOL
@@ -152,11 +154,8 @@ def decide_conjugate(
     return Verdict(True)
 
 
-def decide_equivalent(
-    a: ConjugacySignature, b: ConjugacySignature, tol: float | None = None
-) -> Verdict:
-    """Topological equivalence; the criterion coincides with conjugacy."""
-    return decide_conjugate(a, b, tol)
+# topological equivalence: the same criterion (see decide_conjugate)
+decide_equivalent = decide_conjugate
 
 
 def _imag_str(im) -> str:

@@ -18,9 +18,10 @@ Exact ranks, and the powers behind exact rank sequences, run on Python
 ints: the matrix is scaled once by the lcm of its denominators (one
 scalar, never per row; `cleared`), then eliminated fraction-free over
 the integers.  A caller measuring many shifts clears once and passes
-the integer matrix to `integer_rank_sequence`.  Float ranks count
-singular values (LAPACK) above a scaled threshold, and float rank
-sequences take their powers in numpy.
+the integer matrix to `integer_rank_sequence`, or to
+`integer_rank_walks` to measure its shifts a rank at a time.  Float
+ranks count singular values (LAPACK) above a scaled threshold, and
+float rank sequences take their powers in numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "power_rank_sequence",
     "float_rank_sequence",
     "integer_rank_sequence",
+    "integer_rank_walks",
     "cleared",
     "solve_exact",
     "inverse_exact",
@@ -798,6 +800,15 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     raises DiagnosticError.  Each rank is a fraction-free elimination
     over the integers (see `rank`).
 
+    The loop is a resumable walk (`integer_rank_walks`), one power per
+    rank.  A caller that measures every eigenvalue can stop all walks
+    without the repeat: n - r(k) never exceeds the multiplicity of lam,
+    and the multiplicities of distinct values sum to at most n, so once
+    the nullities measured at distinct values sum to n (a pair counting
+    twice) each walk has reached its stable rank, and filling with the
+    last rank gives this same sequence (see `spectral._exact_spectrum`).
+    Walks made by one `integer_rank_walks` call share one B^2.
+
     A float A is measured by `float_rank_sequence`.
     """
     if kmax < 0:
@@ -829,23 +840,34 @@ def float_rank_sequence(arr: np.ndarray, norm: float, lam, kmax: int,
     shift = complex(float(re), float(im)) if im else float(re)
     step = (arr - shift * np.eye(len(arr))) / (norm or 1.0)
     rel = _POWER_RANK_TOL if tol is None else tol
-    return _stable_ranks(
+    walk = _rank_walk(
         step, np.matmul,
         lambda p: int(np.count_nonzero(np.linalg.svd(p, compute_uv=False) > rel)),
-        lam, kmax, False,
+        lam, False,
     )
+    return _stable_ranks(walk, len(arr), kmax)
 
 
-def _stable_ranks(step, multiply, measure, lam, kmax: int, pair: bool) -> list:
-    """The rank loop of power_rank_sequence over one step matrix: measure
-    step^k for k = 1, 2, ... until two ranks agree, then fill to kmax.
-    For a pair step q(A) each rank is halved onto lam (see above).  A
-    rank that rises raises DiagnosticError."""
+def _stable_ranks(walk, n: int, kmax: int) -> list:
+    """The rank sequence of power_rank_sequence from a rank walk: [n] and
+    the ranks r(1), r(2), ... it yields until two agree or k = kmax, the
+    last one filling the rest."""
+    seq = [n]
+    while len(seq) <= kmax and (len(seq) < 2 or seq[-1] != seq[-2]):
+        seq.append(next(walk))
+    return seq + [seq[-1]] * (kmax + 1 - len(seq))
+
+
+def _rank_walk(step, multiply, measure, lam, pair: bool):
+    """Resumable rank loop of power_rank_sequence over one step matrix: a
+    generator of r(1), r(2), ..., the rank of step^k, forming each power
+    only when its rank is asked for.  For a pair step q(A) each rank is
+    halved onto lam (see above).  A rank that rises raises
+    DiagnosticError."""
     n = len(step)
     seq = [n]
-    power = None
-    while len(seq) <= kmax:
-        power = step if power is None else multiply(power, step)
+    power = step
+    while True:
         r = measure(power)
         if pair:
             nullity = n - r
@@ -858,9 +880,8 @@ def _stable_ranks(step, multiply, measure, lam, kmax: int, pair: bool) -> list:
         if r > seq[-1]:
             raise DiagnosticError(f"rank sequence increased: {seq + [r]}")
         seq.append(r)
-        if r == seq[-2]:
-            break
-    return seq + [seq[-1]] * (kmax + 1 - len(seq))
+        yield r
+        power = multiply(power, step)
 
 
 def integer_rank_sequence(d: int, b: list, lam, kmax: int) -> list:
@@ -872,14 +893,28 @@ def integer_rank_sequence(d: int, b: list, lam, kmax: int) -> list:
     hence in Z[i]).  The rows of B are not modified."""
     if kmax < 0:
         raise InputError("kmax must be nonnegative")
-    lam = canonical_lam(lam)
-    step, pair = _integer_step(d, b, lam)
-    return _stable_ranks(step, partial(_row_product, zero=0), _rank_int, lam, kmax, pair)
+    return _stable_ranks(integer_rank_walks(d, b)(lam), len(b), kmax)
 
 
-def _integer_step(d: int, b: list, lam) -> tuple:
+def integer_rank_walks(d: int, b: list):
+    """For D and B = D A as `cleared` gives them, a function lam -> the
+    rank walk of (A - lam I): a generator of r(1), r(2), ... of
+    power_rank_sequence that takes one more integer power per rank, so a
+    caller can stop a walk early and resume it later.  All walks of one
+    such function share one B^2, formed for the first non-real lam."""
+    square = cache(lambda: _row_product(b, b, 0))
+
+    def walk(lam):
+        lam = canonical_lam(lam)
+        step, pair = _integer_step(d, b, lam, square)
+        return _rank_walk(step, partial(_row_product, zero=0), _rank_int, lam, pair)
+
+    return walk
+
+
+def _integer_step(d: int, b: list, lam, square) -> tuple:
     """(integer rows of the step matrix, whether lam is a non-real pair)
-    from D and B = D A; see power_rank_sequence."""
+    from D, B = D A and a function giving B^2; see power_rank_sequence."""
     re, im = lam_parts(lam)
     da, db = d * re, d * im
     if da.denominator != 1 or db.denominator != 1:
@@ -890,7 +925,7 @@ def _integer_step(d: int, b: list, lam) -> tuple:
         for i, row in enumerate(step):
             row[i] -= da
         return step, False
-    step = _row_product(b, b, 0)
+    step = [list(row) for row in square()]
     for i, (row, brow) in enumerate(zip(step, b)):
         for j, x in enumerate(brow):
             row[j] -= 2 * da * x

@@ -11,12 +11,14 @@ of B as floats, rounded to the nearest Gaussian integers, give the
 candidates; a candidate is accepted when the integer rank sequence of
 its shifted powers drops, and n minus the stable rank is its
 multiplicity.  Generalized eigenspaces are independent, so when the
-accepted multiplicities sum to n the spectrum is complete.  When the
-count falls short (irrational parts, roots that round away from their
-eigenvalue, or entries of B too large for floats) the characteristic
-polynomial is factored over the rationals by sympy instead; a root with
-an irrational part then raises ExactModeError with a pointer to the
-float fallback.  Either way the block counts reuse the rank sequences.
+accepted multiplicities sum to n the spectrum is complete; the same
+count shows that every sequence has reached its stable rank, so no
+power is taken only to see a rank repeat.  When the count falls short
+(irrational parts, roots that round away from their eigenvalue, or
+entries of B too large for floats) the characteristic polynomial is
+factored over the rationals by sympy instead; a root with an irrational
+part then raises ExactModeError with a pointer to the float fallback.
+Either way the block counts reuse the rank sequences.
 
 In float mode the roots come from LAPACK (`numpy.linalg.eigvals`).
 Rounding splits an eigenvalue with a size-k Jordan block into k roots
@@ -31,8 +33,9 @@ paired into conjugates before any counting happens.
 Block sizes are never computed from eigenvectors.  The count of size-m
 blocks at an eigenvalue is the second difference of the rank sequence of
 shifted powers:  count(lam, m) = r(m-1) - 2 r(m) + r(m+1), with the
-sequence from `numkit.power_rank_sequence` (`integer_rank_sequence` on
-the cleared B in exact mode, `float_rank_sequence` in float mode).  In
+sequence from `numkit.power_rank_sequence` (the walks of
+`integer_rank_walks` on the cleared B in exact mode,
+`float_rank_sequence` in float mode).  In
 exact mode a conjugate pair a +- bi is measured there through the real
 quadratic (A - aI)^2 + b^2 I, so the ranks stay over the integers.
 """
@@ -56,7 +59,7 @@ from .numkit import (
     char_poly,
     cleared,
     float_rank_sequence,
-    integer_rank_sequence,
+    integer_rank_walks,
     lam_parts,
     power_rank_sequence,
     re_sign,
@@ -96,7 +99,7 @@ class Block(NamedTuple):
 
 def _sort_key(block: Block):
     re, im = lam_parts(block.lam)
-    return (float(re), float(im), block.m)
+    return (re, im, block.m)
 
 
 @dataclass(frozen=True)
@@ -243,9 +246,11 @@ def _eigenvalues_exact(a: Matrix):
 
 
 def _candidates(b: list) -> list:
-    """Gaussian integers (x, y), y >= 0, nearest to the LAPACK roots of the
-    integer matrix B, one per conjugate pair, those nearest to the most
-    roots first; none when an entry of B is too large to convert exactly."""
+    """((x, y), votes) per Gaussian integer x + yi, y >= 0, nearest to a
+    LAPACK root of the integer matrix B, one per conjugate pair, with
+    votes the number of roots nearest to it (a pair's counted on both
+    sides), most votes first; none when an entry of B is too large to
+    convert exactly."""
     if max(abs(x) for row in b for x in row) > _FLOAT_EXACT:
         return []
     try:
@@ -255,7 +260,7 @@ def _candidates(b: list) -> list:
     if not np.isfinite(roots).all():
         return []
     votes = Counter((round(z.real), abs(round(z.imag))) for z in roots.tolist())
-    return [xy for xy, _ in votes.most_common()]
+    return votes.most_common()
 
 
 def _exact_spectrum(a: Matrix) -> list:
@@ -263,36 +268,68 @@ def _exact_spectrum(a: Matrix) -> list:
     sorted by (re, im); a conjugate pair shares one sequence.
 
     With B = D A cleared of denominators, each candidate z = x + yi from
-    `_candidates` stands for lam = z / D, and is accepted when the rank
-    sequence at lam drops, with multiplicity n minus its stable rank.
-    Once the multiplicities (a pair counting twice) sum to n the spectrum
-    is certified, since generalized eigenspaces are independent.  When
-    the count falls short, the eigenvalues come from `_eigenvalues_exact`
-    instead (which raises ExactModeError on irrational parts), and their
-    ranks reuse the sequences measured so far.
+    `_candidates` stands for lam = z / D.  Its rank walk
+    (`numkit.integer_rank_walks`, all sharing one B^2) measures
+    r(k) = rank (A - lam I)^k one power at a time.  The nullity n - r(k)
+    never falls and never exceeds the multiplicity of lam, and since
+    generalized eigenspaces are independent the multiplicities of
+    distinct values sum to at most n.  So once the nullities measured at
+    the candidates sum to n (a pair counting twice), every walk has
+    reached its multiplicity: the spectrum is certified, and each
+    sequence is filled with its last rank without a further power to see
+    it repeat.  Until then the walks are deepened in the candidates' vote
+    order: one rank at every candidate, then more where the nullity is
+    below the votes, then wherever the rank has not yet repeated.  The
+    votes only order the work; the count alone certifies.  When it falls
+    short, the eigenvalues come from `_eigenvalues_exact` instead (which
+    raises ExactModeError on irrational parts), and each of their walks,
+    those measured so far included, runs until its rank repeats.
     """
     n = a.n
     d, b = cleared(a)
-    measured = {}
+    walk_at = integer_rank_walks(d, b)
+    walks = {}  # lam -> (rank walk, [n, r(1), ..., r(k)], 2 for a pair else 1)
+    total = 0
 
-    def ranks_at(lam):
-        if lam not in measured:
-            measured[lam] = integer_rank_sequence(d, b, lam, n)
-        return measured[lam]
+    def deepen(lam):
+        nonlocal total
+        if lam not in walks:
+            walks[lam] = (walk_at(lam), [n], 2 if lam_parts(lam)[1] else 1)
+        walk, ranks, weight = walks[lam]
+        ranks.append(next(walk))
+        total += weight * (ranks[-2] - ranks[-1])
 
-    found, total = [], 0
-    for x, y in _candidates(b):
-        lam = RationalComplex(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d)
-        ranks = ranks_at(lam)
-        mult = n - ranks[-1]
-        if mult:
-            found.append((lam, mult, ranks))
-            total += 2 * mult if y else mult
-            if total == n:
-                break
-    if total < n:
-        found = [(lam, mult, ranks_at(lam)) for lam, mult in _eigenvalues_exact(a)
-                 if lam_parts(lam)[1] >= 0]
+    def nullity(lam):
+        _, ranks, weight = walks[lam]
+        return weight * (n - ranks[-1])
+
+    def stable(lam):
+        ranks = walks[lam][1]
+        return len(ranks) > n or ranks[-1] == ranks[-2]
+
+    def filled(lam):
+        ranks = walks[lam][1]
+        return ranks + [ranks[-1]] * (n + 1 - len(ranks))
+
+    cands = [(RationalComplex(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d),
+              votes) for (x, y), votes in _candidates(b)]
+    for lam, _ in cands:
+        if total < n:
+            deepen(lam)
+    for wanted in (lambda lam, votes: nullity(lam) < votes, lambda lam, votes: True):
+        for lam, votes in cands:
+            while total < n and not stable(lam) and wanted(lam, votes):
+                deepen(lam)
+    if total == n:
+        found = [(lam, n - ranks[-1], filled(lam))
+                 for lam, (_, ranks, _) in walks.items() if ranks[-1] < n]
+    else:
+        found = []
+        for lam, mult in _eigenvalues_exact(a):
+            if lam_parts(lam)[1] >= 0:
+                while lam not in walks or not stable(lam):
+                    deepen(lam)
+                found.append((lam, mult, filled(lam)))
     found += [(lam.conjugate(), mult, ranks) for lam, mult, ranks in found
               if lam_parts(lam)[1]]
     return sorted(found, key=lambda p: lam_parts(p[0]))
@@ -404,10 +441,13 @@ def eigenvalues(a: Matrix, tol: float | None = None):
     the candidates z / D; a candidate is accepted when the exact rank
     sequence of its shifted powers drops, and its multiplicity is n
     minus the stable rank.  When the accepted multiplicities sum to n,
-    that is the whole spectrum.  Otherwise (an eigenvalue with
-    irrational parts, a defective one whose roots round away from it,
-    or an entry of B beyond 2^53) the characteristic polynomial is
-    factored over the rationals by sympy (see `_exact_spectrum`).
+    that is the whole spectrum.  The sequences are measured a power at
+    a time and all stop as soon as the nullities measured so far sum to
+    n, which proves each of them stable; pairs share one B^2.
+    Otherwise (an eigenvalue with irrational parts, a defective one
+    whose roots round away from it, or an entry of B beyond 2^53) the
+    characteristic polynomial is factored over the rationals by sympy
+    (see `_exact_spectrum`).
 
     Float matrices give the means of clusters of LAPACK roots,
     symmetrized into conjugate pairs.  A group merges when its spread is

@@ -281,6 +281,17 @@ def test_exact_flag_refuses_irrational_spectrum(capsys, tmp_path):
     assert err.startswith("flowclass: diagnostic:")
 
 
+def test_exact_eigenvalue_beyond_float_range_is_reported(capsys, tmp_path):
+    doc = write_doc(tmp_path, f"mode: exact\nmatrix: [[{10**400}, 1], [0, 2]]\n")
+    code, out, err = run(capsys, "classify", doc, "--format", "json")
+    assert code == 0 and err == ""
+    data = json.loads(out)["payload"]
+    assert data["mode"] == "exact"
+    assert [(b["re"], b["im"], b["size"]) for b in data["blocks"]] == [
+        ("2", "0", 1), (str(10**400), "0", 1)]
+    assert data["split"] == {"expanding": 2, "contracting": 0, "center": 0}
+
+
 def test_options_do_not_carry_over_between_calls(capsys, tmp_path):
     doc = write_doc(tmp_path, "matrix: [[0, 2], [1, 0]]\n")
     assert run(capsys, "classify", doc, "--exact")[0] == 2

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowclass
 from conftest import expected_blocks, random_parts, realize_real
+from flowclass import invariants
 from flowclass.errors import (
     DiagnosticError,
     InconsistentInvariantsError,
@@ -98,6 +100,13 @@ def test_decide_hyperbolic_jordan_structure_is_invisible():
     a = conjugacy_signature(desc_of([(Fraction(1), Fraction(0), 2, 1)]))
     b = conjugacy_signature(desc_of([(Fraction(3), Fraction(0), 1, 2)]))
     assert decide_conjugate(a, b).conjugate
+
+
+def test_decide_equivalent_is_an_alias_of_conjugate():
+    assert decide_equivalent is decide_conjugate
+    assert flowclass.decide_equivalent is flowclass.decide_conjugate
+    assert "decide_equivalent" in flowclass.__all__
+    assert "decide_equivalent" in invariants.__all__
 
 
 def test_decide_equivalent_matches_conjugate(rng):

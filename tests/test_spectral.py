@@ -24,8 +24,8 @@ from conftest import (
 )
 from flowclass.errors import DiagnosticError, ExactModeError, InputError
 from flowclass.invariants import conjugacy_signature
-from flowclass import spectral
-from flowclass.numkit import Matrix, RationalComplex, cleared
+from flowclass import numkit, spectral
+from flowclass.numkit import Matrix, RationalComplex, cleared, power_rank_sequence
 from flowclass.spectral import (
     SpectrumDescriptor,
     _candidates,
@@ -139,10 +139,9 @@ def test_certified_eigenvalues_match_reference_on_random_similar(monkeypatch):
     _assert_certified_matches_reference(monkeypatch, mats)
 
 
-def test_certified_eigenvalues_match_reference_on_large_blocks(monkeypatch):
-    # Jordan blocks up to size 5 at rational values with denominators up
-    # to 7, and pairs a +- bi with a != 0: the LAPACK roots of a defective
-    # value scatter, and still round onto a confirmed candidate
+def _large_block_matrices():
+    """12 dense n = 12 matrices with Jordan blocks up to size 5 at rational
+    values with denominators up to 7, and pairs a +- bi with a != 0."""
     rng = random.Random(5757)
     mats = []
     for _ in range(12):
@@ -160,7 +159,23 @@ def test_certified_eigenvalues_match_reference_on_large_blocks(monkeypatch):
                 left -= m
         s, s_inv = random_unimodular(rng, 12)
         mats.append((s @ realize_real(parts)) @ s_inv)
-    _assert_certified_matches_reference(monkeypatch, mats)
+    return mats
+
+
+def test_certified_eigenvalues_match_reference_on_large_blocks(monkeypatch):
+    # the LAPACK roots of a defective value scatter, and still round onto
+    # a confirmed candidate
+    _assert_certified_matches_reference(monkeypatch, _large_block_matrices())
+
+
+def test_misleading_votes_still_certify(monkeypatch):
+    # one vote each, in reverse order: no walk stops at its vote count, so
+    # the walks that the dimension count still needs are deepened to a
+    # repeated rank
+    candidates = spectral._candidates
+    monkeypatch.setattr(spectral, "_candidates",
+                        lambda b: [(xy, 1) for xy, _ in reversed(candidates(b))])
+    _assert_certified_matches_reference(monkeypatch, _large_block_matrices())
 
 
 def test_certified_eigenvalues_match_reference_on_benchmark_inputs(monkeypatch):
@@ -188,6 +203,96 @@ def test_exact_entries_beyond_float_fall_back():
         (Fraction(2), 1), (Fraction(10**400), 1))
     assert spectrum_descriptor(Matrix.exact([[1, 10**400], [0, 1]])).blocks == (
         (Fraction(1), 2, 1),)
+
+
+def _count_calls(monkeypatch, module, name, counted=lambda *args: True):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        if counted(*args):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_distinct_rational_spectrum_takes_one_rank_per_candidate(monkeypatch):
+    # eight distinct values: the first rank at each candidate already sums
+    # the nullities to n, so no power is formed and no rank repeated
+    rng = random.Random(88)
+    values = [Fraction(-7, 2), Fraction(-2), Fraction(-1, 3), Fraction(1, 2),
+              Fraction(1), Fraction(5, 3), Fraction(3), Fraction(9, 2)]
+    s, s_inv = random_unimodular(rng, 8, ops=40)
+    a = (s @ realize_real([(v, Fraction(0), 1, 1) for v in values])) @ s_inv
+    assert all(x for row in a.rows for x in row)  # dense
+    assert len(_candidates(cleared(a)[1])) == 8
+    ranks = _count_calls(monkeypatch, numkit, "_rank_int")
+    products = _count_calls(monkeypatch, numkit, "_row_product")
+    assert eigenvalues(a) == tuple((v, 1) for v in values)
+    assert len(ranks) == 8
+    assert products == []
+
+
+def test_pair_walks_share_one_square(monkeypatch):
+    # 1 +- 2i simple and -1 +- i in a 2-block: B^2 is formed once for both
+    rng = random.Random(99)
+    parts = [(Fraction(1), Fraction(2), 1, 1), (Fraction(-1), Fraction(1), 2, 1),
+             (Fraction(2), Fraction(0), 1, 1)]
+    s, s_inv = random_unimodular(rng, 7)
+    a = (s @ realize_real(parts)) @ s_inv
+    b = cleared(a)[1]
+    squares = _count_calls(monkeypatch, numkit, "_row_product",
+                           lambda x, y, *rest: x == b and y == b)
+    assert spectrum_descriptor(a).blocks == SpectrumDescriptor.make(expected_blocks(parts)).blocks
+    assert len(squares) == 1
+
+
+def test_fallback_walks_match_power_rank_sequence():
+    # 2^60 (J_2(1) + rotation(1)): entries beyond 2^53 give no candidates,
+    # so the factored polynomial names the eigenvalues and their walks run
+    # to a repeated rank
+    big = 2**60
+    a = Matrix.exact([[big, big, 0, 0], [0, big, 0, 0],
+                      [0, 0, 0, -big], [0, 0, big, 0]])
+    assert _candidates(cleared(a)[1]) == []
+    spectrum = spectral._exact_spectrum(a)
+    assert [(lam, mult) for lam, mult, _ in spectrum] == [
+        (RationalComplex(Fraction(0), Fraction(-big)), 1),
+        (RationalComplex(Fraction(0), Fraction(big)), 1), (Fraction(big), 2)]
+    for lam, _, ranks in spectrum:
+        assert ranks == power_rank_sequence(a, lam, 4)
+
+
+def test_short_count_reuses_measured_walks(monkeypatch):
+    # J_7(3) + [-1] under a long unimodular similarity: its roots scatter
+    # so far that the candidates do not reach the count, and the factored
+    # polynomial finishes the walks measured so far
+    rng = random.Random(1)
+    s, s_inv = random_unimodular(rng, 8, ops=240)
+    parts = [(Fraction(3), Fraction(0), 7, 1), (Fraction(-1), Fraction(0), 1, 1)]
+    a = (s @ realize_real(parts)) @ s_inv
+    assert ((3, 0), 1) in _candidates(cleared(a)[1])
+    fallbacks = _count_calls(monkeypatch, spectral, "_eigenvalues_exact")
+    spectrum = spectral._exact_spectrum(a)
+    assert len(fallbacks) == 1
+    assert [(lam, mult) for lam, mult, _ in spectrum] == [(Fraction(-1), 1), (Fraction(3), 7)]
+    for lam, _, ranks in spectrum:
+        assert ranks == power_rank_sequence(a, lam, 8)
+    assert spectrum_descriptor(a).blocks == SpectrumDescriptor.make(expected_blocks(parts)).blocks
+
+
+def test_eigenvalue_beyond_float_range_sorts_exactly():
+    a = Matrix.exact([[10**400, 1], [0, 2]])
+    assert spectrum_descriptor(a).blocks == (
+        (Fraction(2), 1, 1), (Fraction(10**400), 1, 1))
+    # parts equal as floats still sort by their exact values
+    tiny = Fraction(1, 10**30)
+    desc = SpectrumDescriptor.make([(RationalComplex(Fraction(1), Fraction(1)), 1, 1),
+                                    (Fraction(1) + tiny, 1, 1)], real_source=False)
+    assert [b.lam for b in desc.blocks] == [
+        RationalComplex(Fraction(1), Fraction(1)), Fraction(1) + tiny]
 
 
 def test_irrational_spectrum_falls_back_to_the_same_refusal():
