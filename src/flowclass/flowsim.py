@@ -57,6 +57,8 @@ DEFAULT_PERIOD_HORIZON = 128.0
 DEFAULT_PERIOD_STEP = 0.01
 DEFAULT_RETURN_TOL = 1e-9
 _BISECT_STEPS = 40
+_MAX_REFINEMENTS = 64
+_WALK_GROUP = 4
 _VERIFY_SPAN = 1000.0
 _VERIFY_STEP = 0.01
 _VERIFY_MARGIN = 1e-9
@@ -122,26 +124,24 @@ def _block_length(prop: np.ndarray, count: int) -> int:
     return length
 
 
-def orbit_sample(a, x0, horizon: float, step: float) -> OrbitSample:
-    """Sample the orbit on 0, step, 2*step, ... up to horizon.
-
-    One matrix exponential P = exp(step*A) is computed, and the grid is
-    walked in blocks of B points: the powers P^0 .. P^(B-1) take B - 1
-    products, the block starts s_k = P^B s_(k-1) take one product each,
-    and point k*B + j is P^j s_k, all blocks in one batched product.
-    B is about sqrt(count), capped so that P^B cannot overflow.  Point
-    k*B + j carries the rounding of about k*B + j products, so rounding
-    still grows linearly along the grid as in a step-by-step walk; the
-    rounding of P^B recurs in every block start instead of averaging
-    out, which makes it the larger term on long grids.  A step whose
-    propagator overflows is refused with DiagnosticError.
-    """
+def _check_window(horizon: float, step: float) -> int:
+    """Number of grid points 0, step, ... up to horizon."""
     if not (0.0 < step < math.inf and 0.0 < horizon < math.inf):
         raise InputError("horizon and step must be positive and finite")
-    arr = _as_array(a)
+    return int(math.floor(horizon / step + 1e-9)) + 1
+
+
+def _walk(arr: np.ndarray, vec: np.ndarray, count: int, step: float,
+          group: int = _WALK_GROUP):
+    """The blocked walk of orbit_sample over the first count grid points,
+    yielded in consecutive chunks of group blocks, the last one trimmed.
+
+    The block starts are stepped and the points formed one chunk at a
+    time by the same products as a walk in one piece, so the values do
+    not depend on group, and a consumer that stops early forms only the
+    chunks it reads.
+    """
     n = arr.shape[0]
-    vec = _as_vector(x0, n)
-    count = int(math.floor(horizon / step + 1e-9)) + 1
     prop = mat_exp_array(arr, step)
     if not np.all(np.isfinite(prop)):
         raise DiagnosticError(
@@ -154,14 +154,41 @@ def orbit_sample(a, x0, horizon: float, step: float) -> OrbitSample:
     for j in range(1, length):
         powers[j] = powers[j - 1] @ prop
     jump = powers[-1] @ prop
-    starts = np.empty((-(-count // length), n), dtype=dtype)
-    starts[0] = vec
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, starts.shape[0]):
-            starts[k] = jump @ starts[k - 1]
-        pts = np.einsum("jab,kb->kja", powers, starts).reshape(-1, n)[:count]
-    times = np.arange(count) * step
-    return OrbitSample(times, pts)
+    blocks = -(-count // length)
+    prev = None
+    for first in range(0, blocks, group):
+        starts = np.empty((min(group, blocks - first), n), dtype=dtype)
+        # the error state covers the arithmetic only, never a yield,
+        # across which it would leak into the consumer
+        with np.errstate(over="ignore", invalid="ignore"):
+            starts[0] = vec if prev is None else jump @ prev
+            for k in range(1, starts.shape[0]):
+                starts[k] = jump @ starts[k - 1]
+            pts = np.einsum("jab,kb->kja", powers, starts).reshape(-1, n)
+        prev = starts[-1]
+        yield pts[: count - first * length]
+
+
+def orbit_sample(a, x0, horizon: float, step: float) -> OrbitSample:
+    """Sample the orbit on 0, step, 2*step, ... up to horizon.
+
+    The grid is walked in blocks of B points, the walk min_period shares
+    (see _walk): one matrix exponential P = exp(step*A), the powers
+    P^0 .. P^(B-1) by B - 1 products, the block starts s_k = P^B s_(k-1)
+    by one product each, and point k*B + j = P^j s_k, formed in groups of
+    blocks that are concatenated here.  B is about sqrt(count), capped so
+    that P^B cannot overflow.  Point k*B + j carries the rounding of
+    about k*B + j products, so rounding still grows linearly along the
+    grid as in a step-by-step walk; the rounding of P^B recurs in every
+    block start instead of averaging out, which makes it the larger term
+    on long grids.  A step whose propagator overflows is refused with
+    DiagnosticError.
+    """
+    count = _check_window(horizon, step)
+    arr = _as_array(a)
+    vec = _as_vector(x0, arr.shape[0])
+    pts = np.concatenate(list(_walk(arr, vec, count, step)))
+    return OrbitSample(np.arange(count) * step, pts)
 
 
 # ---- canonical realizations -------------------------------------------------
@@ -356,8 +383,14 @@ def min_period(
     """Minimal t > 0 with exp(tA) x0 back at x0, by grid scan plus
     derivative-sign bisection.
 
-    Local minima of the return distance below a step-resolution
-    prefilter are refined on the squared distance phi: its derivative
+    The grid 0, step, ... up to horizon is walked lazily, a few blocks
+    of the orbit_sample walk at a time, and the search returns at the
+    first accepted period without forming the rest of the grid.  Local
+    minima k of the return distance (one point of lookahead across chunk
+    edges) are refined in time order when they fall below a
+    step-resolution prefilter 2*|A|_1*step*(scale + reach) + 10*tol*scale,
+    where reach is the largest finite distance walked through k + 1.
+    Refinement bisects on the squared distance phi: its derivative
     phi'(t) = 2 Re <x(t) - x0, A x(t)> changes sign across a
     nondegenerate minimum, and 40 bisection steps pin it down to
     rounding level.  A refinement brackets [lo, lo + h] with h = 2*step
@@ -370,9 +403,11 @@ def min_period(
     the acceptance test.  Where exp(lo*A) or exp(t*A) overflows (a stiff
     generator whose orbit avoids its expanding directions), the
     refinement starts from the sampled grid point at lo and is checked
-    by flowing that point instead.  Periods shorter than two grid steps
-    are not resolved.
+    by flowing that point instead.  After _MAX_REFINEMENTS (64)
+    refinements without a period the search gives up with none_found.
+    Periods shorter than two grid steps are not resolved.
     """
+    count = _check_window(horizon, step)
     arr = _as_array(a)
     vec = _as_vector(x0, arr.shape[0])
     scale = 1.0 + float(np.linalg.norm(vec))
@@ -380,14 +415,8 @@ def min_period(
     if speed <= tol * scale:
         return PeriodResult("fixed_point", residual=speed)
 
-    sample = orbit_sample(a, x0, horizon, step)
-    # an orbit that grows past the float range leaves inf/nan distances,
-    # which the scan below skips
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.linalg.norm(sample.points - vec, axis=1)
     a_norm = float(np.abs(arr).sum(axis=0).max())
-    reach = float(np.nanmax(dist[np.isfinite(dist)], initial=0.0))
-    prefilter = 2.0 * a_norm * step * (scale + reach) + 10.0 * tol * scale
+    margin = 10.0 * tol * scale
 
     def flow(t: float, start: np.ndarray) -> np.ndarray | None:
         """exp(tA) start, or None where it overflows."""
@@ -400,30 +429,21 @@ def min_period(
 
     width = 2.0 * step
     props = None
-    accept = tol * scale
-    refined = 0
-    for k in range(1, dist.size - 1):
-        if refined >= 64:
-            break
-        if not (dist[k] <= dist[k - 1] and dist[k] <= dist[k + 1]):
-            continue
-        if not (np.isfinite(dist[k]) and dist[k] < prefilter):
-            continue
-        lo = float(sample.times[k - 1])
-        if lo <= 0.0:
-            continue
-        refined += 1
-        grid_lo = sample.points[k - 1]
+
+    def refine(lo: float, grid_lo: np.ndarray) -> PeriodResult | None:
+        """Bisect the bracket [lo, lo + width]; the period at its minimum
+        if that passes the acceptance test, else None."""
+        nonlocal props
         x_lo = flow(lo, vec)
         from_grid = x_lo is None
         if from_grid:
             x_lo = grid_lo
         if not dphi(x_lo) < 0.0:
-            continue
+            return None
         if props is None:
             props = mat_exp_array(arr, width / 2.0 ** np.arange(_BISECT_STEPS + 1))
         if not dphi(props[0] @ x_lo) > 0.0:
-            continue
+            return None
         t_lo = lo
         for j in range(1, _BISECT_STEPS + 1):
             x_mid = props[j] @ x_lo
@@ -435,10 +455,55 @@ def min_period(
         if x_star is None:
             x_star = flow(t_star - lo, grid_lo)
         if x_star is None:
-            continue
+            return None
         residual = float(np.linalg.norm(x_star - vec))
-        if residual <= accept:
+        if residual <= tol * scale:
             return PeriodResult("period", t_star, residual)
+        return None
+
+    refined = 0
+    # the chunk starts at grid index base; the window prepends the last
+    # two distances (and tail the last two points) of the chunk before
+    tail = np.empty((0, vec.size))
+    window = np.empty(0)
+    reach = 0.0
+    base = 0
+    for pts in _walk(arr, vec, count, step):
+        # an orbit that grows past the float range leaves inf/nan
+        # distances, which never pass the mask below
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = np.linalg.norm(pts - vec, axis=1)
+        start = base - window[-2:].size
+        window = np.concatenate([window[-2:], dist])
+        running = np.maximum.accumulate(np.where(np.isfinite(dist), dist, 0.0))
+        np.maximum(running, reach, out=running)
+        reach = float(running[-1])
+        # inner[i] is the distance at grid index k = start + i + 1, and
+        # its prefilter takes reach over the distances through k + 1
+        inner = window[1:-1]
+        prefilter = (
+            2.0 * a_norm * step * (scale + running[running.size - inner.size :])
+            + margin
+        )
+        hits = np.flatnonzero(
+            (inner <= window[:-2])
+            & (inner <= window[2:])
+            & np.isfinite(inner)
+            & (inner < prefilter)
+        )
+        for i in hits:
+            k = start + int(i) + 1
+            if k <= 1:
+                continue
+            if refined >= _MAX_REFINEMENTS:
+                return PeriodResult("none_found")
+            refined += 1
+            at = k - 1 - base
+            found = refine(float(k - 1) * step, pts[at] if at >= 0 else tail[at])
+            if found is not None:
+                return found
+        tail = np.concatenate([tail, pts[-2:]])[-2:]
+        base += pts.shape[0]
     return PeriodResult("none_found")
 
 

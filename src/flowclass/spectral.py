@@ -474,12 +474,16 @@ def split_dims(eigs, tol: float | None = None) -> SpectralSplit:
     """Census of algebraic multiplicity by the sign of the real part.
 
     Exact values use exact sign; float values compare |re| against tol,
-    which defaults to 1e-8 * (1 + largest eigenvalue magnitude).
+    which defaults to 1e-8 * (1 + largest float eigenvalue magnitude).
+    Exact values never use tol, so they do not enter the default (and an
+    exact value beyond the float range is never converted).
     """
     eigs = list(eigs)
     if tol is None:
+        parts = [lam_parts(l) for l, _ in eigs]
         largest = max(
-            (abs(complex(*map(float, lam_parts(l)))) for l, _ in eigs), default=0.0
+            (abs(complex(re, im)) for re, im in parts if not isinstance(re, Fraction)),
+            default=0.0,
         )
         tol = DEFAULT_CLUSTER_FACTOR * (1.0 + largest)
     plus = minus = zero = 0

@@ -126,6 +126,29 @@ def test_orbit_sample_matches_step_by_step_walk(count, step, complex_kind):
         assert np.all(err <= 1e-11 * np.linalg.norm(want, axis=1))
 
 
+@pytest.mark.parametrize("complex_kind", [False, True])
+def test_chunked_walk_equals_orbit_sample(complex_kind):
+    # whatever the chunk size, the chunks concatenate to orbit_sample's
+    # points bit for bit; B = 114 at 12801 points, 2 at 4, 1 under a cap
+    gen = np.random.default_rng(7300 + complex_kind)
+    for count, step in ((1, 0.01), (4, 0.25), (12801, 0.01), (4001, 0.25), (230, 0.1)):
+        horizon = (count - 1) * step or step / 2
+        arr, vec = _random_generator(gen, complex_kind, 4.0 / max(horizon, 1.0))
+        want = orbit_sample(arr, vec, horizon=horizon, step=step).points
+        for group in (1, 3, 8, 1000):
+            chunks = list(flowsim._walk(arr, vec.astype(want.dtype), count, step, group))
+            got = np.concatenate(chunks)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    # a capped block length of 1 (|exp(0.25*A)|_1 = e^250) walks point by point
+    a, _ = realize_blocks([(1000.0, 1, 1), (1j, 1, 1), (-1j, 1, 1)])
+    x0 = np.array([0.0, 1.0, 0.0], dtype=complex)
+    want = orbit_sample(a, x0, horizon=2.0, step=0.25).points
+    for group in (1, 3):
+        chunks = list(flowsim._walk(a, x0, 9, 0.25, group))
+        assert chunks[0].shape[0] == group
+        assert np.array_equal(np.concatenate(chunks), want)
+
+
 def test_orbit_sample_block_cap_keeps_bounded_orbit_finite():
     # exp(0.25 * 50) has norm e^12.5; an uncapped block of 64 steps would
     # overflow P^64 and turn the zero expanding coordinate into nan rows
@@ -360,6 +383,164 @@ def test_min_period_non_normal_generators(horizon, step):
         r = min_period(arr, x0, horizon=horizon, step=step)
         assert r.kind == "period", (want, r)
         assert abs(r.period - want) < 1e-8 * want
+
+
+@pytest.mark.parametrize(
+    "horizon,step", [(math.inf, 0.01), (-1.0, 0.01), (128.0, 0.0), (128.0, math.nan)]
+)
+def test_min_period_checks_window_before_fixed_point(horizon, step):
+    # a fixed point is refused on a bad window just as a moving point is
+    for x0 in ([0.0, 0.0], [1.0, 0.0]):
+        with pytest.raises(InputError, match="positive and finite"):
+            min_period(ROT, x0, horizon=horizon, step=step)
+
+
+def _reference_min_period(a, x0, horizon=128.0, step=0.01, tol=1e-9):
+    """Reference search: the whole grid from orbit_sample, then every
+    local minimum below a prefilter over the whole horizon, in time order."""
+    arr = flowsim._as_array(a)
+    vec = flowsim._as_vector(x0, arr.shape[0])
+    scale = 1.0 + float(np.linalg.norm(vec))
+    speed = float(np.linalg.norm(arr @ vec))
+    if speed <= tol * scale:
+        return flowsim.PeriodResult("fixed_point", residual=speed)
+
+    sample = orbit_sample(a, x0, horizon, step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.linalg.norm(sample.points - vec, axis=1)
+    a_norm = float(np.abs(arr).sum(axis=0).max())
+    reach = float(np.nanmax(dist[np.isfinite(dist)], initial=0.0))
+    prefilter = 2.0 * a_norm * step * (scale + reach) + 10.0 * tol * scale
+
+    def flow(t, start):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = mat_exp_array(arr, t) @ start
+        return x if np.all(np.isfinite(x)) else None
+
+    def dphi(x):
+        return 2.0 * float(np.real(np.vdot(x - vec, arr @ x)))
+
+    steps = flowsim._BISECT_STEPS
+    width = 2.0 * step
+    props = None
+    refined = 0
+    for k in range(1, dist.size - 1):
+        if refined >= 64:
+            break
+        if not (dist[k] <= dist[k - 1] and dist[k] <= dist[k + 1]):
+            continue
+        if not (np.isfinite(dist[k]) and dist[k] < prefilter):
+            continue
+        lo = float(sample.times[k - 1])
+        if lo <= 0.0:
+            continue
+        refined += 1
+        grid_lo = sample.points[k - 1]
+        x_lo = flow(lo, vec)
+        from_grid = x_lo is None
+        if from_grid:
+            x_lo = grid_lo
+        if not dphi(x_lo) < 0.0:
+            continue
+        if props is None:
+            props = mat_exp_array(arr, width / 2.0 ** np.arange(steps + 1))
+        if not dphi(props[0] @ x_lo) > 0.0:
+            continue
+        t_lo = lo
+        for j in range(1, steps + 1):
+            x_mid = props[j] @ x_lo
+            if dphi(x_mid) < 0.0:
+                t_lo += width / 2.0**j
+                x_lo = x_mid
+        t_star = t_lo + width / 2.0 ** (steps + 1)
+        x_star = None if from_grid else flow(t_star, vec)
+        if x_star is None:
+            x_star = flow(t_star - lo, grid_lo)
+        if x_star is None:
+            continue
+        residual = float(np.linalg.norm(x_star - vec))
+        if residual <= tol * scale:
+            return flowsim.PeriodResult("period", t_star, residual)
+    return flowsim.PeriodResult("none_found")
+
+
+def _period_sweep(gen):
+    """(generator, point, keywords) cases: rational classes, non-normal
+    generators with center Jordan blocks at several grids, stiff
+    block-diagonal generators, and orbits that do not close in time."""
+    for _ in range(24):
+        k = int(gen.integers(2, 5))
+        p = (2, 2)
+        while math.gcd(*p) != 1:
+            p = tuple(sorted(int(v) for v in gen.integers(1, 9, k)))
+        beta = Fraction(int(gen.integers(1, 5)), 2)
+        x0 = gen.uniform(0.5, 2.0, k) * (gen.random(k) < 0.7)
+        x0[int(gen.integers(k))] = 1.0
+        yield realize_class(RationalClass(beta, p)), x0, {}
+    grids = ((128.0, 0.01), (60.0, 0.02), (300.0, 0.05), (1000.0, 0.25))
+    for c in range(24):
+        w, w2 = gen.uniform(0.2, 3.0, 2)
+        j2 = np.block([[rotation(0.0, w2), np.eye(2)], [np.zeros((2, 2)), rotation(0.0, w2)]])
+        cells = [rotation(0.0, w), j2] + [np.array([[v]]) for v in gen.uniform(-1.0, 1.0, c % 3)]
+        j = direct_sum(cells)
+        n = j.shape[0]
+        s = gen.standard_normal((n, n)) + 3.0 * np.eye(n)
+        z = np.zeros(n)
+        # weight on the rotation plane only (a period), or also on the
+        # Jordan block (drift, none_found)
+        z[: 2 if c % 2 else 4] = gen.uniform(-1.0, 1.0, 2 if c % 2 else 4)
+        horizon, step = grids[c % len(grids)]
+        yield s @ j @ np.linalg.inv(s), s @ z, {"horizon": horizon, "step": step}
+    for lam in (2.0, 12.0, 200.0):
+        yield direct_sum([np.diag([lam, -lam]), rotation(0.0, -0.1)]), [0.0, 0.0, 1.0, 0.0], {}
+    slow = [[0.0, -2.0 * math.pi / 200.0], [2.0 * math.pi / 200.0, 0.0]]
+    yield slow, [1.0, 0.0], {}
+    yield realize_blocks([(1j, 2, 1)])[0], [1.0, 0.1], {"horizon": 30.0}
+
+
+def test_min_period_matches_full_grid_reference():
+    kinds = {}
+    for arr, x0, kw in _period_sweep(np.random.default_rng(4242)):
+        got = min_period(arr, x0, **kw)
+        assert got == _reference_min_period(arr, x0, **kw), (arr, x0, kw)
+        kinds[got.kind] = kinds.get(got.kind, 0) + 1
+    assert kinds.get("period", 0) >= 30 and kinds.get("none_found", 0) >= 5, kinds
+
+
+def test_min_period_finds_minima_at_chunk_edges():
+    # periods whose grid minimum is the last point of a chunk, the first
+    # of the next, or one further in: the chunk-edge lookahead keeps each
+    step = 0.01
+    first = next(flowsim._walk(np.array(ROT), np.array([1.0, 0.0]), 12801, step))
+    edge = first.shape[0]
+    for k in (edge - 2, edge - 1, edge, edge + 1, 2 * edge):
+        w = 2.0 * math.pi / (k * step)
+        arr = [[0.0, -w], [w, 0.0]]
+        r = min_period(arr, [1.0, 0.0])
+        assert r.kind == "period" and abs(r.period - k * step) < 1e-9, (k, r)
+        assert r == _reference_min_period(arr, [1.0, 0.0])
+
+
+def test_min_period_stops_walking_at_first_period(monkeypatch):
+    formed = []
+    plain = flowsim._walk
+
+    def counting(*args, **kwargs):
+        for chunk in plain(*args, **kwargs):
+            formed.append(chunk.shape[0])
+            yield chunk
+
+    monkeypatch.setattr(flowsim, "_walk", counting)
+    fifth = [[0.0, -2.0 * math.pi / 5.0], [2.0 * math.pi / 5.0, 0.0]]
+    r = min_period(fifth, [1.0, 0.0])
+    assert r.kind == "period" and abs(r.period - 5.0) < 1e-9
+    # period 5 is grid point 500 of 12801
+    assert 500 < sum(formed) <= 1200
+
+    formed.clear()
+    slow = [[0.0, -2.0 * math.pi / 200.0], [2.0 * math.pi / 200.0, 0.0]]
+    assert min_period(slow, [1.0, 0.0]).kind == "none_found"
+    assert sum(formed) == 12801
 
 
 def test_min_period_exponentials_per_refinement(monkeypatch):

@@ -423,6 +423,10 @@ def test_split_dims_exact_signs():
     )
     s = split_dims(eigenvalues(m))
     assert (s.dim_plus, s.dim_minus, s.dim_zero) == (1, 1, 1)
+    # an eigenvalue beyond the float range takes its exact sign; the
+    # default tolerance comes from float values only, so none is converted
+    huge = split_dims(eigenvalues(Matrix.exact([[10**400, 1], [0, 2]])))
+    assert (huge.dim_plus, huge.dim_minus, huge.dim_zero) == (2, 0, 0)
 
 
 def test_split_dims_float_tolerance():
