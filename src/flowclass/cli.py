@@ -139,8 +139,6 @@ def _scalar_text(v) -> str:
 def _is_flat(v) -> bool:
     return isinstance(v, list) and all(
         not isinstance(x, (dict, list)) or _is_flat(x) for x in v
-    ) and all(
-        not isinstance(x, dict) for x in v
     )
 
 
@@ -344,7 +342,8 @@ def _system_descriptor(doc: dict, args, where: str, diags: list) -> SpectrumDesc
         rows = [[_make_value(t, mode) for t in row] for row in tagged]
         mat = Matrix.exact(rows) if mode == "exact" else Matrix.floating(rows)
         try:
-            return spectrum_descriptor(mat, tol=args.tol)
+            # a tolerance steers float analysis only; exact takes none
+            return spectrum_descriptor(mat, tol=None if mode == "exact" else args.tol)
         except ExactModeError as exc:
             if args.exact:
                 raise
@@ -463,8 +462,6 @@ def _cmd_equiv(doc: dict, args) -> Report:
 def _cmd_invariants(doc: dict, args) -> Report:
     diags: list = []
     qmax = args.qmax if args.qmax is not None else DEFAULT_QMAX
-    if not isinstance(doc, dict):
-        raise InputError("document must be a mapping")
     if "frequencies" in doc:
         _check_keys(doc, {"mode", "frequencies", "dim_fixed"}, "document")
         ev = _Evidence(declared=_declared_mode(doc, "", args.exact))
@@ -500,8 +497,6 @@ def _cmd_invariants(doc: dict, args) -> Report:
 
 def _cmd_simulate(doc: dict, args) -> Report:
     diags: list = []
-    if not isinstance(doc, dict):
-        raise InputError("document must be a mapping")
     _check_keys(
         doc, {"mode", "matrix", "spectrum", "n", "point", "growth_cap"}, "document"
     )
@@ -562,8 +557,6 @@ def _cmd_simulate(doc: dict, args) -> Report:
 
 def _cmd_witness(doc: dict, args) -> Report:
     diags: list = []
-    if not isinstance(doc, dict):
-        raise InputError("document must be a mapping")
     _check_keys(
         doc, {"mode", "head", "beta", "even", "target_zero", "count"}, "document"
     )

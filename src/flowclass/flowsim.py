@@ -59,10 +59,7 @@ DEFAULT_RETURN_TOL = 1e-9
 _BISECT_STEPS = 40
 _MAX_REFINEMENTS = 64
 _WALK_GROUP = 4
-_VERIFY_SPAN = 1000.0
-_VERIFY_STEP = 0.01
 _VERIFY_MARGIN = 1e-9
-_SCAN_CHUNK = 1 << 15
 _LOG_JUMP_CAP = 300.0
 
 
@@ -575,9 +572,9 @@ class WitnessSequence:
 
     x_seq[n] flows to y_seq[n] at time times[n]; x_seq converges to
     x_lim and y_seq to y_lim, yet x_lim and y_lim lie on different
-    orbits (checked on a time grid for the offset construction).  The
-    corner coordinate, index r (0-based) of each x_seq entry, converges
-    like a degree-r polynomial in 1/t.
+    orbits (checked in closed form for every real t, for the offset
+    construction).  The corner coordinate, index r (0-based) of each
+    x_seq entry, converges like a degree-r polynomial in 1/t.
     """
 
     beta: float
@@ -611,113 +608,42 @@ def _head_sum(head, i: int, r: int, t: float) -> complex:
     return total
 
 
-def _orbit_dist2(
-    beta: float, x: np.ndarray, y: np.ndarray, ts: np.ndarray, rot: np.ndarray | None = None
-) -> np.ndarray:
-    """Squared distance |exp(tJ) x - y|^2 on a vector of times, for the
-    single block J with eigenvalue i*beta; rot, when given, holds
-    exp(i beta t) on ts.
-
-    Coordinate i of exp(tJ) x is exp(i beta t) times the polynomial
-    sum_k x[i+k] t^k/k!, evaluated by Horner from the last nonzero entry
-    of x down, one coordinate at a time.  Each difference from y is
-    formed before it is squared, so a near-collision keeps its digits.
-    """
-    if rot is None:
-        rot = np.exp(1j * beta * ts)
-    nonzero = np.flatnonzero(x)
-    top = int(nonzero[-1]) if nonzero.size else -1
-    acc = np.zeros(ts.size)
-    val = np.empty(ts.size, dtype=complex)
-    square = np.empty(ts.size)
-    for i in range(x.size):
-        if i > top:
-            acc += abs(y[i]) ** 2
-            continue
-        val.fill(x[top] / math.factorial(top - i))
-        for k in range(top - i - 1, -1, -1):
-            val *= ts
-            val += x[i + k] / math.factorial(k)
-        val *= rot
-        val -= y[i]
-        np.multiply(val.real, val.real, out=square)
-        acc += square
-        np.multiply(val.imag, val.imag, out=square)
-        acc += square
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _scan_times() -> np.ndarray:
-    ts = np.arange(-_VERIFY_SPAN, _VERIFY_SPAN + _VERIFY_STEP / 2, _VERIFY_STEP)
-    ts.flags.writeable = False
-    return ts
-
-
-def _scan_dist2(beta: float, x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """_orbit_dist2 on a uniform grid t_k = ts[0] + k*(ts[1] - ts[0]), in
-    chunks of about _SCAN_CHUNK points so that every buffer stays small.
-
-    The grid is cut into blocks of about sqrt(N) points, and the rotation
-    factor of a chunk is the outer product of its block starts with the
-    in-block offsets: about 2*sqrt(N) complex exponentials instead of N.
-    """
-    count = ts.size
-    length = math.isqrt(count - 1) + 1
-    delta = float(ts[1] - ts[0])
-    starts = np.exp(1j * beta * (ts[0] + (delta * length) * np.arange(-(-count // length))))
-    offsets = np.exp(1j * beta * delta * np.arange(length))
-    per = max(1, _SCAN_CHUNK // length)
-    parts = []
-    for k in range(0, starts.size, per):
-        rot = np.multiply.outer(starts[k : k + per], offsets).ravel()
-        chunk = ts[k * length : k * length + rot.size]
-        parts.append(_orbit_dist2(beta, x, y, chunk, rot[: chunk.size]))
-    return np.concatenate(parts)
-
-
 def _assert_distinct_orbits(beta: float, x_lim, y_lim) -> None:
-    """Scan a time grid for orbit equality of the two limit points.
+    """Decide, for every real t at once, whether y_lim lies on the orbit
+    of x_lim under the single block J = i*beta*I + N.
 
-    The lowest local minima of the sampled distance are refined by
-    shrinking rescans, so a collision between grid points is still
-    driven down to rounding level.  The candidates are rescanned
-    together, one batch of fine grids per round.  Raises DiagnosticError
-    when the refined distance falls within the margin; a pass certifies
-    separation of the scanned window up to that refinement.
+    Coordinate i of exp(tJ) x is exp(i beta t) sum_k x[i+k] t^k/k!.  With
+    p the last nonzero coordinate of x, y = exp(tJ) x forces
+    exp(i beta t) = y[p]/x[p] and, for p >= 1, t = y[p-1]/y[p] - x[p-1]/x[p],
+    of which the real part is taken.  For p = 0 only the rotation
+    matters: t = arg(y[0]/x[0])/beta, or t = 0 when beta or y[0] is zero
+    (an x of zeros has the origin for its orbit and takes t = 0 too).  The distance |exp(tJ) x - y| is
+    evaluated once at that t and compared with the size of the terms it
+    sums, 1 + | |exp(tN)| |x| | + |y|.  Raises DiagnosticError when it
+    falls within the margin; a distance that overflows counts as distinct.
     """
     x = np.asarray(x_lim, dtype=complex)
     y = np.asarray(y_lim, dtype=complex)
-    ts = _scan_times()
-    d2 = _scan_dist2(beta, x, y, ts)
-
-    inner = d2[1:-1]
-    is_min = (inner <= d2[:-2]) & (inner <= d2[2:])
-    candidates = np.concatenate([np.flatnonzero(is_min) + 1, [0, d2.size - 1]])
-    picked = candidates[np.argsort(d2[candidates], kind="stable")[:8]]
-
-    t0 = ts[picked]
-    local = d2[picked]
-    span = np.full(picked.size, _VERIFY_STEP)
-    while True:
-        live = np.flatnonzero(span > 1e-13 * (1.0 + np.abs(t0)))
-        if not live.size:
-            break
-        fine = np.linspace(t0[live] - span[live], t0[live] + span[live], 101, axis=1)
-        vals = _orbit_dist2(beta, x, y, fine.ravel()).reshape(fine.shape)
-        at = vals.argmin(axis=1)
-        rows = np.arange(live.size)
-        t0[live] = fine[rows, at]
-        local[live] = vals[rows, at]
-        span[live] /= 50.0
-    first = int(local.argmin())
-    best, best_t = float(local[first]), float(t0[first])
-
-    scale = 1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y))
-    if math.sqrt(best) <= _VERIFY_MARGIN * scale:
+    nonzero = np.flatnonzero(x)
+    p = int(nonzero[-1]) if nonzero.size else -1
+    with np.errstate(all="ignore"):
+        if p >= 1:
+            t = float(np.real(y[p - 1] / y[p] - x[p - 1] / x[p]))
+        elif p == 0 and beta and y[0]:
+            t = float(np.angle(y[0] / x[0])) / beta
+        else:
+            t = 0.0
+        flow = jordan_flow(1j * beta, x.size, t)
+        dist = float(np.linalg.norm(flow @ x - y))
+        scale = (
+            1.0
+            + float(np.linalg.norm(np.abs(flow) @ np.abs(x)))
+            + float(np.linalg.norm(y))
+        )
+    if math.isfinite(dist) and dist <= _VERIFY_MARGIN * scale:
         raise DiagnosticError(
-            f"the limit points are orbit-equal near t={best_t:g} "
-            f"(distance {math.sqrt(best):.3g}); choose a different head"
+            f"the limit points are orbit-equal near t={t:g} "
+            f"(distance {dist:.3g}); choose a different head"
         )
 
 

@@ -18,10 +18,9 @@ Exact ranks, and the powers behind exact rank sequences, run on Python
 ints: the matrix is scaled once by the lcm of its denominators (one
 scalar, never per row; `cleared`), then eliminated fraction-free over
 the integers.  A caller measuring many shifts clears once and passes
-the integer matrix to `integer_rank_sequence`, or to
-`integer_rank_walks` to measure its shifts a rank at a time.  Float
-ranks count singular values (LAPACK) above a scaled threshold, and
-float rank sequences take their powers in numpy.
+the integer matrix to `integer_rank_walks` to measure its shifts a rank
+at a time.  Float ranks count singular values (LAPACK) above a scaled
+threshold, and float rank sequences take their powers in numpy.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "mat_exp_array",
     "power_rank_sequence",
     "float_rank_sequence",
-    "integer_rank_sequence",
     "integer_rank_walks",
     "cleared",
     "solve_exact",
@@ -822,7 +820,7 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     if not isinstance(re, Fraction):
         raise InputError(f"an exact matrix needs an exact eigenvalue, got {lam!r}")
     d, b = cleared(a, re, im)
-    return integer_rank_sequence(d, b, lam, kmax)
+    return _stable_ranks(integer_rank_walks(d, b)(lam), a.n, kmax)
 
 
 def float_rank_sequence(arr: np.ndarray, norm: float, lam, kmax: int,
@@ -884,24 +882,16 @@ def _rank_walk(step, multiply, measure, lam, pair: bool):
         power = multiply(power, step)
 
 
-def integer_rank_sequence(d: int, b: list, lam, kmax: int) -> list:
-    """power_rank_sequence of an exact matrix given as `cleared` gives it:
-    D and the integer rows of B = D A, so a caller measuring many shifts
-    clears once.  lam must be exact, with D re lam and D im lam integers,
-    as they are for every eigenvalue of A with rational parts (D lam is
-    then a root of the monic integer polynomial det(tI - B) in Q(i),
-    hence in Z[i]).  The rows of B are not modified."""
-    if kmax < 0:
-        raise InputError("kmax must be nonnegative")
-    return _stable_ranks(integer_rank_walks(d, b)(lam), len(b), kmax)
-
-
 def integer_rank_walks(d: int, b: list):
     """For D and B = D A as `cleared` gives them, a function lam -> the
     rank walk of (A - lam I): a generator of r(1), r(2), ... of
     power_rank_sequence that takes one more integer power per rank, so a
-    caller can stop a walk early and resume it later.  All walks of one
-    such function share one B^2, formed for the first non-real lam."""
+    caller can stop a walk early and resume it later.  lam must be exact,
+    with D re lam and D im lam integers, as they are for every eigenvalue
+    of A with rational parts (D lam is then a root of the monic integer
+    polynomial det(tI - B) in Q(i), hence in Z[i]).  The rows of B are
+    not modified.  All walks of one such function share one B^2, formed
+    for the first non-real lam."""
     square = cache(lambda: _row_product(b, b, 0))
 
     def walk(lam):

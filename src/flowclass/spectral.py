@@ -435,7 +435,8 @@ def eigenvalues(a: Matrix, tol: float | None = None):
 
     Returns a tuple of (value, multiplicity) sorted by (re, im).
 
-    Exact matrices give Fraction or RationalComplex values or raise
+    Exact matrices take no tolerance (a nonzero tol raises InputError
+    before any work) and give Fraction or RationalComplex values or raise
     ExactModeError.  The LAPACK roots of B = D A, with D the lcm of the
     denominators of A, rounded to the nearest Gaussian integers z, give
     the candidates z / D; a candidate is accepted when the exact rank
@@ -463,6 +464,7 @@ def _spectrum(a: Matrix, tol):
     if a.field != "real":
         raise InputError("eigenvalue extraction expects a real matrix")
     if a.mode == "exact":
+        _check_tol(a, tol)
         return _exact_spectrum(a)
     return _pair_conjugates(_float_clusters(a, tol))
 
@@ -558,8 +560,6 @@ def spectrum_descriptor(a: Matrix, tol: float | None = None) -> SpectrumDescript
     exact A takes no tolerance.
     """
     eigs = _spectrum(a, tol)
-    if a.mode == "exact":
-        _check_tol(a, tol)
     blocks = []
     for lam, mult, ranks in eigs:
         _, im = lam_parts(lam)

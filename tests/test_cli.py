@@ -292,6 +292,17 @@ def test_exact_eigenvalue_beyond_float_range_is_reported(capsys, tmp_path):
     assert data["split"] == {"expanding": 2, "contracting": 0, "center": 0}
 
 
+def test_tol_steers_float_analysis_only(capsys, tmp_path):
+    # an exact document ignores --tol; the irrational one falls back to
+    # float analysis, which takes it
+    for matrix, mode in (("[[0, -1], [1, 0]]", "exact"), ("[[0, 2], [1, 0]]", "float")):
+        doc = write_doc(tmp_path, f"matrix: {matrix}\n")
+        code, out, _ = run(capsys, "classify", doc, "--tol", "1e-6", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["payload"]["mode"] == mode
+        assert out == run(capsys, "classify", doc, "--format", "json")[1]
+
+
 def test_options_do_not_carry_over_between_calls(capsys, tmp_path):
     doc = write_doc(tmp_path, "matrix: [[0, 2], [1, 0]]\n")
     assert run(capsys, "classify", doc, "--exact")[0] == 2

@@ -696,32 +696,21 @@ def test_witness_zero_frequency_uses_integer_times():
     assert flows_onto(w) < 1e-9
 
 
-def _dist2_reference(beta, x, y, t):
-    """|exp(tJ) x - y|^2 from the closed-form block exponential, and the
-    size of the terms it sums."""
-    m = x.size
-    val = jordan_flow(1j * beta, m, t) @ x - y
-    scale = np.linalg.norm(jordan_flow(0.0, m, abs(t)) @ np.abs(x)) + np.linalg.norm(y)
-    return float(np.sum(np.abs(val) ** 2)), scale
-
-
 @pytest.mark.parametrize("beta", [0.0, 0.7, 2.0])
-def test_orbit_dist2_matches_jordan_flow(beta):
+def test_distinct_orbits_decided_for_every_time(beta):
+    # y on the orbit of x, at a time up to 5000, is refused; y scaled by
+    # 1 + 1e-6 is accepted, being off the orbit: every orbit point keeps
+    # the modulus of the last nonzero coordinate of x
     gen = np.random.default_rng(int(10 * beta) + 31)
-    ts = np.concatenate([np.linspace(-7.0, 7.0, 29), [-1000.0, -999.99, 123.45, 1000.0]])
-    grid = flowsim._scan_times()
-    picks = np.concatenate([[0, 1, 447, 448, 449, grid.size - 1], gen.integers(0, grid.size, 12)])
-    for r in range(5):
-        for m in {2 * r + 1, max(1, 2 * r)}:
-            y = gen.standard_normal(m) + 1j * gen.standard_normal(m)
+    for m in range(1, 8):
+        for _ in range(8):
             x = gen.standard_normal(m) + 1j * gen.standard_normal(m)
-            for tail in (0, r):
-                x[m - tail :] = 0.0
-                got = flowsim._orbit_dist2(beta, x, y, ts)
-                scanned = flowsim._scan_dist2(beta, x, y, grid)
-                for t, value in list(zip(ts, got)) + list(zip(grid[picks], scanned[picks])):
-                    want, scale = _dist2_reference(beta, x, y, float(t))
-                    assert abs(value - want) <= 1e-12 * (1.0 + scale) ** 2, (m, tail, t)
+            x[m - int(gen.integers(0, m)) :] = 0.0
+            t0 = float(gen.uniform(-5000.0, 5000.0))
+            y = jordan_flow(1j * beta, m, t0) @ x
+            with pytest.raises(DiagnosticError, match="orbit-equal"):
+                flowsim._assert_distinct_orbits(beta, x, y)
+            flowsim._assert_distinct_orbits(beta, x, y * (1.0 + 1e-6))
 
 
 def test_witness_rejects_orbit_equal_limits():
@@ -729,6 +718,13 @@ def test_witness_rejects_orbit_equal_limits():
     # reached at a half turn
     with pytest.raises(DiagnosticError, match="orbit-equal"):
         witness_sequence([-0.5, 0.0], beta=1.0)
+
+
+def test_witness_rejects_collision_at_late_time():
+    # head (-1, 5e-4): the offset limit (0, -5e-4, 0) is reached at
+    # t = 2000, a half turn of the slow rotation
+    with pytest.raises(DiagnosticError, match="orbit-equal near t=2000"):
+        witness_sequence([-1.0, 5e-4], beta=math.pi / 2000)
 
 
 def test_witness_input_validation():

@@ -414,6 +414,17 @@ def test_float_tol_must_be_positive():
         eigenvalues(Matrix.floating([[1.0]]), tol=0.0)
 
 
+def test_exact_matrix_refuses_tol_before_any_work(monkeypatch):
+    def computed(a):
+        raise AssertionError("the exact spectrum was computed")
+
+    monkeypatch.setattr(spectral, "_exact_spectrum", computed)
+    a = Matrix.exact([[0, -1], [1, 0]])
+    for entry in (eigenvalues, spectrum_descriptor):
+        with pytest.raises(InputError, match="exact mode requires tol = 0"):
+            entry(a, tol=1e-6)
+
+
 # ---- split ------------------------------------------------------------------------
 
 
