@@ -617,10 +617,11 @@ def _assert_distinct_orbits(beta: float, x_lim, y_lim) -> None:
     exp(i beta t) = y[p]/x[p] and, for p >= 1, t = y[p-1]/y[p] - x[p-1]/x[p],
     of which the real part is taken.  For p = 0 only the rotation
     matters: t = arg(y[0]/x[0])/beta, or t = 0 when beta or y[0] is zero
-    (an x of zeros has the origin for its orbit and takes t = 0 too).  The distance |exp(tJ) x - y| is
-    evaluated once at that t and compared with the size of the terms it
-    sums, 1 + | |exp(tN)| |x| | + |y|.  Raises DiagnosticError when it
-    falls within the margin; a distance that overflows counts as distinct.
+    (an x of zeros, whose orbit is the origin, takes t = 0 too).  The
+    distance |exp(tJ) x - y| is evaluated once at that t and compared
+    with the size of the terms it sums, 1 + | |exp(tN)| |x| | + |y|.
+    Raises DiagnosticError when it falls within the margin; a distance
+    that overflows counts as distinct.
     """
     x = np.asarray(x_lim, dtype=complex)
     y = np.asarray(y_lim, dtype=complex)
