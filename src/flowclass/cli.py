@@ -691,6 +691,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and not math.isfinite(args.tol):
+            raise InputError(f"--tol must be a finite number, got {args.tol}")
         doc = _load_document(args.file)
         report = _COMMANDS[args.command](doc, args)
     except InputError as exc:

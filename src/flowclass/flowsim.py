@@ -128,6 +128,11 @@ def _check_window(horizon: float, step: float) -> int:
     return int(math.floor(horizon / step + 1e-9)) + 1
 
 
+def _check_return_tol(tol: float) -> None:
+    if not tol >= 0:  # NaN too
+        raise InputError("the return tolerance must be a nonnegative number")
+
+
 def _walk(arr: np.ndarray, vec: np.ndarray, count: int, step: float,
           group: int = _WALK_GROUP):
     """The blocked walk of orbit_sample over the first count grid points,
@@ -320,9 +325,11 @@ def bounded_probe(
     (a closed orbit is bounded), and undetermined otherwise.  The probe
     never contradicts bounded_exact: growth beyond the cap cannot happen
     on a bounded orbit, and recurrence cannot happen on an unbounded one.
+    A tol that is NaN or negative raises InputError.
     """
     if not growth_cap > 1:
         raise InputError("growth_cap must exceed 1")
+    _check_return_tol(tol)
     sample = orbit_sample(a, x0, horizon, step)
     norms = sample.norms
     base = float(norms[0])
@@ -402,8 +409,10 @@ def min_period(
     refinement starts from the sampled grid point at lo and is checked
     by flowing that point instead.  After _MAX_REFINEMENTS (64)
     refinements without a period the search gives up with none_found.
-    Periods shorter than two grid steps are not resolved.
+    Periods shorter than two grid steps are not resolved.  A tol that is
+    NaN or negative raises InputError.
     """
+    _check_return_tol(tol)
     count = _check_window(horizon, step)
     arr = _as_array(a)
     vec = _as_vector(x0, arr.shape[0])

@@ -20,7 +20,8 @@ scalar, never per row; `cleared`), then eliminated fraction-free over
 the integers.  A caller measuring many shifts clears once and passes
 the integer matrix to `integer_rank_walks` to measure its shifts a rank
 at a time.  Float ranks count singular values (LAPACK) above a scaled
-threshold, and float rank sequences take their powers in numpy.
+threshold, and float rank sequences at many shifts walk their powers in
+lockstep, one batched SVD and one batched product per power.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -554,10 +555,14 @@ def rank(m: Matrix, tol: float | None = None) -> int:
 
 
 def _check_tol(m: Matrix, tol) -> None:
-    if tol is not None and tol < 0:
-        raise InputError("rank tolerance must be nonnegative")
+    _check_rank_tol(tol)
     if m.mode == "exact" and tol not in (None, 0):
         raise InputError("exact mode requires tol = 0")
+
+
+def _check_rank_tol(tol) -> None:
+    if tol is not None and not tol >= 0:  # NaN too
+        raise InputError("rank tolerance must be a nonnegative number")
 
 
 def cleared(m: Matrix, *extra: Fraction) -> tuple:
@@ -807,7 +812,8 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     last rank gives this same sequence (see `spectral._exact_spectrum`).
     Walks made by one `integer_rank_walks` call share one B^2.
 
-    A float A is measured by `float_rank_sequence`.
+    A float A is measured by `float_rank_sequence` with lam as its one
+    shift.
     """
     if kmax < 0:
         raise InputError("kmax must be nonnegative")
@@ -815,7 +821,7 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     _check_tol(a, tol)
     if a.mode == "float":
         arr = a.to_numpy()
-        return float_rank_sequence(arr, float(np.linalg.norm(arr, 2)), lam, kmax, tol)
+        return float_rank_sequence(arr, float(np.linalg.norm(arr, 2)), [lam], kmax, tol)[0]
     re, im = lam_parts(lam)
     if not isinstance(re, Fraction):
         raise InputError(f"an exact matrix needs an exact eigenvalue, got {lam!r}")
@@ -823,27 +829,67 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     return _stable_ranks(integer_rank_walks(d, b)(lam), a.n, kmax)
 
 
-def float_rank_sequence(arr: np.ndarray, norm: float, lam, kmax: int,
+def float_rank_sequence(arr: np.ndarray, norm: float, shifts, kmax: int,
                         tol: float | None = None) -> list:
-    """power_rank_sequence of a float matrix given as an ndarray with its
-    2-norm, so a caller measuring many shifts converts and normalizes once.
+    """power_rank_sequence of a float matrix at each of several shifts,
+    one sequence per shift in their order; the matrix comes as an
+    ndarray with its 2-norm, so a caller measuring many shifts converts
+    and normalizes once.
 
-    S = (A - lam I) / ||A||_2 (complex for a non-real lam; divided by 1
-    for A = 0) is formed once and its powers are taken with `@`, so they
-    cannot overflow.  rank(S^k) is the number of singular values above
-    1e-9, or above tol when it is given: relative to ||A||_2^k, so the
-    ranks of cA are those of A for every c > 0.
+    S = (A - mu I) / ||A||_2 (divided by 1 for A = 0) is formed for
+    every shift mu at once: the real shifts in one real stack and the
+    non-real ones in one complex stack.  rank(S^k) is the number of
+    singular values above 1e-9, or above tol when it is given: relative
+    to ||A||_2^k, so the ranks of cA are those of A for every c > 0.
+    The walks of a stack go in lockstep: per power one SVD call over
+    the stack's walks still moving and one batched `@` to take their
+    next powers, which cannot overflow.  A walk leaves at its first
+    repeated rank or at k = kmax, and its last rank fills the rest.  A
+    rank that rises raises DiagnosticError; a NaN tol raises InputError.
     """
-    re, im = lam_parts(lam)
-    shift = complex(float(re), float(im)) if im else float(re)
-    step = (arr - shift * np.eye(len(arr))) / (norm or 1.0)
+    _check_rank_tol(tol)
     rel = _POWER_RANK_TOL if tol is None else tol
-    walk = _rank_walk(
-        step, np.matmul,
-        lambda p: int(np.count_nonzero(np.linalg.svd(p, compute_uv=False) > rel)),
-        lam, False,
-    )
-    return _stable_ranks(walk, len(arr), kmax)
+    n = len(arr)
+    real, nonreal = [], []  # (position, shift) each
+    for at, lam in enumerate(shifts):
+        re, im = lam_parts(lam)
+        if im:
+            nonreal.append((at, complex(float(re), float(im))))
+        else:
+            real.append((at, float(re)))
+    out = [None] * len(shifts)
+    for walks, dtype in ((real, float), (nonreal, complex)):
+        if walks:
+            mu = np.array([shift for _, shift in walks], dtype=dtype)
+            steps = (arr - mu[:, None, None] * np.eye(n)) / (norm or 1.0)
+            for (at, _), seq in zip(walks, _lockstep_ranks(steps, rel, kmax)):
+                out[at] = seq
+    return out
+
+
+def _lockstep_ranks(steps: np.ndarray, rel: float, kmax: int) -> list:
+    """Rank sequences [n, r(1), ..., r(kmax)] of the powers of each matrix
+    in a stack, r(k) counting the singular values of its k-th power
+    above rel; each walk stops as _stable_ranks stops one."""
+    n = steps.shape[-1]
+    seqs = [[n] for _ in steps]
+    moving = list(range(len(steps)))
+    powers = steps
+    while moving and kmax:
+        svals = np.linalg.svd(powers, compute_uv=False)
+        ranks = np.count_nonzero(svals > rel, axis=1).tolist()
+        going = []
+        for row, (at, r) in enumerate(zip(moving, ranks)):
+            seq = seqs[at]
+            if r > seq[-1]:
+                raise DiagnosticError(f"rank sequence increased: {seq + [r]}")
+            seq.append(r)
+            if len(seq) <= kmax and r != seq[-2]:
+                going.append(row)
+        moving = [moving[row] for row in going]
+        if moving:
+            powers = powers[going] @ steps[moving]
+    return [seq + [seq[-1]] * (kmax + 1 - len(seq)) for seq in seqs]
 
 
 def _stable_ranks(walk, n: int, kmax: int) -> list:
@@ -856,17 +902,17 @@ def _stable_ranks(walk, n: int, kmax: int) -> list:
     return seq + [seq[-1]] * (kmax + 1 - len(seq))
 
 
-def _rank_walk(step, multiply, measure, lam, pair: bool):
-    """Resumable rank loop of power_rank_sequence over one step matrix: a
-    generator of r(1), r(2), ..., the rank of step^k, forming each power
-    only when its rank is asked for.  For a pair step q(A) each rank is
-    halved onto lam (see above).  A rank that rises raises
-    DiagnosticError."""
+def _rank_walk(step: list, lam, pair: bool):
+    """Resumable rank loop of power_rank_sequence over the integer rows
+    of one step matrix: a generator of r(1), r(2), ..., the rank of
+    step^k, forming each power only when its rank is asked for.  For a
+    pair step q(A) each rank is halved onto lam (see above).  A rank
+    that rises raises DiagnosticError."""
     n = len(step)
     seq = [n]
     power = step
     while True:
-        r = measure(power)
+        r = _rank_int(power)
         if pair:
             nullity = n - r
             if nullity % 2:
@@ -879,7 +925,7 @@ def _rank_walk(step, multiply, measure, lam, pair: bool):
             raise DiagnosticError(f"rank sequence increased: {seq + [r]}")
         seq.append(r)
         yield r
-        power = multiply(power, step)
+        power = _row_product(power, step, 0)
 
 
 def integer_rank_walks(d: int, b: list):
@@ -897,7 +943,7 @@ def integer_rank_walks(d: int, b: list):
     def walk(lam):
         lam = canonical_lam(lam)
         step, pair = _integer_step(d, b, lam, square)
-        return _rank_walk(step, partial(_row_product, zero=0), _rank_int, lam, pair)
+        return _rank_walk(step, lam, pair)
 
     return walk
 

@@ -27,15 +27,18 @@ Rev. 18, 1976), so by default a group of roots may merge within a
 radius that grows with the group size, or within an explicit tol.  A group stands
 for its mean, which is accurate to O(u ||A||) even for a defective
 eigenvalue (Kato, Perturbation Theory for Linear Operators, II.1), and
-is kept only when the ranks at its mean confirm its size.  Clusters are
-paired into conjugates before any counting happens.
+is kept only when the ranks at its mean confirm its size.  A root
+farther than the widest radius from every other root can join no group;
+such isolated roots have their rank walks run in one batch, and only
+the other roots are grouped one at a time.  Clusters are paired into
+conjugates before any counting happens.
 
 Block sizes are never computed from eigenvectors.  The count of size-m
 blocks at an eigenvalue is the second difference of the rank sequence of
 shifted powers:  count(lam, m) = r(m-1) - 2 r(m) + r(m+1), with the
 sequence from `numkit.power_rank_sequence` (the walks of
-`integer_rank_walks` on the cleared B in exact mode,
-`float_rank_sequence` in float mode).  In
+`integer_rank_walks` on the cleared B in exact mode, the lockstep walks
+of `float_rank_sequence` over many shifts in float mode).  In
 exact mode a conjugate pair a +- bi is measured there through the real
 quadratic (A - aI)^2 + b^2 I, so the ranks stay over the integers.
 """
@@ -45,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -340,22 +343,35 @@ def _exact_spectrum(a: Matrix) -> list:
 
 def _float_clusters(a: Matrix, tol: float | None):
     """Clusters of the LAPACK roots of a float A; (mean, size, radius,
-    rank sequence at the mean) per cluster.
+    rank sequence at the mean) per cluster, in the (re, im) order of
+    their first roots.
 
     A group of k roots may merge when its spread (largest pairwise
     distance) is at most limit(k): tol when it is given, else
     100 (u s)^(1/k) s^(1-1/k) = 100 u^(1/k) s with s = ||A||_2 and k
-    capped at _MAX_CLUSTER_ORDER, beyond which it nears s.  Taking roots
-    in (re, im) order, the first one left seeds a group grown by its
-    nearest remaining roots.  Of the sizes that fit, the largest whose
-    rank sequence at the group mean confirms that multiplicity is kept,
-    so distinct eigenvalues that only lie within the limit are measured
-    one by one; a lone root is kept unconfirmed, for the block counts to
-    check.  A mean whose real part is above CENTER_TOL but within
-    100 u s, where rounding hides its sign, raises DiagnosticError.
+    capped at _MAX_CLUSTER_ORDER, beyond which it nears s.  A root
+    farther than the widest limit from every other root is isolated: a
+    group of two or more holding it spreads beyond every limit(k), so it
+    is a cluster of its own with the root as mean, and the rank walks of
+    all isolated roots run in one batch (`numkit.float_rank_sequence`),
+    one root of each conjugate pair measured for both.  On the other
+    roots, taken in (re, im) order, the first one left seeds a group
+    grown by its nearest remaining roots.  Of the sizes that fit, the
+    largest whose rank sequence at the group mean confirms that
+    multiplicity is kept, so distinct eigenvalues that only lie within
+    the limit are measured one by one; a lone root is kept unconfirmed,
+    for the block counts to check.  Every walk runs until its rank
+    repeats: unlike exact walks, these are not cut short once the
+    nullities sum to n, since LAPACK can scatter the roots of one large
+    Jordan block (J_12(-1/2) under a random rotation) beyond every
+    limit, each root then showing nullity 1 at k = 1, and only the
+    second power exposes the block.  A mean whose real part is above
+    CENTER_TOL but within 100 u s, where rounding hides its sign, raises
+    DiagnosticError.  A tol that is not a positive finite number raises
+    InputError.
     """
-    if tol is not None and tol <= 0:
-        raise InputError("float mode needs a positive tolerance")
+    if tol is not None and not (tol > 0 and isfinite(tol)):
+        raise InputError("float mode needs a positive finite tolerance")
     arr = a.to_numpy()
     try:
         roots = np.linalg.eigvals(arr)
@@ -367,30 +383,45 @@ def _float_clusters(a: Matrix, tol: float | None):
     limit = (_CLUSTER_SLACK * _EPS ** (1.0 / order) * scale if tol is None
              else np.full(n, float(tol)))
     axis = _CLUSTER_SLACK * _EPS * scale
-    measured = {}
     dist = np.abs(roots[:, None] - roots[None, :])
-    left = sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))
-    clusters = []
+    isolated = ((dist > limit[-1]) | np.eye(n, dtype=bool)).all(axis=1)
+    by_parts = sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))
+    # a real A has equal ranks at conjugate shifts: measure one of each pair
+    shifts = []
+    for i in by_parts:
+        if isolated[i] and complex(roots[i]).conjugate() not in shifts:
+            shifts.append(complex(roots[i]))
+    measured = dict(zip(shifts, float_rank_sequence(arr, scale, shifts, n, tol)))
+
+    def ranks_at(mean):
+        if mean not in measured and mean.conjugate() not in measured:
+            measured[mean] = float_rank_sequence(arr, scale, [mean], n, tol)[0]
+        return measured.get(mean.conjugate(), measured.get(mean))
+
+    found = {}  # first root -> cluster
+    for i in np.flatnonzero(isolated).tolist():
+        root = complex(roots[i])
+        found[i] = (root, 1, float(limit[0]), ranks_at(root))
+    left = [i for i in by_parts if not isolated[i]]
     while left:
         idx = np.array(left)
         near = idx[np.argsort(dist[idx[0], idx], kind="stable")]
         spread = np.maximum.accumulate(np.tril(dist[np.ix_(near, near)]).max(axis=1))
         for size in np.flatnonzero(spread <= limit[: len(near)])[::-1] + 1:
             mean = complex(roots[near[:size]].mean())
-            # a real A has equal ranks at conjugate shifts: measure one of each pair
-            if mean.conjugate() not in measured:
-                measured[mean] = float_rank_sequence(arr, scale, mean, n, tol)
-            ranks = measured.get(mean.conjugate(), measured.get(mean))
+            ranks = ranks_at(mean)
             if n - ranks[-1] == size:
                 break
+        found[left[0]] = (mean, int(size), float(limit[size - 1]), ranks)
+        taken = set(near[:size].tolist())
+        left = [i for i in left if i not in taken]
+    clusters = [found[i] for i in by_parts if i in found]
+    for mean, *_ in clusters:
         if CENTER_TOL < abs(mean.real) <= axis:
             raise DiagnosticError(
                 f"the real part of {mean:.6g} is within rounding ({axis:.2g}) "
                 "of the imaginary axis: center or hyperbolic cannot be told"
             )
-        clusters.append((mean, int(size), float(limit[size - 1]), ranks))
-        taken = set(near[:size].tolist())
-        left = [i for i in left if i not in taken]
     return clusters
 
 

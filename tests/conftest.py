@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flowclass.errors import DiagnosticError
 from flowclass.numkit import Matrix, RationalComplex
 
 
@@ -162,6 +163,30 @@ def haar_similar(rng: np.random.Generator, blocks) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.sign(np.diag(r))
     return q @ j @ q.T
+
+
+def jordan(lam: float, m: int) -> np.ndarray:
+    """Real Jordan block J_m(lam)."""
+    return np.diag([lam] * m) + np.diag([1.0] * (m - 1), 1)
+
+
+def reference_float_ranks(arr: np.ndarray, norm: float, lam, kmax: int, tol=None) -> list:
+    """Rank sequence of the powers of S = (A - lam I) / ||A||_2 at one
+    shift, each power formed and measured on its own: the one-shift walk
+    that numkit.float_rank_sequence runs in lockstep over many shifts."""
+    z = complex(lam)
+    shift = z if z.imag else z.real
+    step = (arr - shift * np.eye(len(arr))) / (norm or 1.0)
+    rel = 1e-9 if tol is None else tol
+    seq, power = [len(arr)], step
+    while len(seq) <= kmax and (len(seq) < 2 or seq[-1] != seq[-2]):
+        if len(seq) > 1:
+            power = power @ step
+        r = int(np.count_nonzero(np.linalg.svd(power, compute_uv=False) > rel))
+        if r > seq[-1]:
+            raise DiagnosticError(f"rank sequence increased: {seq + [r]}")
+        seq.append(r)
+    return seq + [seq[-1]] * (kmax + 1 - len(seq))
 
 
 @pytest.fixture

@@ -180,6 +180,23 @@ def test_simulate_rejects_non_finite_window(capsys, flag, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        ("classify", "classify_saddle_rotor"),
+        ("equiv", "conjugate_pair"),
+        ("invariants", "invariants_freqs"),
+        ("simulate", "simulate_quarter"),
+        ("witness", "witness_basic"),
+    ],
+)
+def test_non_finite_tol_is_refused(capsys, command, name, value):
+    code, out, err = run(capsys, command, str(GOLDEN / f"{name}.yaml"), f"--tol={value}")
+    assert code == 1 and out == ""
+    assert err == f"flowclass: error: --tol must be a finite number, got {value}\n"
+
+
 def test_simulate_refuses_overflowing_grid_step(capsys, tmp_path):
     doc = write_doc(
         tmp_path,

@@ -395,6 +395,14 @@ def test_min_period_checks_window_before_fixed_point(horizon, step):
             min_period(ROT, x0, horizon=horizon, step=step)
 
 
+def test_nan_or_negative_return_tol_is_refused():
+    for tol in (math.nan, -1e-9):
+        with pytest.raises(InputError, match="return tolerance"):
+            min_period(ROT, [1.0, 0.0], tol=tol)
+        with pytest.raises(InputError, match="return tolerance"):
+            bounded_probe(ROT, [1.0, 0.0], tol=tol)
+
+
 def _reference_min_period(a, x0, horizon=128.0, step=0.01, tol=1e-9):
     """Reference search: the whole grid from orbit_sample, then every
     local minimum below a prefilter over the whole horizon, in time order."""

@@ -14,13 +14,23 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expected_blocks, random_unimodular, realize_real
+from conftest import (
+    expected_blocks,
+    haar_similar,
+    hyperbolic_blocks,
+    jordan,
+    random_unimodular,
+    realize_real,
+    reference_float_ranks,
+    rotation,
+)
 from flowclass.errors import DiagnosticError, InputError
 from flowclass.numkit import (
     Matrix,
     Poly,
     RationalComplex,
     char_poly,
+    float_rank_sequence,
     inverse_exact,
     mat_exp,
     mat_exp_array,
@@ -457,6 +467,54 @@ def test_power_rank_sequence_exact_input_errors():
     for lam, tol in ((0.5, None), (1j, None), (Fraction(0), 1e-9)):
         with pytest.raises(InputError):
             power_rank_sequence(a, lam, 2, tol)
+
+
+def _rank_sweep_matrix(rng, kind, n):
+    """Q J Q^T for one kind of structure, simple hyperbolic values filling
+    the rest of the n dimensions."""
+    beta = float(rng.uniform(0.5, 2.0))
+    if kind == "simple":
+        blocks, taken = [], [0j]
+    elif kind == "jordan":
+        blocks, taken = [jordan(0.5, int(rng.integers(2, 4)))], [0.5 + 0j]
+    elif kind == "center":
+        jordan_i = np.block([[rotation(0, beta), np.eye(2)],
+                             [np.zeros((2, 2)), rotation(0, beta)]])
+        blocks, taken = [jordan_i, rotation(0, 2 * beta)], [complex(0, beta), complex(0, 2 * beta)]
+    else:  # stiff: one fast value over slow ones
+        fast = float(rng.choice((-1, 1)) * rng.uniform(50, 500))
+        blocks, taken = [np.array([[fast]]), rotation(0, beta)], [complex(0, beta)]
+    hyperbolic, _ = hyperbolic_blocks(rng, taken, n - sum(len(b) for b in blocks))
+    return haar_similar(rng, blocks + hyperbolic)
+
+
+def test_float_rank_sequence_batch_matches_one_shift_walks():
+    # every LAPACK root (both sides of each pair), cluster means and
+    # shifts that are no eigenvalue, real and complex, several per stack
+    rng = np.random.default_rng(71)
+    for n in (6, 9, 12):
+        for kind in ("simple", "jordan", "center", "stiff"):
+            for _ in range(5):
+                arr = _rank_sweep_matrix(rng, kind, n)
+                norm = float(np.linalg.norm(arr, 2))
+                roots = np.linalg.eigvals(arr).tolist()
+                shifts = roots + [complex(np.mean(roots)), roots[0] + 0.25, 1.5, 0.3 + 0.7j]
+                rng.shuffle(shifts)
+                for tol in (None, 1e-6):
+                    want = [reference_float_ranks(arr, norm, mu, n, tol) for mu in shifts]
+                    assert float_rank_sequence(arr, norm, shifts, n, tol) == want, (kind, n)
+                assert float_rank_sequence(arr, norm, shifts, 0) == [[n]] * len(shifts)
+    assert float_rank_sequence(np.zeros((3, 3)), 0.0, [0.0, 1j], 3) == [[3, 0, 0, 0], [3, 3, 3, 3]]
+
+
+def test_rank_routines_refuse_nan_tol():
+    a = Matrix.floating([[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(InputError, match="nonnegative number"):
+        power_rank_sequence(a, 1.0, 2, tol=math.nan)
+    with pytest.raises(InputError, match="nonnegative number"):
+        float_rank_sequence(a.to_numpy(), 2.0, [1.0], 2, tol=math.nan)
+    with pytest.raises(InputError, match="nonnegative number"):
+        rank(a, tol=math.nan)
 
 
 # ---- exact solves ------------------------------------------------------------------------

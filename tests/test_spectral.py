@@ -17,9 +17,11 @@ from conftest import (
     expected_blocks,
     haar_similar,
     hyperbolic_blocks,
+    jordan,
     random_parts,
     random_unimodular,
     realize_real,
+    reference_float_ranks,
     rotation,
 )
 from flowclass.errors import DiagnosticError, ExactModeError, InputError
@@ -27,9 +29,11 @@ from flowclass.invariants import conjugacy_signature
 from flowclass import numkit, spectral
 from flowclass.numkit import Matrix, RationalComplex, cleared, power_rank_sequence
 from flowclass.spectral import (
+    CENTER_TOL,
     SpectrumDescriptor,
     _candidates,
     _eigenvalues_exact,
+    _float_clusters,
     eigenvalues,
     jordan_counts,
     spectrum_descriptor,
@@ -410,8 +414,112 @@ def test_float_stiff_sweep_classifies_every_case():
 
 
 def test_float_tol_must_be_positive():
-    with pytest.raises(InputError):
-        eigenvalues(Matrix.floating([[1.0]]), tol=0.0)
+    a = Matrix.floating([[1.0, 0.0], [0.0, 2.0]])
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        for entry in (eigenvalues, spectrum_descriptor):
+            with pytest.raises(InputError, match="positive finite tolerance"):
+                entry(a, tol=tol)
+
+
+def _reference_float_clusters(a, tol, shifts):
+    """The greedy loop over every root, one rank walk per tentative mean,
+    each measured shift appended to shifts: the reference for
+    _float_clusters, which settles isolated roots in one batch."""
+    arr = a.to_numpy()
+    roots = np.linalg.eigvals(arr)
+    n = a.n
+    scale = float(np.linalg.norm(arr, 2))
+    order = np.minimum(np.arange(1, n + 1), 4)
+    limit = (100.0 * np.finfo(float).eps ** (1.0 / order) * scale if tol is None
+             else np.full(n, float(tol)))
+    axis = 100.0 * np.finfo(float).eps * scale
+    measured = {}
+    dist = np.abs(roots[:, None] - roots[None, :])
+    left = sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))
+    clusters = []
+    while left:
+        idx = np.array(left)
+        near = idx[np.argsort(dist[idx[0], idx], kind="stable")]
+        spread = np.maximum.accumulate(np.tril(dist[np.ix_(near, near)]).max(axis=1))
+        for size in np.flatnonzero(spread <= limit[: len(near)])[::-1] + 1:
+            mean = complex(roots[near[:size]].mean())
+            if mean.conjugate() not in measured:
+                measured[mean] = reference_float_ranks(arr, scale, mean, n, tol)
+                shifts.append(mean)
+            ranks = measured.get(mean.conjugate(), measured.get(mean))
+            if n - ranks[-1] == size:
+                break
+        if CENTER_TOL < abs(mean.real) <= axis:
+            raise DiagnosticError(
+                f"the real part of {mean:.6g} is within rounding ({axis:.2g}) "
+                "of the imaginary axis: center or hyperbolic cannot be told"
+            )
+        clusters.append((mean, int(size), float(limit[size - 1]), ranks))
+        taken = set(near[:size].tolist())
+        left = [i for i in left if i not in taken]
+    return clusters
+
+
+def _parts(z):
+    return z.real, z.imag
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except DiagnosticError as exc:
+        return str(exc)
+
+
+def test_float_clusters_match_the_greedy_loop(monkeypatch):
+    # isolated roots, near-defective clusters of J_k (k = 2..4) and the
+    # scattered roots of large J_m (m = 8..16), which the loop may take
+    # as clusters of any size or leave as lone roots; the same shifts
+    # are measured, one side of each conjugate pair
+    measured = []
+
+    def recorded(arr, norm, shifts, kmax, tol=None):
+        measured.extend(shifts)
+        return numkit.float_rank_sequence(arr, norm, shifts, kmax, tol)
+
+    monkeypatch.setattr(spectral, "float_rank_sequence", recorded)
+    rng = np.random.default_rng(83)
+    cases = []
+    for k in (2, 3, 4):
+        for _ in range(8):
+            lam = float(rng.choice((-1.0, 0.0, 0.5)))
+            hyperbolic, _ = hyperbolic_blocks(rng, [complex(lam), 1.5j], 6)
+            cases.append(haar_similar(rng, [jordan(lam, k), rotation(0, 1.5)] + hyperbolic))
+    for m in range(8, 17):
+        for lam in (-0.5, 0.0):
+            cases.append(haar_similar(rng, [jordan(lam, m)]))
+            cases.append(haar_similar(rng, [jordan(lam, m), rotation(0.0, 2.0), np.diag([3.0])]))
+    merged = set()
+    for arr in cases:
+        a = Matrix.from_numpy(arr)
+        for tol in (None, 1e-3):
+            measured.clear()
+            got = _outcome(_float_clusters, a, tol)
+            want_shifts = []
+            assert got == _outcome(_reference_float_clusters, a, tol, want_shifts)
+            assert sorted(measured, key=_parts) == sorted(want_shifts, key=_parts)
+            if isinstance(got, list):
+                merged.add(max(size for _, size, _, _ in got))
+    assert 1 in merged and max(merged) >= 4
+
+
+def test_scattered_jordan_blocks_stay_refused():
+    # LAPACK scatters the roots of J_12(-1/2) and J_16(-1/2) beyond the
+    # widest merge limit, so every root is isolated and shows nullity 1
+    # at k = 1; the nullities sum to n, but only the second power exposes
+    # the block, and the matrices must be refused, not read as simple
+    for m in (12, 16):
+        arr = haar_similar(np.random.default_rng(0), [jordan(-0.5, m)])
+        clusters = _float_clusters(Matrix.from_numpy(arr), None)
+        assert [size for _, size, _, _ in clusters] == [1] * m
+        assert sum(m - ranks[1] for _, _, _, ranks in clusters) == m
+        with pytest.raises(DiagnosticError):
+            spectrum_descriptor(Matrix.from_numpy(arr))
 
 
 def test_exact_matrix_refuses_tol_before_any_work(monkeypatch):
