@@ -8,8 +8,9 @@ bad usage, 2 when a computation refused to certify its result.
 A document is either exact or float.  Exact documents write numbers as
 integers or ratio strings like 1/2 (quotes optional in YAML); float
 documents write decimals.  Mixing the two flavors is rejected with the
-path of the first offending literal on each side.  Complex entries are
-two-element lists [re, im] of same-flavor parts.
+path of the first offending literal on each side.  Matrix entries are
+real numbers; only point and head coordinates may be complex, written
+as two-element lists [re, im] of same-flavor parts.
 """
 
 from __future__ import annotations
@@ -201,56 +202,44 @@ class _Evidence:
 
 
 def _scan_real(x, path: str, ev: _Evidence):
+    """A real document number as written: int, float or Fraction."""
     if isinstance(x, bool):
         raise InputError(f"{path}: expected a number, got a boolean")
     if isinstance(x, int):
-        return ("int", x)
+        return x
     if isinstance(x, float):
         if not math.isfinite(x):
             raise InputError(f"{path}: expected a finite number")
         if ev.float_at is None:
             ev.float_at = (path, x)
-        return ("float", x)
+        return x
     if isinstance(x, str):
         if not _FRACTION_RE.match(x):
             raise InputError(f"{path}: cannot read {x!r} as a number")
         if ev.frac_at is None:
             ev.frac_at = (path, x)
-        return ("frac", Fraction(x))
+        return Fraction(x)
     raise InputError(f"{path}: expected a number, got {type(x).__name__}")
 
 
 def _scan_value(x, path: str, ev: _Evidence):
-    """A document number: real scalar or [re, im] pair."""
+    """A point or head coordinate: real number, or [re, im] pair as a 2-tuple."""
     if isinstance(x, list):
         if len(x) != 2:
             raise InputError(f"{path}: complex entries are [re, im] pairs")
         return (
-            "complex",
             _scan_real(x[0], f"{path}[0]", ev),
             _scan_real(x[1], f"{path}[1]", ev),
         )
     return _scan_real(x, path, ev)
 
 
-def _make_real(tagged, mode: str):
-    kind, val = tagged
-    if mode == "exact":
-        return Fraction(val) if kind in ("int", "frac") else None
-    return float(val)
-
-
-def _make_value(tagged, mode: str):
-    if tagged[0] == "complex":
-        # exact matrices are real, so Matrix.exact refuses this entry
-        return complex(_make_real(tagged[1], mode), _make_real(tagged[2], mode))
-    return _make_real(tagged, mode)
-
-
-def _float_of(tagged) -> float | complex:
-    if tagged[0] == "complex":
-        return complex(float(tagged[1][1]), float(tagged[2][1]))
-    return float(tagged[1])
+def _value(x, mode: str):
+    """A scanned number in the document's mode: Fraction when exact, float
+    otherwise; a pair becomes a complex of floats."""
+    if isinstance(x, tuple):
+        return complex(float(x[0]), float(x[1]))
+    return Fraction(x) if mode == "exact" else float(x)
 
 
 def _plain_int(x, path: str) -> int:
@@ -296,7 +285,7 @@ def _load_matrix(rows, path: str, ev: _Evidence):
     ):
         raise InputError(f"{path}: a matrix is a list of rows")
     return [
-        [_scan_value(x, f"{path}[{i}][{j}]", ev) for j, x in enumerate(row)]
+        [_scan_real(x, f"{path}[{i}][{j}]", ev) for j, x in enumerate(row)]
         for i, row in enumerate(rows)
     ]
 
@@ -337,10 +326,9 @@ def _system_descriptor(doc: dict, args, where: str, diags: list) -> SpectrumDesc
     prefix = where + "." if where else ""
 
     if has_matrix:
-        tagged = _load_matrix(doc["matrix"], f"{prefix}matrix", ev)
+        rows = _load_matrix(doc["matrix"], f"{prefix}matrix", ev)
         mode = ev.mode()
-        rows = [[_make_value(t, mode) for t in row] for row in tagged]
-        mat = Matrix.exact(rows) if mode == "exact" else Matrix.floating(rows)
+        mat = Matrix(rows, mode)
         try:
             # a tolerance steers float analysis only; exact takes none
             return spectrum_descriptor(mat, tol=None if mode == "exact" else args.tol)
@@ -350,12 +338,12 @@ def _system_descriptor(doc: dict, args, where: str, diags: list) -> SpectrumDesc
             diags.append(f"{where or 'input'}: {exc}; float analysis used")
             return spectrum_descriptor(mat.to_float(), tol=args.tol)
 
-    tagged = _load_spectrum(doc["spectrum"], f"{prefix}spectrum", ev)
+    scanned = _load_spectrum(doc["spectrum"], f"{prefix}spectrum", ev)
     mode = ev.mode()
     blocks = []
-    for re_t, im_t, size, count in tagged:
-        re_v = _make_real(re_t, mode)
-        im_v = _make_real(im_t, mode)
+    for re, im, size, count in scanned:
+        re_v = _value(re, mode)
+        im_v = _value(im, mode)
         if mode == "exact":
             lam = re_v if im_v == 0 else RationalComplex(re_v, im_v)
         else:
@@ -468,11 +456,11 @@ def _cmd_invariants(doc: dict, args) -> Report:
         freqs = doc["frequencies"]
         if not isinstance(freqs, list) or not freqs:
             raise InputError("frequencies: expected a nonempty list")
-        tagged = [
+        scanned = [
             _scan_real(x, f"frequencies[{i}]", ev) for i, x in enumerate(freqs)
         ]
         mode = ev.mode()
-        vals = [_make_real(t, mode) for t in tagged]
+        vals = [_value(x, mode) for x in scanned]
         dim_fixed = _plain_int(doc.get("dim_fixed", 0), "dim_fixed")
         tol = args.tol if args.tol is not None else DEFAULT_RATIO_TOL
         classes = rational_classes(vals, qmax=qmax, tol=tol)
@@ -506,24 +494,24 @@ def _cmd_simulate(doc: dict, args) -> Report:
     if ("matrix" in doc) == ("spectrum" in doc):
         raise InputError("give exactly one of matrix or spectrum")
     if "matrix" in doc:
-        tagged = _load_matrix(doc["matrix"], "matrix", ev)
+        rows = _load_matrix(doc["matrix"], "matrix", ev)
     else:
-        spectrum_tagged = _load_spectrum(doc["spectrum"], "spectrum", ev)
+        spectrum = _load_spectrum(doc["spectrum"], "spectrum", ev)
     if not isinstance(doc["point"], list):
         raise InputError("point: expected a list of coordinates")
-    point_tagged = [
+    point = [
         _scan_value(x, f"point[{i}]", ev) for i, x in enumerate(doc["point"])
     ]
     mode = ev.mode()
     if "matrix" in doc:
-        arr = np.array([[_float_of(t) for t in row] for row in tagged])
+        arr = np.array([[_value(x, "float") for x in row] for row in rows])
     else:
-        blocks = []
-        for re_t, im_t, size, count in spectrum_tagged:
-            lam = complex(_float_of(re_t), _float_of(im_t))
-            blocks.append((lam, size, count))
+        blocks = [
+            (_value((re, im), "float"), size, count)
+            for re, im, size, count in spectrum
+        ]
         arr, _ = realize_blocks(blocks)
-    point = [_float_of(t) for t in point_tagged]
+    point = [_value(x, "float") for x in point]
 
     cap = doc.get("growth_cap", DEFAULT_GROWTH_CAP)
     if isinstance(cap, bool) or not isinstance(cap, (int, float)):
@@ -565,13 +553,13 @@ def _cmd_witness(doc: dict, args) -> Report:
     ev = _Evidence(declared=_declared_mode(doc, "", args.exact))
     if not isinstance(doc["head"], list):
         raise InputError("head: expected a list of coordinates")
-    head_tagged = [
+    head = [
         _scan_value(x, f"head[{i}]", ev) for i, x in enumerate(doc["head"])
     ]
-    beta_tagged = _scan_real(doc["beta"], "beta", ev)
+    beta = _scan_real(doc["beta"], "beta", ev)
     ev.mode()
-    head = [_float_of(t) for t in head_tagged]
-    beta = float(beta_tagged[1])
+    head = [_value(x, "float") for x in head]
+    beta = _value(beta, "float")
     even = _plain_bool(doc.get("even", False), "even")
     target_zero = _plain_bool(doc.get("target_zero", False), "target_zero")
     count = _plain_int(doc.get("count", 24), "count")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import DiagnosticError, InconsistentInvariantsError, InputError
@@ -84,12 +84,22 @@ class Verdict:
     certificate: str | None = None
 
 
+def _check_tol(tol) -> None:
+    if not tol >= 0:  # NaN too
+        raise InputError("tolerance must be nonnegative")
+
+
 def conjugacy_signature(
     desc: SpectrumDescriptor, tol: float | None = None
 ) -> ConjugacySignature:
-    """Collapse a descriptor to the invariant that decides conjugacy."""
+    """Collapse a descriptor to the invariant that decides conjugacy.
+
+    A float real part within tol (default CENTER_TOL) of zero counts as
+    center; a NaN or negative tol raises InputError.
+    """
     if tol is None:
         tol = _CENTER_TOL
+    _check_tol(tol)
     plus = minus = 0
     center: dict = {}
     for lam, m, count in desc.blocks:
@@ -118,11 +128,13 @@ def decide_conjugate(
 
     The certificate names the first invariant that differs.  Center
     frequencies of float signatures are matched within tol.
-    `decide_equivalent` is this same function: topological equivalence
-    of linear flows has the same criterion as topological conjugacy.
+    A NaN or negative tol raises InputError.  `decide_equivalent` is
+    this same function: topological equivalence of linear flows has the
+    same criterion as topological conjugacy.
     """
     if tol is None:
         tol = 0.0 if (a.exact and b.exact) else _CENTER_TOL
+    _check_tol(tol)
     if a.n != b.n:
         return Verdict(False, f"ambient dimension {a.n} vs {b.n}")
     if a.dim_plus != b.dim_plus:
@@ -185,9 +197,7 @@ class RationalClass:
             raise InputError("multipliers must be positive integers")
         if tuple(sorted(self.p)) != self.p:
             raise InputError("multipliers must be sorted ascending")
-        g = 0
-        for x in self.p:
-            g = gcd(g, x)
+        g = gcd(*self.p)
         if g != 1:
             raise InputError(f"multipliers {self.p} have gcd {g}, expected 1")
         if (self.beta <= 0) if isinstance(self.beta, Fraction) else (
@@ -240,13 +250,8 @@ def _ratio_accept(bi: float, bj: float, qmax: int, tol: float):
 
 
 def _rational_gcd(values: Sequence[Fraction]) -> Fraction:
-    lcm_den = 1
-    for v in values:
-        lcm_den = lcm_den * v.denominator // gcd(lcm_den, v.denominator)
-    ints = [int(v * lcm_den) for v in values]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    lcm_den = lcm(*(v.denominator for v in values))
+    g = gcd(*(int(v * lcm_den) for v in values))
     return Fraction(g, lcm_den)
 
 
@@ -260,13 +265,13 @@ def rational_classes(
     fraction convergents (denominator at most qmax, relative error below
     tol); acceptance that fails transitivity raises DiagnosticError and
     names an offending triple.  Returns classes sorted by beta; repeated
-    input frequencies produce repeated multipliers.
+    input frequencies produce repeated multipliers.  A NaN or negative
+    tol raises InputError.
     """
     betas = list(betas)
     if qmax < 1:
         raise InputError("qmax must be at least 1")
-    if tol < 0:
-        raise InputError("tolerance must be nonnegative")
+    _check_tol(tol)
     if not betas:
         return []
     exact = all(isinstance(b, Fraction) for b in betas)
@@ -328,13 +333,9 @@ def rational_classes(
             p, q, _ = _continued_fraction_convergent(v / base, qmax)
             nums.append(p)
             dens.append(q)
-        lcm_den = 1
-        for q in dens:
-            lcm_den = lcm_den * q // gcd(lcm_den, q)
+        lcm_den = lcm(*dens)
         ints = [p * (lcm_den // q) for p, q in zip(nums, dens)]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
+        g = gcd(*ints)
         mult = sorted(x // g for x in ints)
         beta = sum(v / m for v, m in zip(sub, (x // g for x in ints))) / len(sub)
         classes.append(RationalClass(beta, tuple(mult)))
@@ -422,10 +423,7 @@ def orbit_frequency(cls: RationalClass, support: Iterable[int]):
         raise InputError("empty support has no orbit frequency")
     if idx[0] < 0 or idx[-1] >= len(cls.p):
         raise InputError(f"support indices out of range for {len(cls.p)} multipliers")
-    g = 0
-    for i in idx:
-        g = gcd(g, cls.p[i])
-    return cls.beta * g
+    return cls.beta * gcd(*(cls.p[i] for i in idx))
 
 
 def _as_multiplier(cls: RationalClass, q) -> int:
@@ -533,9 +531,7 @@ def recover_multipliers(
     p.sort()
     if not p:
         raise InconsistentInvariantsError("all multiplier counts came out zero")
-    g_all = 0
-    for x in p:
-        g_all = gcd(g_all, x)
+    g_all = gcd(*p)
     if g_all != 1:
         raise InconsistentInvariantsError(
             f"recovered multipliers {p} have gcd {g_all}, expected 1"

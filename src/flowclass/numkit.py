@@ -1,11 +1,12 @@
 """Scalar and matrix substrate.
 
 Everything downstream runs in one of two scalar modes.  Exact mode keeps
-matrix entries as `fractions.Fraction`: exact matrices are real-only.
-Float mode keeps entries as `float` / `complex`.  A matrix never mixes
-modes.  `RationalComplex` (a pair of Fractions) is the scalar type of
-exact eigenvalues; it never enters a matrix.  `lam_parts`,
-`canonical_lam` and `re_sign` read any scalar of either mode.
+matrix entries as `fractions.Fraction`; float mode keeps them as
+`float`.  A matrix never mixes modes, and matrices are real in both:
+entry normalisation refuses a complex entry.  `RationalComplex` (a pair
+of Fractions) is the scalar type of exact eigenvalues; it never enters
+a matrix.  `lam_parts`, `canonical_lam` and `re_sign` read any scalar
+of either mode.
 
 Provided here: the `Matrix` and `Poly` containers, ranks,
 characteristic polynomials (exact: Hessenberg reduction; float: from
@@ -193,19 +194,14 @@ def re_sign(lam, tol: float = 0.0) -> int:
     return (re > 0) - (re < 0)
 
 
-def _zero(mode: str, field: str):
-    if mode == "exact":
-        return Fraction(0)
-    return 0j if field == "complex" else 0.0
-
-
-def _one(mode: str, field: str):
-    if mode == "exact":
-        return Fraction(1)
-    return 1 + 0j if field == "complex" else 1.0
-
-
-def _normalize_entry(x, mode: str, field: str):
+def _normalize_entry(x, mode: str):
+    # the mode's own type skips the ABC test below, ten times as costly
+    if type(x) is (Fraction if mode == "exact" else float):
+        return x
+    # the ABC test catches numpy's complex scalars too, which float() would
+    # silently truncate to their real part
+    if isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real):
+        raise InputError(f"matrices are real; cannot hold complex entry {x!r}")
     if mode == "exact":
         return _as_fraction(x)
     # float mode: exact scalars must cross through to_float() explicitly,
@@ -214,14 +210,10 @@ def _normalize_entry(x, mode: str, field: str):
         raise InputError(
             f"float matrix cannot hold exact entry {x!r}; convert with to_float()"
         )
-    if field == "complex":
-        return complex(x)
-    if isinstance(x, complex):
-        raise InputError(f"real float matrix cannot hold complex entry {x!r}")
     return float(x)
 
 
-def _row_product(a_rows, b_rows, zero) -> list:
+def _row_product(a_rows, b_rows) -> list:
     """Rows of the product of two square row lists, over any scalars.
 
     Row by row over the nonzero entries only: realized block matrices and
@@ -233,7 +225,7 @@ def _row_product(a_rows, b_rows, zero) -> list:
     b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b_rows]
     out = []
     for ar in a_rows:
-        acc = [zero] * len(b_rows)
+        acc = [0] * len(b_rows)
         for k, x in enumerate(ar):
             if x:
                 for j, y in b_nonzero[k]:
@@ -243,35 +235,25 @@ def _row_product(a_rows, b_rows, zero) -> list:
 
 
 class Matrix:
-    """Immutable square matrix over a single scalar mode.
+    """Immutable real square matrix over a single scalar mode.
 
-    Exact matrices are real, with Fraction entries; float matrices hold
-    float entries (field "real") or complex ones (field "complex").
+    Exact matrices hold Fraction entries and float matrices float ones;
+    a complex entry, numpy's included, raises InputError.
     """
 
-    __slots__ = ("rows", "n", "mode", "field")
+    __slots__ = ("rows", "n", "mode")
 
-    def __init__(self, rows, mode: str, field: str | None = None):
+    def __init__(self, rows, mode: str):
         if mode not in ("exact", "float"):
             raise InputError(f"unknown scalar mode {mode!r}")
         rows = [list(r) for r in rows]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise InputError("matrix must be square and nonempty")
-        if field is None:
-            has_complex = any(isinstance(x, complex) for r in rows for x in r)
-            field = "complex" if has_complex else "real"
-        if field not in ("real", "complex"):
-            raise InputError(f"unknown field {field!r}")
-        if mode == "exact" and field == "complex":
-            raise InputError("exact matrices are real; complex entries need float mode")
-        norm = tuple(
-            tuple(_normalize_entry(x, mode, field) for x in r) for r in rows
-        )
+        norm = tuple(tuple(_normalize_entry(x, mode) for x in r) for r in rows)
         object.__setattr__(self, "rows", norm)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "field", field)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -287,30 +269,26 @@ class Matrix:
         return cls(rows, "float")
 
     @classmethod
-    def identity(cls, n: int, mode: str = "exact", field: str = "real") -> "Matrix":
-        one, zero = _one(mode, field), _zero(mode, field)
+    def identity(cls, n: int, mode: str = "exact") -> "Matrix":
         return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)],
+            [[1 if i == j else 0 for j in range(n)] for i in range(n)],
             mode,
-            field,
         )
 
     @classmethod
-    def zeros(cls, n: int, mode: str = "exact", field: str = "real") -> "Matrix":
-        zero = _zero(mode, field)
-        return cls([[zero] * n for _ in range(n)], mode, field)
+    def zeros(cls, n: int, mode: str = "exact") -> "Matrix":
+        return cls([[0] * n for _ in range(n)], mode)
 
     @classmethod
     def jordan_block(cls, lam, m: int, mode: str = "exact") -> "Matrix":
         """Single block: lam on the diagonal, ones on the superdiagonal."""
         if m < 1:
             raise InputError("block size must be at least 1")
-        zero, one = _zero(mode, "real"), _one(mode, "real")
-        rows = [[zero] * m for _ in range(m)]
+        rows = [[0] * m for _ in range(m)]
         for i in range(m):
             rows[i][i] = lam
             if i + 1 < m:
-                rows[i][i + 1] = one
+                rows[i][i + 1] = 1
         return cls(rows, mode)
 
     @classmethod
@@ -320,17 +298,15 @@ class Matrix:
         mode = mats[0].mode
         if any(m.mode != mode for m in mats):
             raise InputError("cannot mix scalar modes across blocks")
-        field = "complex" if any(m.field == "complex" for m in mats) else "real"
         n = sum(m.n for m in mats)
-        zero = _zero(mode, field)
-        rows = [[zero] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         off = 0
         for m in mats:
             for i in range(m.n):
                 for j in range(m.n):
                     rows[off + i][off + j] = m.rows[i][j]
             off += m.n
-        return cls(rows, mode, field)
+        return cls(rows, mode)
 
     @classmethod
     def companion(cls, poly: "Poly", mode: str = "exact") -> "Matrix":
@@ -342,11 +318,9 @@ class Matrix:
         if lead != 1:
             raise InputError("companion matrix needs a monic polynomial")
         d = poly.degree
-        zero = _zero(mode, "real")
-        one = _one(mode, "real")
-        rows = [[zero] * d for _ in range(d)]
+        rows = [[0] * d for _ in range(d)]
         for i in range(1, d):
-            rows[i][i - 1] = one
+            rows[i][i - 1] = 1
         for i in range(d):
             c = coeffs[i]
             rows[i][d - 1] = -(c if mode == "exact" else float(c))
@@ -354,18 +328,12 @@ class Matrix:
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "Matrix":
-        arr = np.asarray(arr)
-        if np.iscomplexobj(arr):
-            return cls([[complex(x) for x in row] for row in arr], "float", "complex")
-        return cls([[float(x) for x in row] for row in arr], "float", "real")
+        # tolist() keeps complex entries complex, so they are refused
+        return cls(np.asarray(arr).tolist(), "float")
 
     # ---- views and conversions ----------------------------------------
 
     def to_numpy(self) -> np.ndarray:
-        if self.field == "complex":
-            return np.array(
-                [[complex(x) for x in row] for row in self.rows], dtype=complex
-            )
         return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
 
     def to_float(self) -> "Matrix":
@@ -373,61 +341,47 @@ class Matrix:
             return self
         return Matrix.from_numpy(self.to_numpy())
 
-    def complexified(self) -> "Matrix":
-        if self.field == "complex":
-            return self
-        return Matrix(self.rows, self.mode, "complex")
-
     # ---- arithmetic ----------------------------------------------------
 
-    def _binary_prep(self, other: "Matrix"):
+    def _check_operand(self, other: "Matrix") -> None:
         if not isinstance(other, Matrix):
             raise InputError("matrix arithmetic needs two matrices")
         if self.mode != other.mode:
             raise InputError("cannot mix exact and float matrices")
         if self.n != other.n:
             raise InputError("matrix dimensions differ")
-        field = "complex" if "complex" in (self.field, other.field) else "real"
-        return self.complexified() if field == "complex" else self, (
-            other.complexified() if field == "complex" else other
-        )
 
     def __add__(self, other):
-        a, b = self._binary_prep(other)
+        self._check_operand(other)
         return Matrix(
             [
-                [a.rows[i][j] + b.rows[i][j] for j in range(a.n)]
-                for i in range(a.n)
+                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
+                for i in range(self.n)
             ],
-            a.mode,
-            a.field,
+            self.mode,
         )
 
     def __sub__(self, other):
-        a, b = self._binary_prep(other)
+        self._check_operand(other)
         return Matrix(
             [
-                [a.rows[i][j] - b.rows[i][j] for j in range(a.n)]
-                for i in range(a.n)
+                [self.rows[i][j] - other.rows[i][j] for j in range(self.n)]
+                for i in range(self.n)
             ],
-            a.mode,
-            a.field,
+            self.mode,
         )
 
     def __neg__(self):
-        return Matrix(
-            [[-x for x in row] for row in self.rows], self.mode, self.field
-        )
+        return Matrix([[-x for x in row] for row in self.rows], self.mode)
 
     def __matmul__(self, other):
-        a, b = self._binary_prep(other)
-        return Matrix(_row_product(a.rows, b.rows, _zero(a.mode, a.field)),
-                      a.mode, a.field)
+        self._check_operand(other)
+        return Matrix(_row_product(self.rows, other.rows), self.mode)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise InputError("matrix power needs a nonnegative integer")
-        acc = Matrix.identity(self.n, self.mode, self.field)
+        acc = Matrix.identity(self.n, self.mode)
         base = self
         while k:
             if k & 1:
@@ -437,28 +391,25 @@ class Matrix:
         return acc
 
     def scaled(self, s) -> "Matrix":
-        field = "complex" if isinstance(s, complex) else self.field
-        return Matrix(
-            [[s * x for x in row] for row in self.rows], self.mode, field
-        )
+        """Return s * self; s must be real (rational for an exact matrix)."""
+        return Matrix([[s * x for x in row] for row in self.rows], self.mode)
 
     def shifted(self, lam) -> "Matrix":
-        """Return self - lam * I; a complex shift makes a float matrix
-        complex, and an exact matrix takes only a rational shift."""
+        """Return self - lam * I; lam must be real, and an exact matrix
+        takes only a rational shift."""
         if self.mode == "float" and isinstance(lam, (Fraction, RationalComplex)):
             lam = complex(lam) if isinstance(lam, RationalComplex) else float(lam)
-        field = "complex" if isinstance(lam, complex) else self.field
         rows = [list(r) for r in self.rows]
         for i in range(self.n):
             rows[i][i] = rows[i][i] - lam
-        return Matrix(rows, self.mode, field)
+        return Matrix(rows, self.mode)
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.n:
             raise InputError("vector length does not match matrix size")
         out = []
         for i in range(self.n):
-            s = _zero(self.mode, self.field)
+            s = 0
             for j in range(self.n):
                 s = s + self.rows[i][j] * vec[j]
             out.append(s)
@@ -475,15 +426,14 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.mode == other.mode
-            and self.field == other.field
             and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.mode, self.field, self.rows))
+        return hash((self.mode, self.rows))
 
     def __repr__(self):
-        return f"Matrix(n={self.n}, mode={self.mode}, field={self.field})"
+        return f"Matrix(n={self.n}, mode={self.mode})"
 
 
 @dataclass(frozen=True)
@@ -635,14 +585,13 @@ def char_poly(m: Matrix) -> Poly:
     minors of tI - H.  This costs O(n^3) scalar operations.
 
     Float mode expands the product of (t - lam) over the LAPACK
-    eigenvalues (`numpy.poly`); a real matrix keeps the real part.
+    eigenvalues (`numpy.poly`) and keeps the real part, as the matrix is
+    real.
     """
     if m.mode == "exact":
         return _char_poly_hessenberg(m)
     coeffs = np.poly(m.to_numpy())  # descending
-    if m.field == "real":
-        return Poly.make(tuple(float(c) for c in reversed(coeffs.real)))
-    return Poly.make(tuple(complex(c) for c in reversed(coeffs)))
+    return Poly.make(tuple(float(c) for c in reversed(coeffs.real)))
 
 
 def _hessenberg_exact(m: Matrix) -> list:
@@ -680,7 +629,7 @@ def _hessenberg_exact(m: Matrix) -> list:
 def _char_poly_hessenberg(m: Matrix) -> Poly:
     h = _hessenberg_exact(m)
     n = m.n
-    zero, one = _zero(m.mode, m.field), _one(m.mode, m.field)
+    zero, one = Fraction(0), Fraction(1)
     # p[k]: ascending coefficients of det(tI - H[:k, :k])
     p = [[one]]
     for k in range(1, n + 1):
@@ -764,7 +713,7 @@ def mat_exp(a: Matrix, t) -> Matrix:
         idx = _nilpotency_index(a)
         if idx is not None:
             tf = Fraction(t)
-            ident = Matrix.identity(a.n, a.mode, a.field)
+            ident = Matrix.identity(a.n, a.mode)
             acc = ident
             power = ident
             fact = Fraction(1)
@@ -925,7 +874,7 @@ def _rank_walk(step: list, lam, pair: bool):
             raise DiagnosticError(f"rank sequence increased: {seq + [r]}")
         seq.append(r)
         yield r
-        power = _row_product(power, step, 0)
+        power = _row_product(power, step)
 
 
 def integer_rank_walks(d: int, b: list):
@@ -938,7 +887,7 @@ def integer_rank_walks(d: int, b: list):
     polynomial det(tI - B) in Q(i), hence in Z[i]).  The rows of B are
     not modified.  All walks of one such function share one B^2, formed
     for the first non-real lam."""
-    square = cache(lambda: _row_product(b, b, 0))
+    square = cache(lambda: _row_product(b, b))
 
     def walk(lam):
         lam = canonical_lam(lam)
@@ -1013,9 +962,8 @@ def inverse_exact(m: Matrix) -> Matrix:
     """Exact inverse; raises DiagnosticError when singular."""
     if m.mode != "exact":
         raise InputError("inverse_exact needs an exact matrix")
-    one, zero = _one(m.mode, m.field), _zero(m.mode, m.field)
     aug = [
-        [one if i == j else zero for j in range(m.n)] for i in range(m.n)
+        [1 if i == j else 0 for j in range(m.n)] for i in range(m.n)
     ]
     out = _gauss_jordan_exact(m, aug)
-    return Matrix(out, m.mode, m.field)
+    return Matrix(out, m.mode)

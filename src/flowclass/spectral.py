@@ -1,7 +1,7 @@
 """Spectral extraction for real square matrices.
 
-Exact matrices are real-only (Fraction entries); their eigenvalues are
-Fraction or RationalComplex values.
+Matrices are real in both modes (numkit refuses a complex entry).
+Exact eigenvalues are Fraction or RationalComplex values.
 
 In exact mode the eigenvalues are LAPACK candidates certified by exact
 ranks.  With B = D A, D the lcm of the denominators of A, det(tI - B)
@@ -462,9 +462,11 @@ def _pair_conjugates(clusters):
 
 
 def eigenvalues(a: Matrix, tol: float | None = None):
-    """Eigenvalues of a real square matrix with algebraic multiplicities.
+    """Eigenvalues of a square matrix with algebraic multiplicities.
 
-    Returns a tuple of (value, multiplicity) sorted by (re, im).
+    Returns a tuple of (value, multiplicity) sorted by (re, im).  Every
+    `Matrix` is real (numkit refuses a complex entry), so non-real values
+    come in conjugate pairs.
 
     Exact matrices take no tolerance (a nonzero tol raises InputError
     before any work) and give Fraction or RationalComplex values or raise
@@ -492,8 +494,6 @@ def eigenvalues(a: Matrix, tol: float | None = None):
 
 def _spectrum(a: Matrix, tol):
     """(value, multiplicity, rank sequence) per eigenvalue of a real A."""
-    if a.field != "real":
-        raise InputError("eigenvalue extraction expects a real matrix")
     if a.mode == "exact":
         _check_tol(a, tol)
         return _exact_spectrum(a)

@@ -170,6 +170,26 @@ def test_classify_rejects_non_finite_numbers(capsys, tmp_path, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command,text,path",
+    [
+        ("classify", "matrix: [[0.0, [1.0, 2.0]], [1.0, 0.0]]\n", "matrix[0][1]"),
+        ("classify", "mode: exact\nmatrix: [[0, [1, 2]], [1, 0]]\n", "matrix[0][1]"),
+        ("equiv", "left: {matrix: [[1]]}\nright: {matrix: [[[0, 1]]]}\n",
+         "right.matrix[0][0]"),
+        ("invariants", "matrix: [[0.0, -1.0], [[1.0, 0.5], 0.0]]\n", "matrix[1][0]"),
+        ("simulate", "matrix: [[0.0, [1.0, 0.0]], [-1.0, 0.0]]\npoint: [1.0, 0.0]\n",
+         "matrix[0][1]"),
+    ],
+    ids=["classify-float", "classify-exact", "equiv", "invariants", "simulate"],
+)
+def test_complex_matrix_entry_is_refused(capsys, tmp_path, command, text, path):
+    # matrix entries are real; [re, im] pairs are for points and heads only
+    code, out, err = run(capsys, command, write_doc(tmp_path, text))
+    assert code == 1 and out == ""
+    assert err == f"flowclass: error: {path}: expected a number, got list\n"
+
+
 @pytest.mark.parametrize("flag,value", [("--horizon", "inf"), ("--grid-step", "nan")])
 def test_simulate_rejects_non_finite_window(capsys, flag, value):
     code, out, err = run(

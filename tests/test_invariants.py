@@ -38,7 +38,7 @@ from flowclass.invariants import (
     y_reduce,
     z_reduce,
 )
-from flowclass.numkit import RationalComplex
+from flowclass.numkit import Matrix, RationalComplex
 from flowclass.spectral import SpectrumDescriptor, spectrum_descriptor
 
 
@@ -130,6 +130,23 @@ def test_decide_is_equivalence_relation(rng):
                     assert decide_conjugate(a, c).conjugate
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-9])
+def test_signature_refuses_nan_or_negative_tol(tol):
+    desc = SpectrumDescriptor.make([(1j, 1, 1), (-1j, 1, 1)])
+    with pytest.raises(InputError, match="tolerance must be nonnegative"):
+        conjugacy_signature(desc, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9])
+def test_decide_refuses_nan_or_negative_tol(tol):
+    # with a NaN tol the rotation used to be called not conjugate to itself
+    rotation = Matrix.floating([[0.0, -1.0], [1.0, 0.0]])
+    s = conjugacy_signature(spectrum_descriptor(rotation))
+    assert decide_conjugate(s, s).conjugate
+    with pytest.raises(InputError, match="tolerance must be nonnegative"):
+        decide_conjugate(s, s, tol=tol)
+
+
 def test_exact_vs_float_signatures_compare():
     ex = conjugacy_signature(desc_of([(Fraction(0), Fraction(1), 1, 1)]))
     fl = conjugacy_signature(
@@ -191,6 +208,24 @@ def test_float_ratio_acceptance_respects_qmax():
 def test_mixed_exact_float_frequencies_rejected():
     with pytest.raises(InputError):
         rational_classes([Fraction(1), 2.0])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda tol: rational_classes([1.0, 2.0], qmax=8, tol=tol),
+        lambda tol: bounded_structure(
+            SpectrumDescriptor.make([(1j, 1, 1), (-1j, 1, 1), (2j, 1, 1), (-2j, 1, 1)]),
+            tol=tol,
+        ),
+    ],
+    ids=["rational_classes", "bounded_structure"],
+)
+def test_nan_ratio_tol_is_refused(entry):
+    # a NaN tol used to accept no ratio: [1.0, 2.0] gave two classes p = (1,)
+    assert entry(1e-9)
+    with pytest.raises(InputError, match="tolerance must be nonnegative"):
+        entry(math.nan)
 
 
 def test_nonpositive_frequency_rejected():

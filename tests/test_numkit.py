@@ -87,7 +87,7 @@ def test_rational_complex_mixed_arithmetic():
 
 def test_exact_matrix_normalizes_ints_to_fractions():
     m = Matrix.exact([[1, 2], [3, 4]])
-    assert m.mode == "exact" and m.field == "real"
+    assert m.mode == "exact" and repr(m) == "Matrix(n=2, mode=exact)"
     assert all(isinstance(x, Fraction) for row in m.rows for x in row)
 
 
@@ -101,14 +101,23 @@ def test_float_matrix_rejects_fractions():
         Matrix.floating([[Fraction(1, 2), 0], [0, 1]])
 
 
-def test_complex_field_is_inferred():
-    # exact matrices are real-only: only a float matrix has a complex field
+COMPLEX_REFUSAL = "matrices are real; cannot hold complex entry"
+
+
+def test_complex_entries_are_refused():
+    # matrices are real in both modes; numpy's complex scalars and arrays
+    # are refused too, not truncated to their real part
     with pytest.raises(InputError):
         Matrix.exact([[RationalComplex(Fraction(0), Fraction(1)), 0], [0, 1]])
-    with pytest.raises(InputError):
-        Matrix([[1, 0], [0, 1]], "exact", "complex")
-    f = Matrix.floating([[1j, 0], [0, 1.0]])
-    assert f.field == "complex"
+    for build in (
+        lambda: Matrix.exact([[1j, 0], [0, 1]]),
+        lambda: Matrix.floating([[1j, 0], [0, 1.0]]),
+        lambda: Matrix.floating([[np.complex64(1j), 0.0], [0.0, 1.0]]),
+        lambda: Matrix.from_numpy(np.array([[0.0, 1j], [1.0, 0.0]])),
+        lambda: Matrix.from_numpy(np.eye(2, dtype=complex)),
+    ):
+        with pytest.raises(InputError, match=COMPLEX_REFUSAL):
+            build()
 
 
 def test_non_square_rejected():
@@ -116,15 +125,19 @@ def test_non_square_rejected():
         Matrix.exact([[1, 2, 3], [4, 5, 6]])
 
 
-def test_shift_promotes_field():
+def test_complex_shift_and_scale_are_refused():
     m = Matrix.exact([[0, 1], [-1, 0]])
     with pytest.raises(InputError):
         m.shifted(RationalComplex(Fraction(0), Fraction(1)))  # exact stays real
     with pytest.raises(InputError):
         m.shifted(0.5)  # float shift of an exact matrix
-    shifted = m.to_float().shifted(RationalComplex(Fraction(0), Fraction(1)))
-    assert shifted.field == "complex"
-    assert shifted.rows[0] == (-1j, 1 + 0j)
+    assert m.shifted(Fraction(1, 2)).rows[0] == (Fraction(-1, 2), 1)
+    for a in (m, m.to_float()):
+        for change in (a.shifted, a.scaled):
+            with pytest.raises(InputError, match=COMPLEX_REFUSAL):
+                change(1j)
+    with pytest.raises(InputError, match=COMPLEX_REFUSAL):
+        m.to_float().shifted(RationalComplex(Fraction(0), Fraction(1)))
 
 
 def test_matmul_and_pow_match_numpy():
@@ -139,9 +152,11 @@ def test_matmul_and_pow_match_numpy():
 def test_block_diag_and_jordan_block():
     j = Matrix.jordan_block(Fraction(2), 3, "exact")
     assert j.rows[0][1] == 1 and j.rows[1][2] == 1 and j.rows[0][0] == 2
-    d = Matrix.block_diag([j, Matrix.identity(2, "exact", "real")])
+    d = Matrix.block_diag([j, Matrix.identity(2, "exact")])
     assert d.n == 5
     assert d.rows[3][3] == 1 and d.rows[0][3] == 0
+    with pytest.raises(InputError, match=COMPLEX_REFUSAL):
+        Matrix.jordan_block(1j, 2, "float")
 
 
 def test_companion_matches_poly():
@@ -536,7 +551,7 @@ def test_solve_and_inverse_exact():
         x = solve_exact(m, rhs)
         assert list(m.apply(x)) == rhs
         inv = inverse_exact(m)
-        assert inv @ m == Matrix.identity(n, "exact", "real")
+        assert inv @ m == Matrix.identity(n, "exact")
 
 
 def test_inverse_exact_singular_refuses():

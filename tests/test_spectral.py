@@ -102,11 +102,11 @@ def test_exact_multiplicities_match_sympy():
             assert got[key] == mult
 
 
-def test_eigenvalues_reject_complex_field_matrix():
-    # exact matrices are real-only, so a complex field is a float one
-    m = Matrix.floating([[1j]])
-    with pytest.raises(InputError):
-        eigenvalues(m)
+def test_eigenvalues_reject_complex_matrix():
+    # matrices are real in both modes: the complex entry is refused when
+    # the matrix is built, before any spectral work
+    with pytest.raises(InputError, match="matrices are real"):
+        eigenvalues(Matrix.floating([[1j]]))
 
 
 # ---- exact eigenvalues: certified candidates against the sympy reference ------
