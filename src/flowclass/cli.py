@@ -10,7 +10,9 @@ integers or ratio strings like 1/2 (quotes optional in YAML); float
 documents write decimals.  Mixing the two flavors is rejected with the
 path of the first offending literal on each side.  Matrix entries are
 real numbers; only point and head coordinates may be complex, written
-as two-element lists [re, im] of same-flavor parts.
+as two-element lists [re, im] of same-flavor parts.  A number read as
+a float that is beyond the float range is an input error naming its
+path.
 """
 
 from __future__ import annotations
@@ -174,9 +176,19 @@ def emit_text(report: Report) -> str:
 class _Evidence:
     float_at: tuple | None = None
     frac_at: tuple | None = None
+    huge_at: str | None = None  # path of the first number beyond the float range
     declared: str | None = None
 
-    def mode(self) -> str:
+    def mode(self, floats: bool = False) -> str:
+        """The document's mode.  When it is float, or floats says the
+        numbers are read as floats whatever the mode, a number beyond the
+        float range is an input error."""
+        mode = self._flavor()
+        if self.huge_at and (floats or mode == "float"):
+            raise InputError(f"{self.huge_at}: number is beyond the float range")
+        return mode
+
+    def _flavor(self) -> str:
         if self.declared is not None:
             if self.declared == "exact" and self.float_at:
                 path, tok = self.float_at
@@ -206,7 +218,7 @@ def _scan_real(x, path: str, ev: _Evidence):
     if isinstance(x, bool):
         raise InputError(f"{path}: expected a number, got a boolean")
     if isinstance(x, int):
-        return x
+        return _note_range(x, path, ev)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise InputError(f"{path}: expected a finite number")
@@ -218,8 +230,18 @@ def _scan_real(x, path: str, ev: _Evidence):
             raise InputError(f"{path}: cannot read {x!r} as a number")
         if ev.frac_at is None:
             ev.frac_at = (path, x)
-        return Fraction(x)
+        return _note_range(Fraction(x), path, ev)
     raise InputError(f"{path}: expected a number, got {type(x).__name__}")
+
+
+def _note_range(x, path: str, ev: _Evidence):
+    """x, after noting its path if float(x) would overflow."""
+    if ev.huge_at is None:
+        try:
+            float(x)
+        except OverflowError:
+            ev.huge_at = path
+    return x
 
 
 def _scan_value(x, path: str, ev: _Evidence):
@@ -335,6 +357,11 @@ def _system_descriptor(doc: dict, args, where: str, diags: list) -> SpectrumDesc
         except ExactModeError as exc:
             if args.exact:
                 raise
+            if ev.huge_at:
+                raise ExactModeError(
+                    f"{exc}; float analysis is impossible: "
+                    f"{ev.huge_at} is beyond the float range"
+                ) from None
             diags.append(f"{where or 'input'}: {exc}; float analysis used")
             return spectrum_descriptor(mat.to_float(), tol=args.tol)
 
@@ -502,7 +529,7 @@ def _cmd_simulate(doc: dict, args) -> Report:
     point = [
         _scan_value(x, f"point[{i}]", ev) for i, x in enumerate(doc["point"])
     ]
-    mode = ev.mode()
+    mode = ev.mode(floats=True)
     if "matrix" in doc:
         arr = np.array([[_value(x, "float") for x in row] for row in rows])
     else:
@@ -516,11 +543,15 @@ def _cmd_simulate(doc: dict, args) -> Report:
     cap = doc.get("growth_cap", DEFAULT_GROWTH_CAP)
     if isinstance(cap, bool) or not isinstance(cap, (int, float)):
         raise InputError("growth_cap: expected a number")
+    try:
+        cap = float(cap)
+    except OverflowError:
+        raise InputError("growth_cap: number is beyond the float range") from None
     horizon = args.horizon if args.horizon is not None else DEFAULT_PROBE_HORIZON
     step = args.grid_step if args.grid_step is not None else DEFAULT_PROBE_STEP
     tol = args.tol if args.tol is not None else DEFAULT_RETURN_TOL
     probe = bounded_probe(
-        arr, point, horizon=horizon, step=step, growth_cap=float(cap), tol=tol
+        arr, point, horizon=horizon, step=step, growth_cap=cap, tol=tol
     )
     period_horizon = args.horizon if args.horizon is not None else DEFAULT_PERIOD_HORIZON
     period_step = args.grid_step if args.grid_step is not None else DEFAULT_PERIOD_STEP
@@ -557,7 +588,7 @@ def _cmd_witness(doc: dict, args) -> Report:
         _scan_value(x, f"head[{i}]", ev) for i, x in enumerate(doc["head"])
     ]
     beta = _scan_real(doc["beta"], "beta", ev)
-    ev.mode()
+    ev.mode(floats=True)
     head = [_value(x, "float") for x in head]
     beta = _value(beta, "float")
     even = _plain_bool(doc.get("even", False), "even")

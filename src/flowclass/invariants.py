@@ -1,8 +1,10 @@
-"""Flow invariants and the conjugacy decision.
+"""Flow invariants and the conjugacy and equivalence decisions.
 
 Two linear flows are topologically conjugate exactly when their
 expanding and contracting dimensions agree and their center block data
-agree as multisets.  Everything else in this module extracts finer
+agree as multisets; they are topologically equivalent when that holds
+once one factor c > 0 scales the nonzero center frequencies of one
+flow.  Everything else in this module extracts finer
 structure of the bounded part: which purely imaginary frequencies are
 rationally related, which orbit frequencies occur on the compact part,
 how large the closure of each frequency level set is, and how block
@@ -14,7 +16,7 @@ multiplier tuple p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -128,9 +130,9 @@ def decide_conjugate(
 
     The certificate names the first invariant that differs.  Center
     frequencies of float signatures are matched within tol.
-    A NaN or negative tol raises InputError.  `decide_equivalent` is
-    this same function: topological equivalence of linear flows has the
-    same criterion as topological conjugacy.
+    A NaN or negative tol raises InputError.  Conjugate flows are also
+    topologically equivalent, but not conversely: A and cA, c > 0, have
+    the same orbits (see `decide_equivalent`).
     """
     if tol is None:
         tol = 0.0 if (a.exact and b.exact) else _CENTER_TOL
@@ -166,8 +168,40 @@ def decide_conjugate(
     return Verdict(True)
 
 
-# topological equivalence: the same criterion (see decide_conjugate)
-decide_equivalent = decide_conjugate
+def decide_equivalent(
+    a: ConjugacySignature, b: ConjugacySignature, tol: float | None = None
+) -> Verdict:
+    """Decide topological equivalence: a homeomorphism carries orbits onto
+    orbits, keeping the direction of time.
+
+    By Kuiper's and Ladis's theorem (1973) that holds exactly when the
+    hyperbolic dimensions agree and the center parts are linearly
+    conjugate once one of them is scaled by some c > 0: the blocks at 0
+    agree, and c carries the nonzero center frequencies of a, with their
+    block sizes and counts, onto those of b.  c is the ratio of the
+    first nonzero frequencies, exact for exact signatures; a, scaled by
+    c, is then compared with b by `decide_conjugate`, float frequencies
+    within tol relative to c.  The answer is the Verdict's `conjugate`
+    field, and the certificate names the first invariant that differs.
+    A NaN or negative tol raises InputError.
+    """
+    if tol is None:
+        tol = 0.0 if (a.exact and b.exact) else _CENTER_TOL
+    _check_tol(tol)
+    first = [next((im for im, _, _ in s.center if abs(im) > tol), None) for s in (a, b)]
+    if None in first:
+        return decide_conjugate(a, b, tol)
+    if all(isinstance(im, Fraction) for im in first):
+        c = first[1] / first[0]
+    else:
+        c = float(first[1]) / float(first[0])
+    if c <= 0 or c == 1:
+        return decide_conjugate(a, b, tol)
+    scaled = replace(a, center=tuple((im * c, m, k) for im, m, k in a.center))
+    verdict = decide_conjugate(scaled, b, tol * c)
+    if verdict.conjugate:
+        return verdict
+    return Verdict(False, f"{verdict.certificate} (left center frequencies times {c})")
 
 
 def _imag_str(im) -> str:

@@ -3,17 +3,20 @@
 Everything downstream runs in one of two scalar modes.  Exact mode keeps
 matrix entries as `fractions.Fraction`; float mode keeps them as
 `float`.  A matrix never mixes modes, and matrices are real in both:
-entry normalisation refuses a complex entry.  `RationalComplex` (a pair
-of Fractions) is the scalar type of exact eigenvalues; it never enters
-a matrix.  `lam_parts`, `canonical_lam` and `re_sign` read any scalar
-of either mode.
+entry normalisation refuses a complex entry, any other non-real entry,
+and an integer beyond the float range in float mode.  `RationalComplex`
+(a pair of Fractions) is the scalar type of exact eigenvalues; it never
+enters a matrix.  `lam_parts`, `canonical_lam` and `re_sign` read any
+scalar of either mode.
 
-Provided here: the `Matrix` and `Poly` containers, ranks,
-characteristic polynomials (exact: Hessenberg reduction; float: from
-the LAPACK eigenvalues), matrix exponentials by scaling and squaring,
-at one time or a batch of times (with an exact terminating series for
-nilpotent generators), rank
-sequences of shifted powers, and exact linear solves.
+`Matrix` is a validated container: it checks and holds the rows, and
+converts them to numpy or to float; the pipeline computes on integer
+rows (`cleared`) or on ndarrays, not on `Matrix` values.  Provided
+here: ranks, exact characteristic polynomials (Hessenberg reduction;
+a float matrix has none here, its eigenvalues come from LAPACK in
+`spectral`), float matrix exponentials by scaling and squaring at one
+time or a batch of times, rank sequences of shifted powers, and exact
+linear solves.
 
 Exact ranks, and the powers behind exact rank sequences, run on Python
 ints: the matrix is scaled once by the lcm of its denominators (one
@@ -47,7 +50,6 @@ __all__ = [
     "Poly",
     "rank",
     "char_poly",
-    "mat_exp",
     "mat_exp_array",
     "power_rank_sequence",
     "float_rank_sequence",
@@ -194,23 +196,32 @@ def re_sign(lam, tol: float = 0.0) -> int:
     return (re > 0) - (re < 0)
 
 
+# the value is not shown: an int of over 4300 digits has no str()
+_BEYOND_FLOAT = "matrix entry is beyond the float range"
+
+
 def _normalize_entry(x, mode: str):
     # the mode's own type skips the ABC test below, ten times as costly
     if type(x) is (Fraction if mode == "exact" else float):
         return x
     # the ABC test catches numpy's complex scalars too, which float() would
-    # silently truncate to their real part
-    if isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real):
-        raise InputError(f"matrices are real; cannot hold complex entry {x!r}")
+    # silently truncate to their real part, and strings, which it would read
+    if not isinstance(x, numbers.Real):
+        if isinstance(x, (numbers.Complex, RationalComplex)):
+            raise InputError(f"matrices are real; cannot hold complex entry {x!r}")
+        raise InputError(f"matrices hold real numbers; cannot hold {x!r}")
     if mode == "exact":
         return _as_fraction(x)
     # float mode: exact scalars must cross through to_float() explicitly,
     # except plain ints, which are lossless in both modes
-    if isinstance(x, (Fraction, RationalComplex)):
+    if isinstance(x, Fraction):
         raise InputError(
             f"float matrix cannot hold exact entry {x!r}; convert with to_float()"
         )
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(_BEYOND_FLOAT) from None
 
 
 def _row_product(a_rows, b_rows) -> list:
@@ -235,10 +246,14 @@ def _row_product(a_rows, b_rows) -> list:
 
 
 class Matrix:
-    """Immutable real square matrix over a single scalar mode.
+    """Immutable real square matrix over a single scalar mode: a validated
+    container, holding rows and converting them, with no arithmetic but
+    `@`.
 
     Exact matrices hold Fraction entries and float matrices float ones;
-    a complex entry, numpy's included, raises InputError.
+    a complex entry, numpy's included, or any other non-real one raises
+    InputError, and so does an entry beyond the float range in float
+    mode or in `to_numpy`/`to_float`.
     """
 
     __slots__ = ("rows", "n", "mode")
@@ -269,64 +284,6 @@ class Matrix:
         return cls(rows, "float")
 
     @classmethod
-    def identity(cls, n: int, mode: str = "exact") -> "Matrix":
-        return cls(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-            mode,
-        )
-
-    @classmethod
-    def zeros(cls, n: int, mode: str = "exact") -> "Matrix":
-        return cls([[0] * n for _ in range(n)], mode)
-
-    @classmethod
-    def jordan_block(cls, lam, m: int, mode: str = "exact") -> "Matrix":
-        """Single block: lam on the diagonal, ones on the superdiagonal."""
-        if m < 1:
-            raise InputError("block size must be at least 1")
-        rows = [[0] * m for _ in range(m)]
-        for i in range(m):
-            rows[i][i] = lam
-            if i + 1 < m:
-                rows[i][i + 1] = 1
-        return cls(rows, mode)
-
-    @classmethod
-    def block_diag(cls, mats: Sequence["Matrix"]) -> "Matrix":
-        if not mats:
-            raise InputError("block_diag needs at least one block")
-        mode = mats[0].mode
-        if any(m.mode != mode for m in mats):
-            raise InputError("cannot mix scalar modes across blocks")
-        n = sum(m.n for m in mats)
-        rows = [[0] * n for _ in range(n)]
-        off = 0
-        for m in mats:
-            for i in range(m.n):
-                for j in range(m.n):
-                    rows[off + i][off + j] = m.rows[i][j]
-            off += m.n
-        return cls(rows, mode)
-
-    @classmethod
-    def companion(cls, poly: "Poly", mode: str = "exact") -> "Matrix":
-        """Companion matrix of a monic polynomial of degree >= 1."""
-        if poly.degree < 1:
-            raise InputError("companion matrix needs degree >= 1")
-        coeffs = poly.coeffs
-        lead = coeffs[-1]
-        if lead != 1:
-            raise InputError("companion matrix needs a monic polynomial")
-        d = poly.degree
-        rows = [[0] * d for _ in range(d)]
-        for i in range(1, d):
-            rows[i][i - 1] = 1
-        for i in range(d):
-            c = coeffs[i]
-            rows[i][d - 1] = -(c if mode == "exact" else float(c))
-        return cls(rows, mode)
-
-    @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "Matrix":
         # tolist() keeps complex entries complex, so they are refused
         return cls(np.asarray(arr).tolist(), "float")
@@ -334,14 +291,17 @@ class Matrix:
     # ---- views and conversions ----------------------------------------
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
+        try:
+            return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
+        except OverflowError:
+            raise InputError(_BEYOND_FLOAT) from None
 
     def to_float(self) -> "Matrix":
         if self.mode == "float":
             return self
         return Matrix.from_numpy(self.to_numpy())
 
-    # ---- arithmetic ----------------------------------------------------
+    # ---- product ----------------------------------------------------------
 
     def _check_operand(self, other: "Matrix") -> None:
         if not isinstance(other, Matrix):
@@ -351,74 +311,10 @@ class Matrix:
         if self.n != other.n:
             raise InputError("matrix dimensions differ")
 
-    def __add__(self, other):
-        self._check_operand(other)
-        return Matrix(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ],
-            self.mode,
-        )
-
-    def __sub__(self, other):
-        self._check_operand(other)
-        return Matrix(
-            [
-                [self.rows[i][j] - other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ],
-            self.mode,
-        )
-
-    def __neg__(self):
-        return Matrix([[-x for x in row] for row in self.rows], self.mode)
-
+    # kept for tests' similarity transforms and wrapped by name in bench/tracing.py
     def __matmul__(self, other):
         self._check_operand(other)
         return Matrix(_row_product(self.rows, other.rows), self.mode)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise InputError("matrix power needs a nonnegative integer")
-        acc = Matrix.identity(self.n, self.mode)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return acc
-
-    def scaled(self, s) -> "Matrix":
-        """Return s * self; s must be real (rational for an exact matrix)."""
-        return Matrix([[s * x for x in row] for row in self.rows], self.mode)
-
-    def shifted(self, lam) -> "Matrix":
-        """Return self - lam * I; lam must be real, and an exact matrix
-        takes only a rational shift."""
-        if self.mode == "float" and isinstance(lam, (Fraction, RationalComplex)):
-            lam = complex(lam) if isinstance(lam, RationalComplex) else float(lam)
-        rows = [list(r) for r in self.rows]
-        for i in range(self.n):
-            rows[i][i] = rows[i][i] - lam
-        return Matrix(rows, self.mode)
-
-    def apply(self, vec: Sequence) -> tuple:
-        if len(vec) != self.n:
-            raise InputError("vector length does not match matrix size")
-        out = []
-        for i in range(self.n):
-            s = 0
-            for j in range(self.n):
-                s = s + self.rows[i][j] * vec[j]
-            out.append(s)
-        return tuple(out)
-
-    # ---- scalar summaries ----------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
 
     # ---- equality -------------------------------------------------------
 
@@ -453,35 +349,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z):
-        acc = 0 * z if self.coeffs else 0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def derivative(self) -> "Poly":
-        return Poly.make(tuple(k * c for k, c in enumerate(self.coeffs) if k))
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            term = "t" if k == 1 else (f"t^{k}" if k else "")
-            if k and c == 1:
-                cs = ""
-            elif k and c == -1:
-                cs = "-"
-            else:
-                cs = str(c)
-            parts.append(cs + ("*" if cs not in ("", "-") and term else "") + term)
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 # ---- rank -----------------------------------------------------------------
@@ -575,23 +442,20 @@ def _rank_int(rows: list) -> int:
 
 
 def char_poly(m: Matrix) -> Poly:
-    """Monic characteristic polynomial det(tI - A), ascending coefficients.
+    """Monic characteristic polynomial det(tI - A) of an exact matrix,
+    ascending Fraction coefficients.
 
-    Exact mode reduces A to upper Hessenberg form H by elementary
-    similarity over the rationals (a row/column transposition brings a
-    nonzero entry onto the subdiagonal when the pivot there is zero, and
-    a column with nothing to bring is skipped), then reads the
-    coefficients off the three-term recurrence for the leading principal
-    minors of tI - H.  This costs O(n^3) scalar operations.
-
-    Float mode expands the product of (t - lam) over the LAPACK
-    eigenvalues (`numpy.poly`) and keeps the real part, as the matrix is
-    real.
+    A is reduced to upper Hessenberg form H by elementary similarity
+    over the rationals (a row/column transposition brings a nonzero
+    entry onto the subdiagonal when the pivot there is zero, and a
+    column with nothing to bring is skipped), then the coefficients are
+    read off the three-term recurrence for the leading principal minors
+    of tI - H.  This costs O(n^3) scalar operations.  A float matrix
+    raises InputError: its eigenvalues come from LAPACK directly.
     """
-    if m.mode == "exact":
-        return _char_poly_hessenberg(m)
-    coeffs = np.poly(m.to_numpy())  # descending
-    return Poly.make(tuple(float(c) for c in reversed(coeffs.real)))
+    if m.mode != "exact":
+        raise InputError("char_poly needs an exact matrix")
+    return _char_poly_hessenberg(m)
 
 
 def _hessenberg_exact(m: Matrix) -> list:
@@ -690,42 +554,6 @@ def mat_exp_array(arr: np.ndarray, t=1.0) -> np.ndarray:
                 sel = s > i
                 acc[sel] = acc[sel] @ acc[sel]
     return acc
-
-
-def _nilpotency_index(m: Matrix) -> int | None:
-    p = m
-    for k in range(1, m.n + 1):
-        if p.is_zero():
-            return k
-        p = p @ m
-    return None
-
-
-def mat_exp(a: Matrix, t) -> Matrix:
-    """exp(t * A).
-
-    Exact matrices with exact times give an exact terminating series when
-    A is nilpotent.  All other combinations are evaluated in float mode;
-    entries of exp(tA) are transcendental in general.
-    """
-    exact_time = isinstance(t, (int, Fraction)) and not isinstance(t, bool)
-    if a.mode == "exact" and exact_time:
-        idx = _nilpotency_index(a)
-        if idx is not None:
-            tf = Fraction(t)
-            ident = Matrix.identity(a.n, a.mode)
-            acc = ident
-            power = ident
-            fact = Fraction(1)
-            for k in range(1, idx):
-                power = power @ a
-                fact *= k
-                acc = acc + power.scaled(tf ** k / fact)
-            return acc
-    tf = float(t)
-    if not math.isfinite(tf):
-        raise InputError("time must be finite")
-    return Matrix.from_numpy(mat_exp_array(a.to_numpy(), tf))
 
 
 # ---- rank sequences of shifted powers ---------------------------------------

@@ -36,7 +36,8 @@ def realize_real(parts) -> Matrix:
             raise ValueError("b must be nonnegative; pairs are implied")
         for _ in range(count):
             if b == 0:
-                blocks.append(Matrix.jordan_block(a, m, "exact"))
+                blocks.append([[a if j == i else Fraction(int(j == i + 1)) for j in range(m)]
+                               for i in range(m)])
             else:
                 size = 2 * m
                 rows = [[Fraction(0)] * size for _ in range(size)]
@@ -49,8 +50,8 @@ def realize_real(parts) -> Matrix:
                     if cell + 1 < m:
                         rows[at][at + 2] = Fraction(1)
                         rows[at + 1][at + 3] = Fraction(1)
-                blocks.append(Matrix.exact(rows))
-    return Matrix.block_diag(blocks)
+                blocks.append(rows)
+    return Matrix.exact(direct_sum(blocks))
 
 
 def expected_blocks(parts) -> list:
@@ -145,13 +146,16 @@ def hyperbolic_blocks(rng: np.random.Generator, taken: list, dim: int):
     return blocks, tuple(dims)
 
 
-def direct_sum(blocks) -> np.ndarray:
-    """Block-diagonal matrix of square ndarray blocks."""
+def direct_sum(blocks):
+    """Block-diagonal matrix of square blocks: an ndarray of ndarray
+    blocks, or rows of Fractions of blocks given as rows."""
     n = sum(len(b) for b in blocks)
-    j = np.zeros((n, n))
+    exact = not isinstance(blocks[0], np.ndarray)
+    j = [[Fraction(0)] * n for _ in range(n)] if exact else np.zeros((n, n))
     at = 0
     for b in blocks:
-        j[at:at + len(b), at:at + len(b)] = b
+        for i, row in enumerate(b):
+            j[at + i][at:at + len(b)] = row
         at += len(b)
     return j
 

@@ -396,7 +396,7 @@ def test_acceptance_08_factorial_system_structure(capsys):
                     for _ in range(r + 1)
                 ]
                 x = sys_r.solve(rhs)
-                back = sys_r.matrix.apply(list(x))
+                back = [sum(u * v for u, v in zip(row, x)) for row in sys_r.matrix.rows]
                 residual = max(abs(float(u - v)) for u, v in zip(back, rhs))
                 assert list(back) == rhs  # exact: residual is identically zero
                 assert residual <= 1e-12

@@ -190,6 +190,42 @@ def test_complex_matrix_entry_is_refused(capsys, tmp_path, command, text, path):
     assert err == f"flowclass: error: {path}: expected a number, got list\n"
 
 
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "command,text,path",
+    [
+        ("classify", f"matrix: [[1.0, {HUGE}], [0.0, 1.0]]\n", "matrix[0][1]"),
+        ("equiv", f"left: {{matrix: [[1.0]]}}\nright: {{matrix: [[{HUGE}, 0.0], [0.0, 1.0]]}}\n",
+         "right.matrix[0][0]"),
+        ("invariants", f"frequencies: [1.0, {HUGE}]\n", "frequencies[1]"),
+        ("simulate", f"matrix: [[0, -1], [1, 0]]\npoint: [1, {HUGE}]\n", "point[1]"),
+        ("simulate", f"matrix: [[0, -1], [1, {HUGE}]]\npoint: [1, 0]\n", "matrix[1][1]"),
+        ("simulate", f"matrix: [[0.0]]\npoint: [1.0]\ngrowth_cap: {HUGE}\n", "growth_cap"),
+        ("witness", f"head: [{HUGE}, 0]\nbeta: 1\n", "head[0]"),
+    ],
+    ids=["classify", "equiv", "invariants", "simulate-point", "simulate-matrix",
+         "simulate-growth-cap", "witness"],
+)
+def test_number_beyond_float_range_is_refused(capsys, tmp_path, command, text, path):
+    # float() of such an integer used to escape as an OverflowError traceback
+    code, out, err = run(capsys, command, write_doc(tmp_path, text))
+    assert code == 1 and out == ""
+    assert err == f"flowclass: error: {path}: number is beyond the float range\n"
+
+
+def test_exact_fallback_beyond_float_range_is_a_refusal(capsys, tmp_path):
+    # the irrational spectrum cannot be analysed exactly, nor converted to float
+    for text, path in ((f"matrix: [[0, {2 * HUGE}], [1, 0]]\n", "matrix[0][1]"),
+                       (f"left: {{matrix: [[0, {2 * HUGE}], [1, 0]]}}\n"
+                        "right: {matrix: [[0, -1], [1, 0]]}\n", "left.matrix[0][1]")):
+        code, out, err = run(capsys, "classify", write_doc(tmp_path, text))
+        assert code == 2 and out == ""
+        assert err.startswith("flowclass: diagnostic: characteristic polynomial")
+        assert err.endswith(f"; float analysis is impossible: {path} is beyond the float range\n")
+
+
 @pytest.mark.parametrize("flag,value", [("--horizon", "inf"), ("--grid-step", "nan")])
 def test_simulate_rejects_non_finite_window(capsys, flag, value):
     code, out, err = run(

@@ -8,12 +8,21 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowclass
-from conftest import expected_blocks, random_parts, realize_real
+from conftest import (
+    expected_blocks,
+    haar_similar,
+    hyperbolic_blocks,
+    random_parts,
+    random_unimodular,
+    realize_real,
+    rotation,
+)
 from flowclass import invariants
 from flowclass.errors import (
     DiagnosticError,
@@ -22,6 +31,7 @@ from flowclass.errors import (
 )
 from flowclass.invariants import (
     RationalClass,
+    Verdict,
     block_counts_from_reduction,
     bounded_structure,
     conjugacy_signature,
@@ -102,32 +112,117 @@ def test_decide_hyperbolic_jordan_structure_is_invisible():
     assert decide_conjugate(a, b).conjugate
 
 
-def test_decide_equivalent_is_an_alias_of_conjugate():
-    assert decide_equivalent is decide_conjugate
-    assert flowclass.decide_equivalent is flowclass.decide_conjugate
+def test_decide_equivalent_is_its_own_decision():
+    # rotation(1) and rotation(2) have the same orbits, run at different speeds
+    assert decide_equivalent is not decide_conjugate
+    assert flowclass.decide_equivalent is decide_equivalent
     assert "decide_equivalent" in flowclass.__all__
     assert "decide_equivalent" in invariants.__all__
+    one = conjugacy_signature(desc_of([(Fraction(0), Fraction(1), 1, 1)]))
+    two = conjugacy_signature(desc_of([(Fraction(0), Fraction(2), 1, 1)]))
+    assert not decide_conjugate(one, two).conjugate
+    assert decide_equivalent(one, two) == Verdict(True)
 
 
 def test_decide_equivalent_matches_conjugate(rng):
-    for _ in range(10):
-        a = conjugacy_signature(desc_of(random_parts(rng, 6)))
-        b = conjugacy_signature(desc_of(random_parts(rng, 6)))
-        assert decide_conjugate(a, b).conjugate == decide_equivalent(a, b).conjugate
+    # conjugate implies equivalent; with no nonzero center frequency the
+    # two criteria are the same
+    for _ in range(40):
+        parts, other = random_parts(rng, 6), random_parts(rng, 6)
+        a, b = (conjugacy_signature(desc_of(p)) for p in (parts, other))
+        split = [(re, im, m, 1) for re, im, m, count in parts for _ in range(count)]
+        same = conjugacy_signature(desc_of(list(reversed(split))))
+        assert decide_conjugate(a, same).conjugate and decide_equivalent(a, same).conjugate
+        if decide_conjugate(a, b).conjugate:
+            assert decide_equivalent(a, b).conjugate
+        if not any(im for im, _, _ in a.center + b.center):
+            assert decide_equivalent(a, b).conjugate == decide_conjugate(a, b).conjugate
+
+
+SCALES = (Fraction(1, 3), Fraction(2), Fraction(10**6))
+
+
+def test_positive_multiples_are_equivalent_exact():
+    # x' = cAx has the orbits of x' = Ax, time rescaled by c > 0; the
+    # matrices of ACCEPTANCE 1 (same seed and draws)
+    rng = random.Random(101)
+    for _ in range(200):
+        parts = random_parts(rng, max_n=8)
+        a = realize_real(parts)
+        s, s_inv = random_unimodular(rng, a.n)
+        b = s @ a @ s_inv
+        sig_a = conjugacy_signature(spectrum_descriptor(a))
+        rotating = any(im for im, _, _ in sig_a.center)
+        for c in SCALES:
+            cb = Matrix.exact([[c * x for x in row] for row in b.rows])
+            sig_cb = conjugacy_signature(spectrum_descriptor(cb))
+            assert decide_equivalent(sig_a, sig_cb) == Verdict(True), (parts, c)
+            assert decide_equivalent(sig_cb, sig_a) == Verdict(True), (parts, c)
+            assert decide_conjugate(sig_a, sig_cb).conjugate == (not rotating)
+
+
+def test_positive_multiples_are_equivalent_float():
+    gen = np.random.default_rng(1616)
+    for _ in range(20):
+        beta = float(gen.uniform(0.5, 2.0))
+        center = [rotation(0.0, beta), rotation(0.0, 2.5 * beta), np.zeros((1, 1))]
+        taken = [0j, complex(0, beta), complex(0, 2.5 * beta)]
+        hyperbolic, _ = hyperbolic_blocks(gen, taken, int(gen.integers(0, 4)))
+        arr = haar_similar(gen, center + hyperbolic)
+        sig = conjugacy_signature(spectrum_descriptor(Matrix.from_numpy(arr)))
+        for c in map(float, SCALES):
+            sig_c = conjugacy_signature(spectrum_descriptor(Matrix.from_numpy(c * arr)))
+            assert decide_equivalent(sig, sig_c) == Verdict(True), c
+            assert not decide_conjugate(sig, sig_c).conjugate
+
+
+def test_equivalence_keeps_blocks_at_zero_and_hyperbolic_dims():
+    # J_2(0) moves points along a line of fixed points; 0_2 fixes them all
+    j2 = conjugacy_signature(desc_of([(Fraction(0), Fraction(0), 2, 1)]))
+    zero = conjugacy_signature(desc_of([(Fraction(0), Fraction(0), 1, 2)]))
+    v = decide_equivalent(j2, zero)
+    assert not v.conjugate and "center block (im=0, m=2)" in v.certificate
+    saddle = conjugacy_signature(desc_of([(Fraction(1), Fraction(0), 1, 1),
+                                          (Fraction(-1), Fraction(0), 1, 1)]))
+    source = conjugacy_signature(desc_of([(Fraction(1), Fraction(0), 1, 2)]))
+    v = decide_equivalent(saddle, source)
+    assert not v.conjugate and "expanding dimension" in v.certificate
+
+
+def test_frequency_ratios_are_equivalence_invariants():
+    # the necessity half of Kuiper's theorem (N. H. Kuiper, "The topology
+    # of the solutions of a linear differential equation on R^n",
+    # Manifolds - Tokyo 1973, 195-203): equivalent flows have center parts
+    # linearly conjugate up to one factor c > 0, so the ratios of the
+    # center frequencies are invariants and (1, 1) is not (1, 2)
+    def freqs(*ws):
+        return conjugacy_signature(desc_of([(Fraction(0), Fraction(w), 1, 1) for w in ws]))
+
+    assert not decide_equivalent(freqs(1, 1), freqs(1, 2)).conjugate
+    v = decide_equivalent(freqs(1, 2), freqs(1, 3))
+    assert not v.conjugate
+    assert v.certificate == "center eigenvalue -3/2i vs -1i (left center frequencies times 3/2)"
+    assert decide_equivalent(freqs(1, 2), freqs(3, 6)).conjugate
+    assert decide_equivalent(freqs(1, 2), freqs(Fraction(1, 3), Fraction(2, 3))).conjugate
 
 
 def test_decide_is_equivalence_relation(rng):
-    sigs = [conjugacy_signature(desc_of(random_parts(rng, 5))) for _ in range(12)]
-    for s in sigs:
-        assert decide_conjugate(s, s).conjugate  # reflexive
-    for a in sigs:
-        for b in sigs:
-            assert decide_conjugate(a, b).conjugate == decide_conjugate(b, a).conjugate
-    for a in sigs:
-        for b in sigs:
-            for c in sigs:
-                if decide_conjugate(a, b).conjugate and decide_conjugate(b, c).conjugate:
-                    assert decide_conjugate(a, c).conjugate
+    parts = [random_parts(rng, 5) for _ in range(12)]
+    sigs = [conjugacy_signature(desc_of(p)) for p in parts]
+    # twice a flow is equivalent to it, and conjugate only without rotation
+    sigs += [conjugacy_signature(desc_of([(2 * a, 2 * b, m, c) for a, b, m, c in p]))
+             for p in parts[:4]]
+    for decide in (decide_conjugate, decide_equivalent):
+        for s in sigs:
+            assert decide(s, s).conjugate  # reflexive
+        for a in sigs:
+            for b in sigs:
+                assert decide(a, b).conjugate == decide(b, a).conjugate
+        for a in sigs:
+            for b in sigs:
+                for c in sigs:
+                    if decide(a, b).conjugate and decide(b, c).conjugate:
+                        assert decide(a, c).conjugate
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-9])
@@ -142,9 +237,10 @@ def test_decide_refuses_nan_or_negative_tol(tol):
     # with a NaN tol the rotation used to be called not conjugate to itself
     rotation = Matrix.floating([[0.0, -1.0], [1.0, 0.0]])
     s = conjugacy_signature(spectrum_descriptor(rotation))
-    assert decide_conjugate(s, s).conjugate
-    with pytest.raises(InputError, match="tolerance must be nonnegative"):
-        decide_conjugate(s, s, tol=tol)
+    for decide in (decide_conjugate, decide_equivalent):
+        assert decide(s, s).conjugate
+        with pytest.raises(InputError, match="tolerance must be nonnegative"):
+            decide(s, s, tol=tol)
 
 
 def test_exact_vs_float_signatures_compare():
@@ -153,6 +249,7 @@ def test_exact_vs_float_signatures_compare():
         SpectrumDescriptor.make([(1j, 1, 1), (-1j, 1, 1)])
     )
     assert decide_conjugate(ex, fl).conjugate
+    assert decide_equivalent(ex, fl).conjugate
 
 
 # ---- rational classes ------------------------------------------------------------

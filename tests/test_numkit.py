@@ -1,5 +1,5 @@
 """Matrix substrate: exact/float modes, rank, characteristic polynomial,
-exponentials, rank sequences, and exact solves, checked against
+float exponentials, rank sequences, and exact solves, checked against
 independent oracles (sympy for algebra, numpy eigendecomposition and
 closed forms for exponentials)."""
 
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    direct_sum,
     expected_blocks,
     haar_similar,
     hyperbolic_blocks,
@@ -32,7 +33,6 @@ from flowclass.numkit import (
     char_poly,
     float_rank_sequence,
     inverse_exact,
-    mat_exp,
     mat_exp_array,
     power_rank_sequence,
     rank,
@@ -120,24 +120,25 @@ def test_complex_entries_are_refused():
             build()
 
 
+def test_float_matrix_refuses_strings():
+    for rows in ([["1.5", 0], [0, 1]], [[b"1", 0], [0, 1]]):
+        with pytest.raises(InputError, match="real numbers"):
+            Matrix.floating(rows)
+
+
+def test_entries_beyond_float_range_are_refused():
+    with pytest.raises(InputError, match="beyond the float range"):
+        Matrix.floating([[10**400, 0], [0, 1]])
+    big = Matrix.exact([[Fraction(10**400, 3), 0], [0, 1]])
+    for convert in (big.to_numpy, big.to_float):
+        with pytest.raises(InputError, match="beyond the float range"):
+            convert()
+    assert Matrix.exact([[Fraction(1, 10**400)]]).to_numpy()[0, 0] == 0.0
+
+
 def test_non_square_rejected():
     with pytest.raises(InputError):
         Matrix.exact([[1, 2, 3], [4, 5, 6]])
-
-
-def test_complex_shift_and_scale_are_refused():
-    m = Matrix.exact([[0, 1], [-1, 0]])
-    with pytest.raises(InputError):
-        m.shifted(RationalComplex(Fraction(0), Fraction(1)))  # exact stays real
-    with pytest.raises(InputError):
-        m.shifted(0.5)  # float shift of an exact matrix
-    assert m.shifted(Fraction(1, 2)).rows[0] == (Fraction(-1, 2), 1)
-    for a in (m, m.to_float()):
-        for change in (a.shifted, a.scaled):
-            with pytest.raises(InputError, match=COMPLEX_REFUSAL):
-                change(1j)
-    with pytest.raises(InputError, match=COMPLEX_REFUSAL):
-        m.to_float().shifted(RationalComplex(Fraction(0), Fraction(1)))
 
 
 def test_matmul_and_pow_match_numpy():
@@ -146,23 +147,29 @@ def test_matmul_and_pow_match_numpy():
     b = Matrix.exact([[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)])
     np_prod = a.to_numpy() @ b.to_numpy()
     assert np.allclose((a @ b).to_numpy(), np_prod)
-    assert np.allclose((a**3).to_numpy(), np.linalg.matrix_power(a.to_numpy(), 3))
 
 
 def test_block_diag_and_jordan_block():
-    j = Matrix.jordan_block(Fraction(2), 3, "exact")
+    # the row builders of conftest, which build the tests' block inputs
+    j = realize_real([(2, 0, 3, 1)])
     assert j.rows[0][1] == 1 and j.rows[1][2] == 1 and j.rows[0][0] == 2
-    d = Matrix.block_diag([j, Matrix.identity(2, "exact")])
+    d = realize_real([(2, 0, 3, 1), (1, 0, 1, 2)])
     assert d.n == 5
     assert d.rows[3][3] == 1 and d.rows[0][3] == 0
+    assert np.array_equal(direct_sum([jordan(2.0, 3), np.eye(2)]), d.to_numpy())
     with pytest.raises(InputError, match=COMPLEX_REFUSAL):
-        Matrix.jordan_block(1j, 2, "float")
+        Matrix.from_numpy(jordan(1j, 2))
 
 
 def test_companion_matches_poly():
     p = Poly.make((Fraction(2), Fraction(-3), Fraction(1), Fraction(1)))
-    c = Matrix.companion(p, "exact")
+    c = Matrix.exact([[0, 0, -2], [1, 0, 3], [0, 1, -1]])
     assert char_poly(c) == p
+
+
+def test_char_poly_refuses_float_matrix():
+    with pytest.raises(InputError, match="exact matrix"):
+        char_poly(Matrix.floating([[1.0, 2.0], [3.0, 4.0]]))
 
 
 # ---- rank ------------------------------------------------------------------------
@@ -222,7 +229,7 @@ def _assert_char_poly_matches_sympy(rows):
     expected = [Fraction(int(c.p), int(c.q)) for c in expected][::-1]  # ascending
     assert list(got.coeffs) == expected, rows
     assert all(type(c) is Fraction for c in got.coeffs)
-    assert got.is_monic()
+    assert got.coeffs[-1] == 1
 
 
 def test_char_poly_matches_sympy_exact():
@@ -271,16 +278,6 @@ def test_char_poly_matches_sympy_on_structured_inputs():
         _assert_char_poly_matches_sympy(rows)
 
 
-def test_char_poly_float_agrees_with_exact():
-    rng = random.Random(6)
-    rows = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
-    exact = char_poly(Matrix.exact(rows))
-    floated = char_poly(Matrix.exact(rows).to_float())
-    assert np.allclose(
-        [float(c) for c in exact.coeffs], list(floated.coeffs), atol=1e-9
-    )
-
-
 # ---- matrix exponential --------------------------------------------------------------
 
 
@@ -308,32 +305,6 @@ def test_mat_exp_matches_eigendecomposition():
         oracle = (vecs * np.exp(t * vals)) @ np.linalg.inv(vecs)
         got = mat_exp_array(arr, t)
         assert np.allclose(got, oracle, atol=1e-8 * np.abs(oracle).max())
-
-
-def test_mat_exp_exact_nilpotent_is_exact():
-    a = Matrix.exact([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    e = mat_exp(a, Fraction(1, 2))
-    assert e.mode == "exact"
-    assert e.rows[0][1] == Fraction(1, 2)
-    assert e.rows[0][2] == Fraction(1, 8)  # t^2/2 at t = 1/2
-    assert e.rows[1][2] == Fraction(1, 2)
-
-
-def test_mat_exp_group_property():
-    a = Matrix.exact([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert mat_exp(a, Fraction(1, 3)) @ mat_exp(a, Fraction(2, 3)) == mat_exp(a, 1)
-
-
-def test_mat_exp_non_nilpotent_exact_falls_to_float():
-    a = Matrix.exact([[1, 0], [0, 2]])
-    e = mat_exp(a, 1)
-    assert e.mode == "float"
-    assert np.allclose(e.to_numpy(), np.diag([math.e, math.e**2]))
-
-
-def test_mat_exp_infinite_time_rejected():
-    with pytest.raises(InputError):
-        mat_exp(Matrix.floating([[1.0]]), float("inf"))
 
 
 @pytest.mark.parametrize("complex_kind", [False, True])
@@ -374,10 +345,7 @@ def test_mat_exp_array_overflowing_slice_is_silent():
 
 def test_power_rank_sequence_two_blocks():
     # J_2(0) + J_1(0): ranks of powers of the shifted matrix are 3, 1, 0, 0
-    a = Matrix.block_diag(
-        [Matrix.jordan_block(Fraction(0), 2, "exact"),
-         Matrix.jordan_block(Fraction(0), 1, "exact")]
-    )
+    a = realize_real([(0, 0, 2, 1), (0, 0, 1, 1)])
     assert power_rank_sequence(a, Fraction(0), 3) == [3, 1, 0, 0]
 
 
@@ -549,9 +517,9 @@ def test_solve_and_inverse_exact():
                 break
         rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
         x = solve_exact(m, rhs)
-        assert list(m.apply(x)) == rhs
+        assert [sum(u * v for u, v in zip(row, x)) for row in m.rows] == rhs
         inv = inverse_exact(m)
-        assert inv @ m == Matrix.identity(n, "exact")
+        assert inv @ m == Matrix.exact([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def test_inverse_exact_singular_refuses():
@@ -565,6 +533,4 @@ def test_inverse_exact_singular_refuses():
 def test_poly_basics():
     p = Poly.make((Fraction(1), Fraction(0), Fraction(1)))  # 1 + t^2
     assert p.degree == 2
-    assert p(Fraction(2)) == 5
-    assert p.derivative().coeffs == (Fraction(0), Fraction(2))
     assert Poly.make((Fraction(3), Fraction(0), Fraction(0))).degree == 0

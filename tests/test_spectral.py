@@ -196,8 +196,7 @@ def test_exact_entries_beyond_float_fall_back():
     # D A = J_2(7 (10^17 + 1)) + [-3]: 7 (10^17 + 1) has no exact float,
     # so no candidate is tried and the factored polynomial answers
     big = 10**17 + 1
-    a = Matrix.block_diag([Matrix.jordan_block(Fraction(big), 2),
-                           Matrix.exact([[Fraction(-3, 7)]])])
+    a = realize_real([(big, 0, 2, 1), (Fraction(-3, 7), 0, 1, 1)])
     assert _candidates(cleared(a)[1]) == []
     assert eigenvalues(a) == ((Fraction(-3, 7), 1), (Fraction(big), 2))
     assert spectrum_descriptor(a).blocks == (
@@ -301,7 +300,7 @@ def test_eigenvalue_beyond_float_range_sorts_exactly():
 
 def test_irrational_spectrum_falls_back_to_the_same_refusal():
     # the candidates 5 and +-1 leave the dimension count at 1 of 3
-    a = Matrix.block_diag([Matrix.exact([[0, 2], [1, 0]]), Matrix.exact([[5]])])
+    a = Matrix.exact(direct_sum([[[0, 2], [1, 0]], [[5]]]))
     text = ("characteristic polynomial has the irreducible factor "
             "t^2 + (0)t + (-2) whose roots have irrational parts; "
             "rerun in float mode or supply spectrum blocks directly")
@@ -340,7 +339,7 @@ def test_float_conjugate_symmetry_is_exact():
 
 def test_float_multiple_root_needs_wider_tol():
     # an explicit tol merges the split triple root within that spread
-    j = Matrix.jordan_block(1.0, 3, "float")
+    j = Matrix.from_numpy(jordan(1.0, 3))
     eigs = eigenvalues(j, tol=1e-3)
     assert len(eigs) == 1
     lam, mult = eigs[0]
@@ -566,13 +565,7 @@ def test_split_dims_center_pair():
 
 
 def test_jordan_counts_mixed_blocks():
-    a = Matrix.block_diag(
-        [
-            Matrix.jordan_block(Fraction(0), 2, "exact"),
-            Matrix.jordan_block(Fraction(0), 1, "exact"),
-            Matrix.jordan_block(Fraction(1), 2, "exact"),
-        ]
-    )
+    a = realize_real([(0, 0, 2, 1), (0, 0, 1, 1), (1, 0, 2, 1)])
     assert jordan_counts(a, Fraction(0)) == ((1, 1), (2, 1))
     assert jordan_counts(a, Fraction(1)) == ((2, 1),)
 
@@ -624,9 +617,7 @@ def test_jordan_counts_rejects_non_eigenvalue():
 
 
 def test_jordan_counts_float_defective():
-    j = Matrix.block_diag(
-        [Matrix.jordan_block(2.0, 2, "float"), Matrix.jordan_block(2.0, 1, "float")]
-    )
+    j = Matrix.from_numpy(direct_sum([jordan(2.0, 2), jordan(2.0, 1)]))
     assert jordan_counts(j, 2.0, tol=1e-6) == ((1, 1), (2, 1))
 
 
