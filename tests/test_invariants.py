@@ -130,8 +130,7 @@ def test_decide_equivalent_matches_conjugate(rng):
     for _ in range(40):
         parts, other = random_parts(rng, 6), random_parts(rng, 6)
         a, b = (conjugacy_signature(desc_of(p)) for p in (parts, other))
-        split = [(re, im, m, 1) for re, im, m, count in parts for _ in range(count)]
-        same = conjugacy_signature(desc_of(list(reversed(split))))
+        same = conjugacy_signature(desc_of(list(reversed(parts))))
         assert decide_conjugate(a, same).conjugate and decide_equivalent(a, same).conjugate
         if decide_conjugate(a, b).conjugate:
             assert decide_equivalent(a, b).conjugate
