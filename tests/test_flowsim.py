@@ -74,6 +74,25 @@ def _step_by_step(arr, vec, count, step):
     return pts
 
 
+def _wide_step_walk(arr, vec, count, step):
+    """Reference walk in extended precision: the same P = exp(step*A),
+    applied once per grid point in np.clongdouble."""
+    prop = mat_exp_array(arr, step).astype(np.clongdouble)
+    pts = np.empty((count, len(vec)), dtype=np.clongdouble)
+    pts[0] = vec
+    for k in range(1, count):
+        pts[k] = prop @ pts[k - 1]
+    return pts
+
+
+# the blocked walk's power table and block starts are extended precision
+# only where np.longdouble is wider than float64 (80-bit on x86-64)
+needs_wide_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is float64 on this platform",
+)
+
+
 def _random_generator(gen, complex_kind, rate):
     """S J S^-1 with J built from rotations, center Jordan blocks and mild
     hyperbolic parts (real parts within +-rate), S a random orthogonal
@@ -107,10 +126,12 @@ def _random_generator(gen, complex_kind, rate):
 
 
 # grid lengths at both default steps, up to the probe grid (4001 points at
-# step 0.25) and the period grid (12801 points at step 0.01)
+# step 0.25), the period grid (12801 points at step 0.01) and the period
+# grid's length at the probe step (t up to 3200)
 @pytest.mark.parametrize(
     "count,step",
-    [(c, h) for c in (1, 2, 17, 4001) for h in (0.01, 0.25)] + [(12801, 0.01)],
+    [(c, h) for c in (1, 2, 17, 4001) for h in (0.01, 0.25)]
+    + [(12801, 0.01), pytest.param(12801, 0.25, marks=needs_wide_long_double)],
 )
 @pytest.mark.parametrize("complex_kind", [False, True])
 def test_orbit_sample_matches_step_by_step_walk(count, step, complex_kind):
@@ -124,6 +145,24 @@ def test_orbit_sample_matches_step_by_step_walk(count, step, complex_kind):
         assert got.points.shape == want.shape
         err = np.linalg.norm(got.points - want, axis=1)
         assert np.all(err <= 1e-11 * np.linalg.norm(want, axis=1))
+
+
+@needs_wide_long_double
+@pytest.mark.parametrize("count,step", [(4001, 0.25), (12801, 0.01), (12801, 0.25)])
+@pytest.mark.parametrize("complex_kind", [False, True])
+def test_orbit_sample_matches_extended_precision_walk(count, step, complex_kind):
+    # the blocked walk rounds each point a bounded number of times, so it
+    # does not drift from a step walk of the same P in extended precision
+    # (a table and jump rounded to double put it 2.0e-10 off at 12801
+    # points of step 0.25)
+    gen = np.random.default_rng(7200 + count + int(100 * step) + 5 * complex_kind)
+    horizon = (count - 1) * step
+    for _ in range(6):
+        arr, vec = _random_generator(gen, complex_kind, 4.0 / horizon)
+        got = orbit_sample(arr, vec, horizon=horizon, step=step).points
+        want = _wide_step_walk(arr, vec, count, step)
+        err = np.linalg.norm(got - want, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
 
 
 @pytest.mark.parametrize("complex_kind", [False, True])
@@ -329,6 +368,29 @@ def test_min_period_respects_orbit_support():
     r = min_period(arr, [1.0, 1.0, 0.0])
     assert r.kind == "period"
     assert abs(r.period - 2.0 * math.pi / float(chi)) < 1e-6
+
+
+def test_min_period_precision_on_rational_classes():
+    # the frequency-period law to rounding level: the orbit of x0 under
+    # diag(i beta p) closes first at 2 pi / (beta g), g the gcd of the
+    # multipliers on the support of x0
+    rng = np.random.default_rng(6600)
+    worst = 0.0
+    for i in range(300):
+        k = 2 + i % 3
+        p = (2, 2)
+        while math.gcd(*p) != 1:
+            p = tuple(sorted(int(v) for v in rng.integers(1, 9, k)))
+        beta = Fraction(1 + i % 4, 2)
+        support = rng.random(k) < 0.6
+        support[int(rng.integers(k))] = True
+        x0 = np.where(support, rng.uniform(0.5, 2.0, k), 0.0)
+        g = math.gcd(*(v for v, on in zip(p, support) if on))
+        want = 2.0 * math.pi / (float(beta) * g)
+        r = min_period(realize_class(RationalClass(beta, p)), x0)
+        assert r.kind == "period", (beta, p, x0, r)
+        worst = max(worst, abs(r.period - want) / want)
+    assert worst <= 1e-12, worst
 
 
 def test_min_period_fixed_point_and_none_found():

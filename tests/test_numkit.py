@@ -307,6 +307,74 @@ def test_mat_exp_matches_eigendecomposition():
         assert np.allclose(got, oracle, atol=1e-8 * np.abs(oracle).max())
 
 
+def _exp_by_terms(arr, t):
+    """Reference exponential: the same scaling and squaring, with the 20
+    Taylor terms summed one product at a time."""
+    a = t * np.asarray(arr)
+    norm = np.abs(a).sum(axis=0).max()
+    s = 0 if norm <= 0.5 else math.ceil(math.log2(norm / 0.5))
+    b = a / 2.0**s
+    acc = np.eye(a.shape[0], dtype=a.dtype)
+    term = acc.copy()
+    for k in range(1, 21):
+        term = term @ b / k
+        acc = acc + term
+    for _ in range(s):
+        acc = acc @ acc
+    return acc
+
+
+def _random_normal(gen, complex_kind):
+    """A normal matrix U diag(lam) U* with max |lam| in [1, 2], and a
+    function of t that evaluates U diag(exp(t lam)) U* in extended
+    precision.  U is a product of Householder reflections formed in
+    extended precision; a real matrix pairs conjugate eigenvalues on the
+    eigenvectors (q_k +- i q_(k+h))/sqrt(2)."""
+    n = int(gen.integers(1, 9))
+    q = np.eye(n, dtype=np.clongdouble if complex_kind else np.longdouble)
+    for _ in range(n):
+        v = gen.standard_normal(n)
+        if complex_kind:
+            v = v + 1j * gen.standard_normal(n)
+        v = v.astype(q.dtype)
+        q = q - np.outer(2 * (q @ v) / np.vdot(v, v).real, v.conj())
+    lam = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    if complex_kind:
+        u = q
+    else:
+        h = n // 2
+        lam = np.concatenate([lam[:h], lam[:h].conj(), lam[2 * h :].real])
+        u = q.astype(np.clongdouble)
+        u[:, :h] = (q[:, :h] + 1j * q[:, h : 2 * h]) / np.sqrt(np.longdouble(2))
+        u[:, h : 2 * h] = u[:, :h].conj()
+    lam = (lam / np.abs(lam).max() * gen.uniform(1.0, 2.0)).astype(np.clongdouble)
+
+    def exact(x):
+        return (u * x) @ u.conj().T
+
+    arr = exact(lam)
+    arr = arr.astype(complex) if complex_kind else arr.real.astype(float)
+    return arr, lambda t: exact(np.exp(t * lam))
+
+
+@pytest.mark.parametrize("complex_kind", [False, True])
+def test_mat_exp_array_accuracy_on_normal_matrices(complex_kind):
+    """Against the eigendecomposition of a normal matrix, whose exponential
+    has relative condition number |tA|: the error stays within
+    2e-15 * |A|_1 * |t| of the norm, as the term-by-term series does.
+    |tA| >= 1, below which a rounding floor of order u dominates."""
+    gen = np.random.default_rng(5100 + complex_kind)
+    for _ in range(40):
+        arr, oracle = _random_normal(gen, complex_kind)
+        bound = 2e-15 * np.abs(arr).sum(axis=0).max()
+        for t in (4.0, -4.0, 16.0, -16.0, 64.0, 128.0):
+            want = oracle(t).astype(complex)
+            scale = np.linalg.norm(want, 2) * bound * abs(t)
+            for got in (mat_exp_array(arr, t), _exp_by_terms(arr, t)):
+                assert got.dtype == arr.dtype
+                assert np.linalg.norm(got - want, 2) <= scale
+
+
 @pytest.mark.parametrize("complex_kind", [False, True])
 def test_mat_exp_array_batch_matches_scalar_calls(complex_kind):
     """Each slice of a batched call is the scalar call at that time,
