@@ -707,70 +707,53 @@ def witness_sequence(
     beta = float(beta)
     if beta < 0:
         raise InputError("the block frequency must be nonnegative")
-    if even:
-        r = len(heads)
-        if r < 1:
-            raise InputError("an even witness needs at least one head coordinate")
-        m = 2 * r
-        x_head = heads
-        corner = None
-    else:
-        r = len(heads) - 1
-        if r < 1:
-            raise InputError(
-                "an odd witness needs at least two head coordinates "
-                "(the last one is the corner value)"
-            )
-        m = 2 * r + 1
-        x_head = heads[:r]
-        corner = heads[r]
+    odd = 0 if even else 1
+    r = len(heads) - odd
+    if r < 1:
+        raise InputError(
+            "an odd witness needs at least two head coordinates "
+            "(the last one is the corner value)" if odd else
+            "an even witness needs at least one head coordinate"
+        )
+    m = 2 * r + odd
+    x_head = heads[:r]
+    corner = heads[r:]  # the corner value of an odd block, or nothing
 
     if target_zero:
         y_head = [0.0 + 0.0j] * r
     else:
         y_head = [c + 1.0 for c in x_head]
-    y_corner = ((-1.0) ** r) * corner if corner is not None else None
+    y_corner = [(-1.0) ** r * c for c in corner]
 
-    x_lim = tuple(x_head) + ((corner,) if corner is not None else ()) + (0.0 + 0.0j,) * r
-    y_lim = tuple(y_head) + ((y_corner,) if y_corner is not None else ()) + (0.0 + 0.0j,) * r
+    x_lim = tuple(x_head + corner) + (0.0 + 0.0j,) * r
+    y_lim = tuple(y_head + y_corner) + (0.0 + 0.0j,) * r
 
     if not target_zero:
         _assert_distinct_orbits(beta, x_lim, y_lim)
 
-    if even:
-        inv = _even_inverse_float(r).astype(complex)
-    else:
+    if odd:
         inv = _factorial_inverse(r).to_numpy().astype(complex)
+    else:
+        inv = _even_inverse_float(r).astype(complex)
 
     times = []
     xs = []
     ys = []
     for n in range(1, count + 1):
         t = (2.0 * math.pi * n / beta) if beta > 0 else float(n)
-        # rotation factor exp(-i beta t) is exactly 1 at these times
-        if even:
-            v = np.array(
-                [
-                    t ** (i - r) * (y_head[i - 1] - _head_sum(x_head, i, r, t))
-                    for i in range(1, r + 1)
-                ],
-                dtype=complex,
-            )
-            u = inv @ v
-            tail = [u[k - 1] / t**k for k in range(1, r + 1)]
-            xn = tuple(x_head) + tuple(tail)
-        else:
-            v = np.array(
-                [
-                    t ** (i - r - 1) * (y_head[i - 1] - _head_sum(x_head, i, r, t))
-                    for i in range(1, r + 1)
-                ]
-                + [y_corner],
-                dtype=complex,
-            )
-            u = inv @ v
-            tail = [u[k] / t**k for k in range(1, r + 1)]
-            xn = tuple(x_head) + (complex(u[0]),) + tuple(tail)
+        # rotation factor exp(-i beta t) is exactly 1 at these times; an odd
+        # block solves for its corner coordinate u[0] too
+        v = np.array(
+            [
+                t ** (i - r - odd) * (y_head[i - 1] - _head_sum(x_head, i, r, t))
+                for i in range(1, r + 1)
+            ]
+            + y_corner,
+            dtype=complex,
+        )
+        u = inv @ v
+        tail = tuple(u[k - 1 + odd] / t**k for k in range(1, r + 1))
+        xn = tuple(x_head) + tuple(u[:odd]) + tail
         yn = tuple(jordan_flow(1j * beta, m, t) @ np.asarray(xn, dtype=complex))
         times.append(t)
         xs.append(tuple(complex(c) for c in xn))

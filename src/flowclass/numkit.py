@@ -5,9 +5,9 @@ matrix entries as `fractions.Fraction`; float mode keeps them as
 `float`.  A matrix never mixes modes, and matrices are real in both:
 entry normalisation refuses a complex entry, any other non-real entry,
 and an integer beyond the float range in float mode.  `RationalComplex`
-(a pair of Fractions) is the scalar type of exact eigenvalues; it never
-enters a matrix.  `lam_parts`, `canonical_lam` and `re_sign` read any
-scalar of either mode.
+(a pair of Fractions) is the scalar type of exact eigenvalues: a plain
+value with no arithmetic, which never enters a matrix.  `lam_parts`,
+`canonical_lam` and `re_sign` read any scalar of either mode.
 
 `Matrix` is a validated container: it checks and holds the rows, and
 converts them to numpy or to float; the pipeline computes on integer
@@ -99,77 +99,8 @@ class RationalComplex:
     re: Fraction
     im: Fraction
 
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, RationalComplex):
-            return x
-        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            return RationalComplex(Fraction(x), Fraction(0))
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return RationalComplex(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return RationalComplex(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return RationalComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        d = o.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero RationalComplex")
-        return RationalComplex(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return RationalComplex(-self.re, -self.im)
-
     def conjugate(self) -> "RationalComplex":
         return RationalComplex(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def __abs__(self) -> float:
-        return math.sqrt(float(self.abs2()))
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -593,8 +524,8 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
 
     The sequence starts at n and never increases; it stabilizes at
     n minus the algebraic multiplicity of lam.  Measuring stops at the
-    first k whose rank equals the one before it, and that stable rank
-    fills the remaining entries.
+    first k whose rank equals the one before it (or, for an exact A, at
+    k = n), and that stable rank fills the remaining entries.
 
     An exact A needs an exact lam and tol = 0 (or omitted).  Its powers
     and ranks are taken over the integers: with D the lcm of the
@@ -610,13 +541,14 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     over the integers (see `rank`).
 
     The loop is a resumable walk (`integer_rank_walks`), one power per
-    rank.  A caller that measures every eigenvalue can stop all walks
-    without the repeat: n - r(k) never exceeds the multiplicity of lam,
-    and the multiplicities of distinct values sum to at most n, so once
-    the nullities measured at distinct values sum to n (a pair counting
-    twice) each walk has reached its stable rank, and filling with the
-    last rank gives this same sequence (see `spectral._exact_spectrum`).
-    Walks made by one `integer_rank_walks` call share one B^2.
+    rank, which keeps the ranks it has measured.  A caller that measures
+    every eigenvalue can stop all walks without the repeat: n - r(k)
+    never exceeds the multiplicity of lam, and the multiplicities of
+    distinct values sum to at most n, so once the nullities measured at
+    distinct values sum to n (a pair counting twice) each walk has
+    reached its stable rank, and filling with the last rank gives this
+    same sequence (see `spectral._exact_spectrum`).  Walks made by one
+    `integer_rank_walks` call share one B^2.
 
     A float A is measured by `float_rank_sequence` with lam as its one
     shift.
@@ -632,7 +564,10 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     if not isinstance(re, Fraction):
         raise InputError(f"an exact matrix needs an exact eigenvalue, got {lam!r}")
     d, b = cleared(a, re, im)
-    return _stable_ranks(integer_rank_walks(d, b)(lam), a.n, kmax)
+    walk = integer_rank_walks(d, b)(lam)
+    while len(walk.ranks) <= kmax and not walk.stable():
+        walk.deepen()
+    return walk.filled(kmax)
 
 
 def float_rank_sequence(arr: np.ndarray, norm: float, shifts, kmax: int,
@@ -676,7 +611,7 @@ def float_rank_sequence(arr: np.ndarray, norm: float, shifts, kmax: int,
 def _lockstep_ranks(steps: np.ndarray, rel: float, kmax: int) -> list:
     """Rank sequences [n, r(1), ..., r(kmax)] of the powers of each matrix
     in a stack, r(k) counting the singular values of its k-th power
-    above rel; each walk stops as _stable_ranks stops one."""
+    above rel; each walk stops at its first repeated rank or at k = kmax."""
     n = steps.shape[-1]
     seqs = [[n] for _ in steps]
     moving = list(range(len(steps)))
@@ -698,58 +633,66 @@ def _lockstep_ranks(steps: np.ndarray, rel: float, kmax: int) -> list:
     return [seq + [seq[-1]] * (kmax + 1 - len(seq)) for seq in seqs]
 
 
-def _stable_ranks(walk, n: int, kmax: int) -> list:
-    """The rank sequence of power_rank_sequence from a rank walk: [n] and
-    the ranks r(1), r(2), ... it yields until two agree or k = kmax, the
-    last one filling the rest."""
-    seq = [n]
-    while len(seq) <= kmax and (len(seq) < 2 or seq[-1] != seq[-2]):
-        seq.append(next(walk))
-    return seq + [seq[-1]] * (kmax + 1 - len(seq))
+class _RankWalk:
+    """Resumable rank loop of power_rank_sequence over the integer rows of
+    one step matrix.  `ranks` holds [n, r(1), ..., r(k)] as measured so
+    far, r(k) the rank of step^k, halved onto lam for a pair step q(A)
+    (see above); `deepen` forms the next power only when its rank is
+    asked for.  A rank that rises raises DiagnosticError."""
 
+    def __init__(self, step: list, lam, pair: bool):
+        self.step, self.lam, self.pair = step, lam, pair
+        self.power = step
+        self.ranks = [len(step)]
 
-def _rank_walk(step: list, lam, pair: bool):
-    """Resumable rank loop of power_rank_sequence over the integer rows
-    of one step matrix: a generator of r(1), r(2), ..., the rank of
-    step^k, forming each power only when its rank is asked for.  For a
-    pair step q(A) each rank is halved onto lam (see above).  A rank
-    that rises raises DiagnosticError."""
-    n = len(step)
-    seq = [n]
-    power = step
-    while True:
-        r = _rank_int(power)
-        if pair:
+    def deepen(self) -> int:
+        """Measure the next rank; return how far it dropped."""
+        ranks = self.ranks
+        n = ranks[0]
+        if len(ranks) > 1:
+            self.power = _row_product(self.power, self.step)
+        r = _rank_int(self.power)
+        if self.pair:
             nullity = n - r
             if nullity % 2:
                 raise DiagnosticError(
-                    f"q(A)^{len(seq)} at the pair {lam} has odd nullity {nullity}; "
+                    f"q(A)^{len(ranks)} at the pair {self.lam} has odd nullity {nullity}; "
                     "a real matrix has paired kernels"
                 )
             r = n - nullity // 2
-        if r > seq[-1]:
-            raise DiagnosticError(f"rank sequence increased: {seq + [r]}")
-        seq.append(r)
-        yield r
-        power = _row_product(power, step)
+        if r > ranks[-1]:
+            raise DiagnosticError(f"rank sequence increased: {ranks + [r]}")
+        ranks.append(r)
+        return ranks[-2] - r
+
+    def stable(self) -> bool:
+        """Whether the last rank is the stable one: it repeats the rank
+        before it, or k = n, where the kernel is the whole generalized
+        eigenspace."""
+        ranks = self.ranks
+        return len(ranks) > ranks[0] or len(ranks) > 1 and ranks[-1] == ranks[-2]
+
+    def filled(self, kmax: int) -> list:
+        """[n, r(1), ..., r(kmax)], the last rank measured filling the rest."""
+        return self.ranks + [self.ranks[-1]] * (kmax + 1 - len(self.ranks))
 
 
 def integer_rank_walks(d: int, b: list):
     """For D and B = D A as `cleared` gives them, a function lam -> the
-    rank walk of (A - lam I): a generator of r(1), r(2), ... of
-    power_rank_sequence that takes one more integer power per rank, so a
-    caller can stop a walk early and resume it later.  lam must be exact,
-    with D re lam and D im lam integers, as they are for every eigenvalue
-    of A with rational parts (D lam is then a root of the monic integer
-    polynomial det(tI - B) in Q(i), hence in Z[i]).  The rows of B are
-    not modified.  All walks of one such function share one B^2, formed
-    for the first non-real lam."""
+    rank walk of (A - lam I): a `_RankWalk` that takes one more integer
+    power per rank of power_rank_sequence, so a caller can stop a walk
+    early and resume it later.  lam must be exact, with D re lam and
+    D im lam integers, as they are for every eigenvalue of A with
+    rational parts (D lam is then a root of the monic integer polynomial
+    det(tI - B) in Q(i), hence in Z[i]).  The rows of B are not
+    modified.  All walks of one such function share one B^2, formed for
+    the first non-real lam."""
     square = cache(lambda: _row_product(b, b))
 
     def walk(lam):
         lam = canonical_lam(lam)
         step, pair = _integer_step(d, b, lam, square)
-        return _rank_walk(step, lam, pair)
+        return _RankWalk(step, lam, pair)
 
     return walk
 

@@ -90,6 +90,8 @@ _CLUSTER_SLACK = 100.0
 _MAX_CLUSTER_ORDER = 4
 # exact candidates: integer entries up to this convert to float exactly
 _FLOAT_EXACT = 2**53
+# float descriptors: values within this (relative) count as conjugates
+_SYMMETRY_TOL = 1e-9
 
 
 class Block(NamedTuple):
@@ -119,33 +121,15 @@ class SpectrumDescriptor:
     real_source: bool
 
     @staticmethod
-    def make(blocks, n=None, exact=None, real_source=None, tol=1e-9):
-        merged: dict = {}
-        for b in blocks:
-            b = Block(*b)
-            if b.m < 1 or b.count < 1:
-                raise InputError("block size and count must be at least 1")
-            key = (canonical_lam(b.lam), b.m)
-            merged[key] = merged.get(key, 0) + b.count
-        out = tuple(
-            sorted((Block(lam, m, c) for (lam, m), c in merged.items()), key=_sort_key)
-        )
-        if not out:
-            raise InputError("descriptor needs at least one block")
-        total = sum(b.m * b.count for b in out)
-        if n is None:
-            n = total
-        elif n != total:
-            raise InputError(
-                f"block sizes sum to {total}, not the declared dimension {n}"
-            )
+    def make(blocks, n=None, exact=None, real_source=None):
+        n, out = _merged(blocks, n)
         if exact is None:
             exact = all(
                 isinstance(b.lam, (Fraction, RationalComplex)) for b in out
             )
         if real_source is None:
-            real_source = _is_conjugate_symmetric(out, exact, tol)
-        elif real_source and not _is_conjugate_symmetric(out, exact, tol):
+            real_source = _is_conjugate_symmetric(out, exact)
+        elif real_source and not _is_conjugate_symmetric(out, exact):
             raise InputError("blocks are not conjugate-symmetric")
         return SpectrumDescriptor(n, out, exact, real_source)
 
@@ -154,7 +138,31 @@ class SpectrumDescriptor:
         return tuple(b for b in self.blocks if not re_sign(b.lam, tol))
 
 
-def _is_conjugate_symmetric(blocks, exact, tol):
+def _merged(blocks, n):
+    """(n, blocks) of a descriptor: the blocks merged by (value, size),
+    sorted by (re, im, m), and checked to be nonempty and to sum to n
+    when n is given."""
+    merged: dict = {}
+    for b in blocks:
+        b = Block(*b)
+        if b.m < 1 or b.count < 1:
+            raise InputError("block size and count must be at least 1")
+        key = (canonical_lam(b.lam), b.m)
+        merged[key] = merged.get(key, 0) + b.count
+    out = tuple(
+        sorted((Block(lam, m, c) for (lam, m), c in merged.items()), key=_sort_key)
+    )
+    if not out:
+        raise InputError("descriptor needs at least one block")
+    total = sum(b.m * b.count for b in out)
+    if n is not None and n != total:
+        raise InputError(
+            f"block sizes sum to {total}, not the declared dimension {n}"
+        )
+    return total, out
+
+
+def _is_conjugate_symmetric(blocks, exact):
     remaining = {}
     for b in blocks:
         remaining[(b.lam, b.m)] = remaining.get((b.lam, b.m), 0) + b.count
@@ -167,12 +175,13 @@ def _is_conjugate_symmetric(blocks, exact, tol):
             if partner != c:
                 return False
         else:
-            if abs(float(im)) <= tol:
+            if abs(float(im)) <= _SYMMETRY_TOL:
                 continue
             target = complex(lam).conjugate()
+            near = _SYMMETRY_TOL * (1 + abs(target))
             found = False
             for (lam2, m2), c2 in remaining.items():
-                if m2 == m and abs(complex(lam2) - target) <= tol * (1 + abs(target)):
+                if m2 == m and abs(complex(lam2) - target) <= near:
                     found = c2 == c
                     break
             if not found:
@@ -187,13 +196,6 @@ class SpectralSplit:
     dim_plus: int
     dim_minus: int
     dim_zero: int
-    center_blocks: tuple | None = None
-
-    def __post_init__(self):
-        if self.center_blocks is not None:
-            total = sum(b.m * b.count for b in self.center_blocks)
-            if total != self.dim_zero:
-                raise InputError("center blocks do not sum to the center dimension")
 
 
 # ---- eigenvalues: exact path -------------------------------------------------
@@ -291,48 +293,30 @@ def _exact_spectrum(a: Matrix) -> list:
     n = a.n
     d, b = cleared(a)
     walk_at = integer_rank_walks(d, b)
-    walks = {}  # lam -> (rank walk, [n, r(1), ..., r(k)], 2 for a pair else 1)
-    total = 0
-
-    def deepen(lam):
-        nonlocal total
-        if lam not in walks:
-            walks[lam] = (walk_at(lam), [n], 2 if lam_parts(lam)[1] else 1)
-        walk, ranks, weight = walks[lam]
-        ranks.append(next(walk))
-        total += weight * (ranks[-2] - ranks[-1])
-
-    def nullity(lam):
-        _, ranks, weight = walks[lam]
-        return weight * (n - ranks[-1])
-
-    def stable(lam):
-        ranks = walks[lam][1]
-        return len(ranks) > n or ranks[-1] == ranks[-2]
-
-    def filled(lam):
-        ranks = walks[lam][1]
-        return ranks + [ranks[-1]] * (n + 1 - len(ranks))
-
+    walks = {}  # lam -> its rank walk, made when first deepened
+    total = 0  # nullity measured over all walks, a pair counting twice
     cands = [(RationalComplex(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d),
               votes) for (x, y), votes in _candidates(b)]
     for lam, _ in cands:
         if total < n:
-            deepen(lam)
-    for wanted in (lambda lam, votes: nullity(lam) < votes, lambda lam, votes: True):
-        for lam, votes in cands:
-            while total < n and not stable(lam) and wanted(lam, votes):
-                deepen(lam)
+            walk = walks[lam] = walk_at(lam)
+            total += (1 + walk.pair) * walk.deepen()
+    for wanted in (lambda walk, votes: (1 + walk.pair) * (n - walk.ranks[-1]) < votes,
+                   lambda walk, votes: True):
+        for (_, votes), walk in zip(cands, walks.values()):
+            while total < n and not walk.stable() and wanted(walk, votes):
+                total += (1 + walk.pair) * walk.deepen()
     if total == n:
-        found = [(lam, n - ranks[-1], filled(lam))
-                 for lam, (_, ranks, _) in walks.items() if ranks[-1] < n]
+        found = [(lam, n - walk.ranks[-1], walk.filled(n))
+                 for lam, walk in walks.items() if walk.ranks[-1] < n]
     else:
         found = []
         for lam, mult in _eigenvalues_exact(a):
             if lam_parts(lam)[1] >= 0:
-                while lam not in walks or not stable(lam):
-                    deepen(lam)
-                found.append((lam, mult, filled(lam)))
+                walk = walks.get(lam) or walk_at(lam)
+                while not walk.stable():
+                    walk.deepen()
+                found.append((lam, mult, walk.filled(n)))
     found += [(lam.conjugate(), mult, ranks) for lam, mult, ranks in found
               if lam_parts(lam)[1]]
     return sorted(found, key=lambda p: lam_parts(p[0]))
@@ -587,8 +571,10 @@ def spectrum_descriptor(a: Matrix, tol: float | None = None) -> SpectrumDescript
 
     Block counts are read off the rank sequences the eigenvalues were
     confirmed or measured with, on the nonnegative-imaginary side, and
-    mirrored, so the result is conjugate-symmetric by construction.  An
-    exact A takes no tolerance.
+    mirrored, so the result is conjugate-symmetric by construction; it
+    is merged, sorted and size-checked as `SpectrumDescriptor.make` does
+    it, without make's symmetry scan of caller-supplied blocks.  An exact
+    A takes no tolerance.
     """
     eigs = _spectrum(a, tol)
     blocks = []
@@ -606,6 +592,4 @@ def spectrum_descriptor(a: Matrix, tol: float | None = None) -> SpectrumDescript
             blocks.append(Block(lam, m, c))
             if im > 0:
                 blocks.append(Block(lam.conjugate(), m, c))
-    return SpectrumDescriptor.make(
-        blocks, n=a.n, exact=(a.mode == "exact"), real_source=True
-    )
+    return SpectrumDescriptor(*_merged(blocks, a.n), a.mode == "exact", True)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -46,40 +46,24 @@ rationals_c = st.builds(RationalComplex, fractions, fractions)
 # ---- RationalComplex ----------------------------------------------------------
 
 
-@given(rationals_c, rationals_c, rationals_c)
-@settings(max_examples=60)
-def test_rational_complex_field_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + b == b + a
-    assert a * b == b * a
-
-
 @given(rationals_c)
-def test_rational_complex_conjugate_and_abs2(a):
-    assert (a * a.conjugate()).im == 0
-    assert (a * a.conjugate()).re == a.abs2()
+def test_rational_complex_conjugate_and_hash(a):
     assert a.conjugate().conjugate() == a
-
-
-@given(rationals_c)
-def test_rational_complex_division_inverts(a):
-    if a == RationalComplex(Fraction(0), Fraction(0)):
-        with pytest.raises(ZeroDivisionError):
-            RationalComplex(Fraction(1), Fraction(0)) / a
-    else:
-        assert a / a == RationalComplex(Fraction(1), Fraction(0))
-        assert (a * 2) / 2 == a
+    assert complex(a.conjugate()) == complex(a).conjugate()
+    twin = RationalComplex(Fraction(a.re), Fraction(a.im))
+    assert twin == a and hash(twin) == hash(a)
+    assert (a.conjugate() == a) == (a.im == 0)
 
 
 def test_rational_complex_mixed_arithmetic():
+    # a plain value: exact eigenvalues are read through their parts, so
+    # the type defines no arithmetic
     z = RationalComplex(Fraction(1, 2), Fraction(3))
-    assert z + 1 == RationalComplex(Fraction(3, 2), Fraction(3))
-    assert 2 * z == RationalComplex(Fraction(1), Fraction(6))
-    assert z - Fraction(1, 2) == RationalComplex(Fraction(0), Fraction(3))
+    with pytest.raises(TypeError):
+        z + 1
     assert complex(z) == 0.5 + 3j
     assert str(z) == "1/2+3i"
+    assert str(z.conjugate()) == "1/2-3i"
 
 
 # ---- construction and modes -----------------------------------------------------

@@ -1,7 +1,11 @@
 """Package-level guards: the README's library example runs as written,
-and sympy stays unimported by importing flowclass and by exact spectra
-that the candidate certificate closes (only its fallback loads sympy)."""
+sympy stays unimported by importing flowclass and by exact spectra that
+the candidate certificate closes (only its fallback loads sympy), every
+exported name resolves, and the benchmark's tracer finds every function
+it wraps."""
 
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -46,3 +50,43 @@ def test_certified_exact_spectra_do_not_load_sympy():
         "print('sympy' in sys.modules)\n"
     )
     assert _fresh_python(code) == "False"
+
+
+MODULES = ("numkit", "spectral", "invariants", "flowsim", "cli")
+
+
+def test_every_exported_name_resolves():
+    for name in ("flowclass",) + tuple("flowclass." + m for m in MODULES):
+        module = importlib.import_module(name)
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert missing == [], name
+
+
+def test_benchmark_tracer_wraps_every_target(monkeypatch):
+    # bench/tracing.py patches flowclass by name; a renamed or deleted
+    # target would break only the traced benchmark run without this
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "flowclass_bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = []
+    for _, home, attr in tracing.TARGETS:
+        owner = importlib.import_module("flowclass." + home)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            originals.append(vars(getattr(owner, cls_name))[meth])
+        else:
+            originals.append(getattr(owner, attr))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = [orig for _, _, orig in tracer._undo]
+        unpatched = [target for target, orig in zip(tracing.TARGETS, originals)
+                     if not any(p is orig for p in patched)]
+        assert unpatched == []
+        undo = list(tracer._undo)
+    finally:
+        tracer.uninstall()
+    for owner, key, orig in undo:
+        assert vars(owner)[key] is orig

@@ -685,6 +685,23 @@ def test_spectrum_descriptor_float_path():
     assert sizes == [(1, 1), (1, 1), (2, 1)]
 
 
+def test_spectrum_descriptor_skips_the_symmetry_scan(monkeypatch, rng):
+    # mirrored blocks are conjugate-symmetric by construction, so only
+    # caller-supplied blocks are scanned
+    mats = [realize_real(random_parts(rng, 8)) for _ in range(6)]
+    float_blocks = [jordan(-1.0, 2), rotation(0.0, 1.5), rotation(0.5, 2.0), jordan(2.0, 1)]
+    mats += [Matrix.from_numpy(haar_similar(np.random.default_rng(seed), float_blocks))
+             for seed in range(4)]
+    assert {a.mode for a in mats} == {"exact", "float"}
+    scans = _count_calls(monkeypatch, spectral, "_is_conjugate_symmetric")
+    for a in mats:
+        d = spectrum_descriptor(a)
+        assert scans == []
+        assert d == SpectrumDescriptor.make(d.blocks, real_source=True)
+        assert len(scans) == 1
+        scans.clear()
+
+
 def test_spectrum_descriptor_center_blocks():
     parts = [(Fraction(0), Fraction(3), 2, 1), (Fraction(2), Fraction(0), 1, 1)]
     d = spectrum_descriptor(realize_real(parts))
