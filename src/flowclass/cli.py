@@ -54,7 +54,7 @@ from .invariants import (
     rational_classes,
 )
 from .numkit import Matrix, RationalComplex, lam_parts
-from .spectral import SpectrumDescriptor, spectrum_descriptor
+from .spectral import _REMEDIES, SpectrumDescriptor, spectrum_descriptor
 
 __all__ = ["Report", "emit_json", "emit_text", "parse_report", "main"]
 
@@ -358,8 +358,10 @@ def _system_descriptor(doc: dict, args, where: str, diags: list) -> SpectrumDesc
             if args.exact:
                 raise
             if ev.huge_at:
+                # float mode cannot help, so only the other remedy is named
+                reason = str(exc).replace(_REMEDIES, "supply spectrum blocks directly")
                 raise ExactModeError(
-                    f"{exc}; float analysis is impossible: "
+                    f"{reason}; float analysis is impossible: "
                     f"{ev.huge_at} is beyond the float range"
                 ) from None
             diags.append(f"{where or 'input'}: {exc}; float analysis used")

@@ -547,7 +547,7 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     distinct values sum to at most n, so once the nullities measured at
     distinct values sum to n (a pair counting twice) each walk has
     reached its stable rank, and filling with the last rank gives this
-    same sequence (see `spectral._exact_spectrum`).  Walks made by one
+    same sequence (see `spectral._walked_spectrum`).  Walks made by one
     `integer_rank_walks` call share one B^2.
 
     A float A is measured by `float_rank_sequence` with lam as its one

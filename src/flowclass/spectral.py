@@ -3,13 +3,17 @@
 Matrices are real in both modes (numkit refuses a complex entry).
 Exact eigenvalues are Fraction or RationalComplex values.
 
-In exact mode the eigenvalues are LAPACK candidates certified by exact
-ranks.  With B = D A, D the lcm of the denominators of A, det(tI - B)
-is monic with integer coefficients, so D lam is a Gaussian integer for
-every eigenvalue lam with rational real and imaginary parts.  The roots
-of B as floats, rounded to the nearest Gaussian integers, give the
-candidates; a candidate is accepted when the integer rank sequence of
-its shifted powers drops, and n minus the stable rank is its
+In exact mode the eigenvalues are LAPACK candidates, certified exactly.
+With B = D A, D the lcm of the denominators of A, det(tI - B) is monic
+with integer coefficients, so D lam is a Gaussian integer for every
+eigenvalue lam with rational real and imaginary parts.  The roots of B
+as floats, rounded to the nearest Gaussian integers, give the candidates
+and their votes.  The votes name a polynomial f of degree n; when one
+exact Krylov sequence of a fixed vector proves f = det(tI - B) and B
+non-derogatory (`_cyclic`), each eigenvalue has one Jordan block, sized
+by its votes, and its rank sequence n - min(k, m) is derived, not
+measured.  Otherwise a candidate is accepted when the integer rank
+sequence of its shifted powers drops, and n minus the stable rank is its
 multiplicity.  Generalized eigenspaces are independent, so when the
 accepted multiplicities sum to n the spectrum is complete; the same
 count shows that every sequence has reached its stable rank, so no
@@ -36,15 +40,17 @@ conjugates before any counting happens.
 Block sizes are never computed from eigenvectors.  The count of size-m
 blocks at an eigenvalue is the second difference of the rank sequence of
 shifted powers:  count(lam, m) = r(m-1) - 2 r(m) + r(m+1), with the
-sequence from `numkit.power_rank_sequence` (the walks of
-`integer_rank_walks` on the cleared B in exact mode, the lockstep walks
-of `float_rank_sequence` over many shifts in float mode).  In
+sequence derived for a certified non-derogatory exact A, and otherwise
+from `numkit.power_rank_sequence` (the walks of `integer_rank_walks` on
+the cleared B in exact mode, the lockstep walks of `float_rank_sequence`
+over many shifts in float mode).  In
 exact mode a conjugate pair a +- bi is measured there through the real
 quadratic (A - aI)^2 + b^2 I, so the ranks stay over the integers.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +98,11 @@ _MAX_CLUSTER_ORDER = 4
 _FLOAT_EXACT = 2**53
 # float descriptors: values within this (relative) count as conjugates
 _SYMMETRY_TOL = 1e-9
+# exact refusals: the remedies they close with (the command line keeps only
+# the second when an entry is beyond the float range), and the longest
+# integer they print whole
+_REMEDIES = "rerun in float mode or supply spectrum blocks directly"
+_LONG_DIGITS = 40
 
 
 class Block(NamedTuple):
@@ -211,9 +222,16 @@ def _fraction_sqrt(f: Fraction):
     return None
 
 
+def _shortened(c: Fraction) -> str:
+    """str(c), each integer in it over _LONG_DIGITS digits cut to its
+    first and last digits and its length."""
+    return re.sub(r"\d{%d,}" % (_LONG_DIGITS + 1),
+                  lambda m: f"{m[0][:6]}...{m[0][-6:]} ({len(m[0])} digits)", str(c))
+
+
 def _eigenvalues_exact(a: Matrix):
     """Eigenvalues of an exact A by factoring char_poly over the rationals
-    (sympy); the fallback of `_exact_spectrum`."""
+    (sympy); the fallback of `_walked_spectrum`."""
     import sympy
 
     poly = char_poly(a)
@@ -235,8 +253,8 @@ def _eigenvalues_exact(a: Matrix):
             if s is None:
                 raise ExactModeError(
                     "characteristic polynomial has the irreducible factor "
-                    f"t^2 + ({b})t + ({c}) whose roots have irrational parts; "
-                    "rerun in float mode or supply spectrum blocks directly"
+                    f"t^2 + ({_shortened(b)})t + ({_shortened(c)}) whose roots "
+                    f"have irrational parts; {_REMEDIES}"
                 )
             re = -b / 2
             found.append((RationalComplex(re, s / 2), mult))
@@ -244,7 +262,7 @@ def _eigenvalues_exact(a: Matrix):
         else:
             raise ExactModeError(
                 f"characteristic polynomial has an irreducible factor of degree {deg}; "
-                "rerun in float mode or supply spectrum blocks directly"
+                f"{_REMEDIES}"
             )
     found.sort(key=lambda p: lam_parts(p[0]))
     return tuple(found)
@@ -268,35 +286,128 @@ def _candidates(b: list) -> list:
     return votes.most_common()
 
 
+def _start_vector(n: int) -> list:
+    """The fixed start vector v = (1, 3, 9, ..., 3^(n-1)) of `_cyclic`.
+
+    A non-derogatory B has v cyclic unless w . v = 0 for a left
+    eigenvector w.  Scaled to Gaussian integers, such a w has 3 as a root
+    of sum w(i) t^i, so 3 divides its first nonzero entry: the small left
+    eigenvectors of integer matrices rarely qualify.
+    """
+    return [3**i for i in range(n)]
+
+
+def _cyclic(b: list, candidates: list) -> bool:
+    """Whether the votes of `_candidates` are proven to give the
+    characteristic polynomial of the integer matrix B, and B to be
+    non-derogatory (one Jordan block per eigenvalue).
+
+    The votes name f = prod (t - x)^votes prod ((t - x)^2 + y^2)^(votes/2),
+    a pair's votes counting both sides; they must be even for a pair and
+    sum to n, so that deg f = n.  From v = `_start_vector(n)` the sequence
+    e(k+1) = (B - x) e(k) applies one linear factor a step, and a
+    quadratic one takes two: (B - x) e(k), then (B - x) e(k+1) + y^2 e(k).
+    Each e(k) is B^k v plus a combination of the earlier ones, so
+    e(0) ... e(n-1) span the Krylov space of v, and e(n) = f(B) v.  When
+    e(n) is exactly 0 and e(0) ... e(n-1) are independent modulo a prime
+    (their determinant is then nonzero over the integers), v is cyclic:
+    its minimal polynomial is det(tI - B), has degree n and divides f, so
+    it is f (Gantmacher, The Theory of Matrices I, ch. VII).  Any other
+    outcome proves nothing and answers False.  Zero entries of B are
+    skipped, and no power of B is formed.
+    """
+    n = len(b)
+    if sum(votes for _, votes in candidates) != n or any(
+            y and votes % 2 for (_, y), votes in candidates):
+        return False
+    nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in b]
+
+    def shifted(e, x):  # (B - x) e
+        return [sum(c * e[j] for j, c in row) - x * ei for row, ei in zip(nonzero, e)]
+
+    seq = [_start_vector(n)]
+    for (x, y), votes in candidates:
+        for _ in range(votes // 2 if y else votes):
+            seq.append(shifted(seq[-1], x))
+            if y:
+                seq.append([p + y * y * q for p, q in zip(shifted(seq[-1], x), seq[-2])])
+    return not any(seq.pop()) and _independent_mod_p(seq)
+
+
+# the independence check of `_cyclic` runs modulo this prime, 2^61 - 1
+_PRIME = 2**61 - 1
+
+
+def _independent_mod_p(vectors: list) -> bool:
+    """Whether n integer vectors of length n are independent modulo
+    _PRIME, by Gaussian elimination over the field of integers mod p."""
+    rows = [[x % _PRIME for x in v] for v in vectors]
+    while rows:
+        piv = next((row for row in rows if row[0]), None)
+        if piv is None:
+            return False
+        inv = pow(piv[0], -1, _PRIME)
+        rows = [[(x - c * y) % _PRIME for x, y in zip(row[1:], piv[1:])]
+                for row in rows if row is not piv for c in (row[0] * inv,)]
+    return True
+
+
 def _exact_spectrum(a: Matrix) -> list:
     """(value, multiplicity, rank sequence) per eigenvalue of an exact A,
     sorted by (re, im); a conjugate pair shares one sequence.
 
     With B = D A cleared of denominators, each candidate z = x + yi from
-    `_candidates` stands for lam = z / D.  Its rank walk
-    (`numkit.integer_rank_walks`, all sharing one B^2) measures
-    r(k) = rank (A - lam I)^k one power at a time.  The nullity n - r(k)
-    never falls and never exceeds the multiplicity of lam, and since
-    generalized eigenspaces are independent the multiplicities of
-    distinct values sum to at most n.  So once the nullities measured at
-    the candidates sum to n (a pair counting twice), every walk has
-    reached its multiplicity: the spectrum is certified, and each
-    sequence is filled with its last rank without a further power to see
-    it repeat.  Until then the walks are deepened in the candidates' vote
-    order: one rank at every candidate, then more where the nullity is
-    below the votes, then wherever the rank has not yet repeated.  The
-    votes only order the work; the count alone certifies.  When it falls
-    short, the eigenvalues come from `_eigenvalues_exact` instead (which
-    raises ExactModeError on irrational parts), and each of their walks,
-    those measured so far included, runs until its rank repeats.
+    `_candidates` stands for lam = z / D.  The votes are put to `_cyclic`
+    first.  When it proves that they give det(tI - B) and that B is
+    non-derogatory, each lam has one Jordan block, of size m its vote
+    count (half of it for a pair), and its rank sequence
+    r(k) = n - min(k, m) is derived, not measured: no rank, no power and
+    no B^2 is taken.  Otherwise the rank walks of `_walked_spectrum`
+    measure the sequences.
     """
     n = a.n
     d, b = cleared(a)
+    candidates = _candidates(b)
+    cands = [(RationalComplex(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d),
+              votes) for (x, y), votes in candidates]
+    if _cyclic(b, candidates):
+        found = []
+        for lam, votes in cands:
+            m = votes // 2 if lam_parts(lam)[1] else votes
+            found.append((lam, m, [n - min(k, m) for k in range(n + 1)]))
+    else:
+        found = _walked_spectrum(a, d, b, cands)
+    found += [(lam.conjugate(), mult, ranks) for lam, mult, ranks in found
+              if lam_parts(lam)[1]]
+    return sorted(found, key=lambda p: lam_parts(p[0]))
+
+
+def _walked_spectrum(a: Matrix, d: int, b: list, cands: list) -> list:
+    """(value, multiplicity, rank sequence) per eigenvalue of an exact A
+    with nonnegative imaginary part, from rank walks at the candidates
+    (lam, votes) of `_exact_spectrum`, B = D A.
+
+    Each candidate's rank walk (`numkit.integer_rank_walks`, all sharing
+    one B^2) measures r(k) = rank (A - lam I)^k one power at a time.  The
+    nullity n - r(k) never falls and never exceeds the multiplicity of
+    lam, and since generalized eigenspaces are independent the
+    multiplicities of distinct values sum to at most n.  So once the
+    nullities measured at the candidates sum to n (a pair counting
+    twice), every walk has reached its multiplicity: the spectrum is
+    certified, and each sequence is filled with its last rank without a
+    further power to see it repeat.  Until then the walks are deepened in
+    the candidates' vote order: one rank at every candidate, then more
+    where the nullity is below the votes, then wherever the rank has not
+    yet repeated.  The votes only order the work; the count alone
+    certifies.  When it falls short, the eigenvalues come from
+    `_eigenvalues_exact` instead (which raises ExactModeError on
+    irrational parts), and each of their walks, those measured so far
+    included, runs until its rank repeats.
+    """
+    n = a.n
     walk_at = integer_rank_walks(d, b)
     walks = {}  # lam -> its rank walk, made when first deepened
     total = 0  # nullity measured over all walks, a pair counting twice
-    cands = [(RationalComplex(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d),
-              votes) for (x, y), votes in _candidates(b)]
     for lam, _ in cands:
         if total < n:
             walk = walks[lam] = walk_at(lam)
@@ -307,19 +418,16 @@ def _exact_spectrum(a: Matrix) -> list:
             while total < n and not walk.stable() and wanted(walk, votes):
                 total += (1 + walk.pair) * walk.deepen()
     if total == n:
-        found = [(lam, n - walk.ranks[-1], walk.filled(n))
-                 for lam, walk in walks.items() if walk.ranks[-1] < n]
-    else:
-        found = []
-        for lam, mult in _eigenvalues_exact(a):
-            if lam_parts(lam)[1] >= 0:
-                walk = walks.get(lam) or walk_at(lam)
-                while not walk.stable():
-                    walk.deepen()
-                found.append((lam, mult, walk.filled(n)))
-    found += [(lam.conjugate(), mult, ranks) for lam, mult, ranks in found
-              if lam_parts(lam)[1]]
-    return sorted(found, key=lambda p: lam_parts(p[0]))
+        return [(lam, n - walk.ranks[-1], walk.filled(n))
+                for lam, walk in walks.items() if walk.ranks[-1] < n]
+    found = []
+    for lam, mult in _eigenvalues_exact(a):
+        if lam_parts(lam)[1] >= 0:
+            walk = walks.get(lam) or walk_at(lam)
+            while not walk.stable():
+                walk.deepen()
+            found.append((lam, mult, walk.filled(n)))
+    return found
 
 
 # ---- eigenvalues: float path -------------------------------------------------
@@ -456,16 +564,21 @@ def eigenvalues(a: Matrix, tol: float | None = None):
     before any work) and give Fraction or RationalComplex values or raise
     ExactModeError.  The LAPACK roots of B = D A, with D the lcm of the
     denominators of A, rounded to the nearest Gaussian integers z, give
-    the candidates z / D; a candidate is accepted when the exact rank
+    the candidates z / D and their votes.  When one exact Krylov sequence
+    proves that the votes give det(tI - B) and that B is non-derogatory,
+    each candidate is an eigenvalue with one Jordan block, its
+    multiplicity m is its vote count (half of it for a pair), and its
+    rank sequence n - min(k, m) is derived, not measured: no rank is
+    taken.  Otherwise a candidate is accepted when the exact rank
     sequence of its shifted powers drops, and its multiplicity is n
     minus the stable rank.  When the accepted multiplicities sum to n,
     that is the whole spectrum.  The sequences are measured a power at
     a time and all stop as soon as the nullities measured so far sum to
-    n, which proves each of them stable; pairs share one B^2.
-    Otherwise (an eigenvalue with irrational parts, a defective one
-    whose roots round away from it, or an entry of B beyond 2^53) the
-    characteristic polynomial is factored over the rationals by sympy
-    (see `_exact_spectrum`).
+    n, which proves each of them stable; pairs share one B^2.  When
+    they fall short (an eigenvalue with irrational parts, a defective
+    one whose roots round away from it, or an entry of B beyond 2^53)
+    the characteristic polynomial is factored over the rationals by
+    sympy (see `_exact_spectrum` and `_walked_spectrum`).
 
     Float matrices give the means of clusters of LAPACK roots,
     symmetrized into conjugate pairs.  A group merges when its spread is

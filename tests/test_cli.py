@@ -226,6 +226,21 @@ def test_exact_fallback_beyond_float_range_is_a_refusal(capsys, tmp_path):
         assert err.endswith(f"; float analysis is impossible: {path} is beyond the float range\n")
 
 
+def test_exact_fallback_beyond_float_range_names_only_the_remedy_that_works(capsys, tmp_path):
+    # the 401-digit coefficient is cut to its ends, and rerunning in float
+    # mode is not advised for a matrix that has no float form
+    for text, path in ((f"matrix: [[0, {2 * HUGE}], [1, 0]]\n", "matrix[0][1]"),
+                       (f"left: {{matrix: [[0, {2 * HUGE}], [1, 0]]}}\n"
+                        "right: {matrix: [[0, -1], [1, 0]]}\n", "left.matrix[0][1]")):
+        code, out, err = run(capsys, "classify", write_doc(tmp_path, text))
+        assert (code, out) == (2, "")
+        assert err == (
+            "flowclass: diagnostic: characteristic polynomial has the irreducible "
+            "factor t^2 + (0)t + (-200000...000000 (401 digits)) whose roots have "
+            "irrational parts; supply spectrum blocks directly; float analysis is "
+            f"impossible: {path} is beyond the float range\n")
+
+
 @pytest.mark.parametrize("flag,value", [("--horizon", "inf"), ("--grid-step", "nan")])
 def test_simulate_rejects_non_finite_window(capsys, flag, value):
     code, out, err = run(

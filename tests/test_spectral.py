@@ -221,35 +221,229 @@ def _count_calls(monkeypatch, module, name, counted=lambda *args: True):
     return calls
 
 
+def _walks_only(monkeypatch):
+    """Turn the cyclic-vector certificate off, so the rank walks answer."""
+    monkeypatch.setattr(spectral, "_cyclic", lambda b, candidates: False)
+
+
+_DISTINCT_VALUES = [Fraction(-7, 2), Fraction(-2), Fraction(-1, 3), Fraction(1, 2),
+                    Fraction(1), Fraction(5, 3), Fraction(3), Fraction(9, 2)]
+# 1 +- 2i simple, -1 +- i in a 2-block and 2 simple
+_PAIR_PARTS = [(Fraction(1), Fraction(2), 1, 1), (Fraction(-1), Fraction(1), 2, 1),
+               (Fraction(2), Fraction(0), 1, 1)]
+
+
+def _similar(parts, seed, ops=None):
+    """realize_real(parts) under a seeded unimodular similarity, and S."""
+    a = realize_real(parts)
+    s, s_inv = random_unimodular(random.Random(seed), a.n, ops=ops)
+    return (s @ a) @ s_inv, s
+
+
+def _distinct_rational_matrix():
+    """A dense n = 8 matrix with eight distinct rational eigenvalues, and S."""
+    return _similar([(v, Fraction(0), 1, 1) for v in _DISTINCT_VALUES], 88, ops=40)
+
+
 def test_distinct_rational_spectrum_takes_one_rank_per_candidate(monkeypatch):
     # eight distinct values: the first rank at each candidate already sums
     # the nullities to n, so no power is formed and no rank repeated
-    rng = random.Random(88)
-    values = [Fraction(-7, 2), Fraction(-2), Fraction(-1, 3), Fraction(1, 2),
-              Fraction(1), Fraction(5, 3), Fraction(3), Fraction(9, 2)]
-    s, s_inv = random_unimodular(rng, 8, ops=40)
-    a = (s @ realize_real([(v, Fraction(0), 1, 1) for v in values])) @ s_inv
+    _walks_only(monkeypatch)
+    a, _ = _distinct_rational_matrix()
     assert all(x for row in a.rows for x in row)  # dense
     assert len(_candidates(cleared(a)[1])) == 8
     ranks = _count_calls(monkeypatch, numkit, "_rank_int")
     products = _count_calls(monkeypatch, numkit, "_row_product")
-    assert eigenvalues(a) == tuple((v, 1) for v in values)
+    assert eigenvalues(a) == tuple((v, 1) for v in _DISTINCT_VALUES)
     assert len(ranks) == 8
     assert products == []
 
 
 def test_pair_walks_share_one_square(monkeypatch):
-    # 1 +- 2i simple and -1 +- i in a 2-block: B^2 is formed once for both
-    rng = random.Random(99)
-    parts = [(Fraction(1), Fraction(2), 1, 1), (Fraction(-1), Fraction(1), 2, 1),
-             (Fraction(2), Fraction(0), 1, 1)]
-    s, s_inv = random_unimodular(rng, 7)
-    a = (s @ realize_real(parts)) @ s_inv
+    # B^2 is formed once for both pairs
+    _walks_only(monkeypatch)
+    a, _ = _similar(_PAIR_PARTS, 99)
     b = cleared(a)[1]
     squares = _count_calls(monkeypatch, numkit, "_row_product",
                            lambda x, y, *rest: x == b and y == b)
-    assert spectrum_descriptor(a).blocks == SpectrumDescriptor.make(expected_blocks(parts)).blocks
+    assert spectrum_descriptor(a).blocks == SpectrumDescriptor.make(
+        expected_blocks(_PAIR_PARTS)).blocks
     assert len(squares) == 1
+
+
+def test_non_derogatory_matrices_certify_without_ranks(monkeypatch):
+    # the votes give the characteristic polynomial and the start vector is
+    # cyclic, so each value's one block is read off its votes
+    distinct, _ = _distinct_rational_matrix()
+    paired, _ = _similar(_PAIR_PARTS, 99)
+    ranks = _count_calls(monkeypatch, numkit, "_rank_int")
+    products = _count_calls(monkeypatch, numkit, "_row_product")
+    assert eigenvalues(distinct) == tuple((v, 1) for v in _DISTINCT_VALUES)
+    assert spectrum_descriptor(paired).blocks == SpectrumDescriptor.make(
+        expected_blocks(_PAIR_PARTS)).blocks
+    assert ranks == [] and products == []
+    # a rank sequence is derived as n - min(k, m), equal to the walk's
+    for lam, m, seq in spectral._exact_spectrum(paired):
+        assert seq == power_rank_sequence(paired, lam, 7) == [7 - min(k, m) for k in range(8)]
+
+
+# ---- exact eigenvalues: the certificate refuses what it cannot prove ------------
+
+
+def _exact_outcome(a):
+    """repr of the exact spectrum of a, or the text of its refusal."""
+    try:
+        return repr(spectral._exact_spectrum(a))
+    except ExactModeError as exc:
+        return f"ExactModeError: {exc}"
+
+
+def _routes(monkeypatch, a):
+    """(certified, outcome, _rank_int calls, _row_product calls) of a with
+    the certificate on, then with it off."""
+    routes = []
+    for on in (True, False):
+        with monkeypatch.context() as mp:
+            verdicts = []
+            cyclic = spectral._cyclic
+
+            def recorded(b, candidates):
+                verdicts.append(on and cyclic(b, candidates))
+                return verdicts[-1]
+
+            mp.setattr(spectral, "_cyclic", recorded)
+            ranks = _count_calls(mp, numkit, "_rank_int")
+            products = _count_calls(mp, numkit, "_row_product")
+            outcome = _exact_outcome(a)
+            routes.append((verdicts == [True], outcome, ranks, products))
+    return routes
+
+
+def _assert_walked(monkeypatch, a):
+    """The certificate refuses a, and the walks then answer exactly as
+    they do without it, with the same ranks and products."""
+    on, off = _routes(monkeypatch, a)
+    assert not on[0]
+    assert on[1:] == off[1:]
+
+
+def test_derogatory_matrices_fall_through_to_the_walks(monkeypatch):
+    # a value with two blocks has a minimal polynomial of degree below n,
+    # so no start vector is cyclic
+    for seed, parts in enumerate([
+            [(2, 0, 1, 2), (-1, 0, 1, 1)],                    # J_1(2) + J_1(2)
+            [(1, 0, 2, 1), (1, 0, 1, 1), (-3, 0, 1, 1)],      # J_2(1) + J_1(1)
+            [(0, 1, 1, 2), (Fraction(1, 2), 0, 1, 1)],        # +-i twice
+            [(1, 2, 2, 1), (1, 2, 1, 1), (0, 0, 1, 1)]]):     # 1 +- 2i in a 2- and a 1-block
+        a, _ = _similar(parts, seed)
+        _assert_walked(monkeypatch, a)
+        assert spectrum_descriptor(a).blocks == SpectrumDescriptor.make(
+            expected_blocks(parts)).blocks
+
+
+def test_votes_must_give_degree_n(monkeypatch):
+    # J_1(1) + J_1(1) + J_1(2): f = (t - 1)(t - 2) kills every vector, and
+    # v, (B - 1) v are independent, so only deg f = 2 < 3 refuses the votes
+    a, _ = _similar([(1, 0, 1, 2), (2, 0, 1, 1)], 5)
+    b = cleared(a)[1]
+    short = [((1, 0), 1), ((2, 0), 1)]
+    bm = sympy.Matrix(b)
+    v = sympy.Matrix(spectral._start_vector(3))
+    assert (bm - sympy.eye(3)) * (bm - 2 * sympy.eye(3)) * v == sympy.zeros(3, 1)
+    assert sympy.Matrix.hstack(v, (bm - sympy.eye(3)) * v).rank() == 2
+    assert not spectral._cyclic(b, short)
+    monkeypatch.setattr(spectral, "_candidates", lambda b: short)
+    _assert_walked(monkeypatch, a)
+    assert eigenvalues(a) == ((Fraction(1), 2), (Fraction(2), 1))
+
+
+def test_misleading_votes_fall_through_to_the_walks(monkeypatch):
+    distinct, _ = _distinct_rational_matrix()
+    b = cleared(distinct)[1]
+    votes = _candidates(b)
+    assert spectral._cyclic(b, votes)
+    # a pair with an odd vote count: 1 +- 2i simple and J_1(3) + J_1(3),
+    # where 3 // 2 = 1 factor of the pair would give the minimal polynomial
+    odd, _ = _similar([(1, 2, 1, 1), (3, 0, 1, 2)], 7)
+    for a, wrong in (
+            (distinct, votes + [((0, 0), 1)]),                     # n + 1 votes
+            (distinct, votes[:-1]),                                # n - 1 votes
+            (distinct, [((x, y), 1) for (x, y), _ in votes[:7]]    # n votes, wrong root
+             + [((votes[7][0][0] + 1, 0), 1)]),
+            (odd, [((1, 2), 3), ((3, 0), 1)])):
+        assert not spectral._cyclic(cleared(a)[1], wrong)
+        with monkeypatch.context() as mp:
+            mp.setattr(spectral, "_candidates", lambda b, wrong=wrong: wrong)
+            _assert_walked(mp, a)
+    # the moved vote: 1 gets one of its two votes, 2 gets two of its one
+    a, _ = _similar([(1, 0, 2, 1), (2, 0, 1, 1)], 8)
+    monkeypatch.setattr(spectral, "_candidates", lambda b: [((1, 0), 1), ((2, 0), 2)])
+    _assert_walked(monkeypatch, a)
+    assert eigenvalues(a) == ((Fraction(1), 2), (Fraction(2), 1))
+
+
+def test_non_cyclic_start_vector_falls_through_to_the_walks(monkeypatch):
+    # an eigenvector of B spans an invariant line, so its Krylov space is
+    # the line and the independence check refuses
+    a, s = _distinct_rational_matrix()
+    b = cleared(a)[1]
+    assert spectral._cyclic(b, _candidates(b))
+    eigenvector = [int(row[2]) for row in s.rows]  # S e_2, at the value -1/3
+    monkeypatch.setattr(spectral, "_start_vector", lambda n: eigenvector)
+    assert not spectral._cyclic(b, _candidates(b))
+    _assert_walked(monkeypatch, a)
+    assert eigenvalues(a) == tuple((v, 1) for v in _DISTINCT_VALUES)
+
+
+def _random_integer_parts(rng, n, derogatory):
+    """Real-Jordan data (a, b, m, 1) of size n with integer a and b:
+    distinct values, or, when derogatory, the first value in two blocks."""
+    parts, used, left = [], set(), n
+    while left:
+        blocks = 2 if derogatory and not parts else 1
+        width = 2 if left >= 2 * blocks and rng.random() < 0.4 else 1
+        key = (rng.randint(-3, 3), rng.randint(1, 3) if width == 2 else 0)
+        if key in used:
+            continue
+        used.add(key)
+        for _ in range(blocks):
+            m = rng.randint(1, min(3, left // width - (blocks - 1)))
+            parts.append((*key, m, 1))
+            left -= m * width
+            blocks -= 1
+    return parts
+
+
+def test_certificate_agrees_with_walks_and_reference_on_random_integer_matrices(monkeypatch):
+    # n = 2 ... 12: dense similar realizations with and without a value in
+    # two blocks, and plain random integer matrices, whose irrational
+    # values both routes refuse alike
+    rng = random.Random(1919)
+    certified = {False: 0, True: 0}
+    for n in range(2, 13):
+        cases = []
+        for derogatory in (False, True) * 2:
+            parts = _random_integer_parts(rng, n, derogatory)
+            s, s_inv = random_unimodular(rng, n)
+            cases.append(((s @ realize_real(parts)) @ s_inv, derogatory))
+        cases.append((Matrix.exact([[rng.randint(-3, 3) for _ in range(n)]
+                                    for _ in range(n)]), None))
+        for a, derogatory in cases:
+            on, off = _routes(monkeypatch, a)
+            assert on[1] == off[1]
+            if on[0]:
+                assert not derogatory
+                assert on[2] == on[3] == []
+                certified[derogatory] += 1
+            else:
+                assert on[2:] == off[2:]
+            try:
+                want = repr(_reference_descriptor(a))
+            except ExactModeError:
+                assert derogatory is None and on[1].startswith("ExactModeError")
+            else:
+                assert repr(spectrum_descriptor(a)) == want
+    assert certified == {False: 22, True: 0}  # every non-derogatory draw certifies
 
 
 def test_fallback_walks_match_power_rank_sequence():
