@@ -56,8 +56,14 @@ DEFAULT_GROWTH_CAP = 1000.0
 DEFAULT_PERIOD_HORIZON = 128.0
 DEFAULT_PERIOD_STEP = 0.01
 DEFAULT_RETURN_TOL = 1e-9
-_BISECT_STEPS = 40
+_MAX_GRID_POINTS = 1_000_000
 _MAX_REFINEMENTS = 64
+# a refined minimum is pinned to 2*step/2^41 or finer, within at most
+# _ROOT_ITERATIONS safeguarded Newton steps, and the Taylor model of a
+# bracket is truncated below unit roundoff
+_ROOT_BITS = 41
+_ROOT_ITERATIONS = 100
+_UNIT_ROUNDOFF = 2.0**-53
 _WALK_GROUP = 4
 _VERIFY_MARGIN = 1e-9
 _LOG_JUMP_CAP = 300.0
@@ -122,10 +128,20 @@ def _block_length(prop: np.ndarray, count: int) -> int:
 
 
 def _check_window(horizon: float, step: float) -> int:
-    """Number of grid points 0, step, ... up to horizon."""
+    """Number of grid points 0, step, ... up to horizon.  A grid of more
+    than _MAX_GRID_POINTS (1,000,000) points is refused with
+    DiagnosticError before anything is allocated."""
     if not (0.0 < step < math.inf and 0.0 < horizon < math.inf):
         raise InputError("horizon and step must be positive and finite")
-    return int(math.floor(horizon / step + 1e-9)) + 1
+    span = horizon / step + 1e-9  # inf where the ratio overflows
+    if not span < _MAX_GRID_POINTS:
+        count = f"{int(span) + 1:,}" if span < math.inf else "over 1e308"
+        raise DiagnosticError(
+            f"the time grid up to {horizon:g} in steps of {step:g} has {count} "
+            f"points, over the budget of {_MAX_GRID_POINTS:,}; use a shorter "
+            "horizon or a larger step"
+        )
+    return int(span) + 1
 
 
 def _check_return_tol(tol: float) -> None:
@@ -400,6 +416,109 @@ class PeriodResult:
     residual: float | None = None
 
 
+def _taylor_degree(theta: float) -> int:
+    """Smallest K with theta^(K+1)/(K+1)! <= u/2: for theta <= 1 the
+    exponential series of a step of norm theta, cut after degree K,
+    leaves a remainder below unit roundoff u."""
+    k, term = 0, 1.0
+    while term > _UNIT_ROUNDOFF / 2.0:
+        k += 1
+        term *= theta / k
+    return k - 1
+
+
+def _sign_change(coeffs: list, res: float) -> float:
+    """A root in [0, 1] of the real polynomial sum_m coeffs[m] u^m, which
+    is negative at 0 and not negative at 1, to within res: Newton's
+    method on a bracket that shrinks to each iterate's side, bisecting
+    where a Newton step would leave it."""
+    a, b = 0.0, 1.0
+    p_a, p_b = coeffs[0], sum(coeffs)
+    u = p_a / (p_a - p_b) if p_a < 0.0 <= p_b else 0.5
+    for _ in range(_ROOT_ITERATIONS):
+        p = dp = 0.0
+        for c in reversed(coeffs):
+            dp = dp * u + p
+            p = p * u + c
+        if p < 0.0:
+            a = u
+        else:
+            b = u
+        step = p / dp if dp else math.inf
+        if abs(step) <= res:
+            return u - step
+        u -= step
+        if not a < u < b:
+            u = 0.5 * (a + b)
+        if b - a <= res:
+            break
+    return u
+
+
+class _Refiner:
+    """Refines the minimum of the return distance |x(t) - x0| on a
+    bracket [lo, lo + width] for min_period, at an orbit start x(lo).
+
+    The bracket is cut into pieces of length sigma with |A|_1*sigma <= 1.
+    On a piece that starts at y the orbit is the Taylor model
+    x = sum_k u^k w_k, with u in [0, 1] the offset in units of sigma,
+    w_k = (sigma A)^k y / k!, and k up to the degree _taylor_degree
+    gives for |A|_1*sigma.  Since A x = sum_k u^k (k + 1) w_(k+1) / sigma,
+    sigma*phi'(t) = 2 Re <x - x0, sigma A x> is the real polynomial
+    sum_m c_m u^m with c_m = sum_(k+l=m) 2 (l + 1) Re <w_k - [k=0] x0, w_(l+1)>,
+    the anti-diagonal sums of one small Gram product.  A piece's vectors
+    come from one product of y with the stack of (sigma A)^k / k!, and
+    its value at u = 1 starts the next piece.  The root is sought on the
+    first piece whose phi' does not end negative.
+    """
+
+    def __init__(self, arr: np.ndarray, vec: np.ndarray, a_norm: float,
+                 width: float, limit: float):
+        self.arr, self.vec, self.limit = arr, vec, limit
+        self.pieces = max(1, math.ceil(a_norm * width))
+        self.sigma = width / self.pieces
+        terms = _taylor_degree(a_norm * self.sigma) + 1
+        powers = np.empty((terms + 1,) + arr.shape, dtype=arr.dtype)
+        powers[0] = np.eye(arr.shape[0])
+        for k in range(1, terms + 1):
+            powers[k] = powers[k - 1] @ arr * (self.sigma / k)
+        # rows 0..K hold w_k, rows K+1.. hold 2 (k + 1) w_(k+1)
+        scale = 2.0 * np.arange(1, terms + 1)
+        self.stack = np.concatenate([powers[:terms], powers[1:] * scale[:, None, None]])
+        self.exponents = np.arange(terms)
+        self.diagonals = np.add.outer(self.exponents, self.exponents).ravel()
+
+    def __call__(self, lo: float, grid_lo: np.ndarray) -> PeriodResult | None:
+        """The period at the bracket's minimum if it passes the
+        acceptance test, else None."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = mat_exp_array(self.arr, lo) @ self.vec
+        if not np.all(np.isfinite(x)):
+            x = grid_lo
+        if not np.real(np.vdot(x - self.vec, self.arr @ x)) < 0.0:
+            return None
+        terms = self.exponents.size
+        pieces = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.pieces):
+                rows = self.stack @ x
+                x = rows[:terms].sum(axis=0)
+                rows[0] -= self.vec
+                gram = (rows[:terms].conj() @ rows[terms:].T).real
+                pieces.append((rows[:terms], np.bincount(
+                    self.diagonals, weights=gram.ravel()).tolist()))
+        ends = [sum(coeffs) for _, coeffs in pieces]
+        if not ends[-1] > 0.0:
+            return None
+        j = next(j for j, end in enumerate(ends) if end >= 0.0)
+        diff, coeffs = pieces[j]
+        u = _sign_change(coeffs, self.pieces * 2.0**-_ROOT_BITS)
+        residual = float(np.linalg.norm(u**self.exponents @ diff))
+        if residual <= self.limit:
+            return PeriodResult("period", lo + (j + u) * self.sigma, residual)
+        return None
+
+
 def min_period(
     a,
     x0,
@@ -407,8 +526,8 @@ def min_period(
     step: float = DEFAULT_PERIOD_STEP,
     tol: float = DEFAULT_RETURN_TOL,
 ) -> PeriodResult:
-    """Minimal t > 0 with exp(tA) x0 back at x0, by grid scan plus
-    derivative-sign bisection.
+    """Minimal t > 0 with exp(tA) x0 back at x0, by grid scan plus a
+    root search for the derivative of the squared distance.
 
     The grid 0, step, ... up to horizon is walked lazily, a few blocks
     of the orbit_sample walk at a time, and the search returns at the
@@ -417,23 +536,24 @@ def min_period(
     edges) are refined in time order when they fall below a
     step-resolution prefilter 2*|A|_1*step*(scale + reach) + 10*tol*scale,
     where reach is the largest finite distance walked through k + 1.
-    Refinement bisects on the squared distance phi: its derivative
-    phi'(t) = 2 Re <x(t) - x0, A x(t)> changes sign across a
-    nondegenerate minimum, and 40 bisection steps pin it down to
-    rounding level.  A refinement brackets [lo, lo + h] with h = 2*step
-    and starts from x(lo) = exp(lo*A) x0.  Every bisection point is
-    lo + h/2^j, so the propagators exp((h/2^j) A), j = 0..40, computed
-    once per call in one batch, carry the lower end to each midpoint by
-    one matrix-vector product.  The refined minimum t* is checked
-    directly: it is accepted as a period when |exp(t*A) x0 - x0| falls
-    under tol * (1 + |x0|), so the rounding of the walk never enters
-    the acceptance test.  Where exp(lo*A) or exp(t*A) overflows (a stiff
-    generator whose orbit avoids its expanding directions), the
-    refinement starts from the sampled grid point at lo and is checked
-    by flowing that point instead.  After _MAX_REFINEMENTS (64)
-    refinements without a period the search gives up with none_found.
-    Periods shorter than two grid steps are not resolved.  A tol that is
-    NaN or negative raises InputError.
+    A refinement brackets [lo, lo + 2*step], lo the grid time k - 1, and
+    starts from x(lo) = exp(lo*A) x0, or from the sampled grid point
+    where that exponential overflows (a stiff generator whose orbit
+    avoids its expanding directions).  The derivative of the squared
+    distance, phi'(t) = 2 Re <x(t) - x0, A x(t)>, must be negative at lo
+    and positive at lo + 2*step.  On the bracket the orbit is a Taylor
+    model in time (see _Refiner), on pieces short enough that
+    |A|_1 * piece <= 1 and of a degree that keeps its truncation below
+    unit roundoff, so phi' is a real polynomial on each piece.  Its sign
+    change is found in scalar arithmetic by Newton's method, with
+    bisection as the safeguard, to 2*step/2^41 or finer.  The refined
+    minimum t* is accepted as a period when the model's |x(t*) - x0|
+    falls under tol * (1 + |x0|), so the rounding of the walk never
+    enters the acceptance test.  After _MAX_REFINEMENTS (64) refinements
+    without a period the search gives up with none_found.  Periods
+    shorter than two grid steps are not resolved.  A tol that is NaN or
+    negative raises InputError; a grid of more than 1,000,000 points
+    raises DiagnosticError.
     """
     _check_return_tol(tol)
     count = _check_window(horizon, step)
@@ -446,49 +566,7 @@ def min_period(
 
     a_norm = float(np.abs(arr).sum(axis=0).max())
     margin = 10.0 * tol * scale
-
-    def flow(t: float, start: np.ndarray) -> np.ndarray | None:
-        """exp(tA) start, or None where it overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = mat_exp_array(arr, t) @ start
-        return x if np.all(np.isfinite(x)) else None
-
-    def dphi(x: np.ndarray) -> float:
-        return 2.0 * float(np.real(np.vdot(x - vec, arr @ x)))
-
-    width = 2.0 * step
-    props = None
-
-    def refine(lo: float, grid_lo: np.ndarray) -> PeriodResult | None:
-        """Bisect the bracket [lo, lo + width]; the period at its minimum
-        if that passes the acceptance test, else None."""
-        nonlocal props
-        x_lo = flow(lo, vec)
-        from_grid = x_lo is None
-        if from_grid:
-            x_lo = grid_lo
-        if not dphi(x_lo) < 0.0:
-            return None
-        if props is None:
-            props = mat_exp_array(arr, width / 2.0 ** np.arange(_BISECT_STEPS + 1))
-        if not dphi(props[0] @ x_lo) > 0.0:
-            return None
-        t_lo = lo
-        for j in range(1, _BISECT_STEPS + 1):
-            x_mid = props[j] @ x_lo
-            if dphi(x_mid) < 0.0:
-                t_lo += width / 2.0**j
-                x_lo = x_mid
-        t_star = t_lo + width / 2.0 ** (_BISECT_STEPS + 1)
-        x_star = None if from_grid else flow(t_star, vec)
-        if x_star is None:
-            x_star = flow(t_star - lo, grid_lo)
-        if x_star is None:
-            return None
-        residual = float(np.linalg.norm(x_star - vec))
-        if residual <= tol * scale:
-            return PeriodResult("period", t_star, residual)
-        return None
+    refine = _Refiner(arr, vec, a_norm, 2.0 * step, tol * scale)
 
     refined = 0
     # the chunk starts at grid index base; the window prepends the last

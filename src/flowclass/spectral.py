@@ -151,8 +151,7 @@ class SpectrumDescriptor:
 
 def _merged(blocks, n):
     """(n, blocks) of a descriptor: the blocks merged by (value, size),
-    sorted by (re, im, m), and checked to be nonempty and to sum to n
-    when n is given."""
+    sorted by (re, im, m), and checked by `_sized`."""
     merged: dict = {}
     for b in blocks:
         b = Block(*b)
@@ -160,9 +159,15 @@ def _merged(blocks, n):
             raise InputError("block size and count must be at least 1")
         key = (canonical_lam(b.lam), b.m)
         merged[key] = merged.get(key, 0) + b.count
-    out = tuple(
-        sorted((Block(lam, m, c) for (lam, m), c in merged.items()), key=_sort_key)
+    return _sized(
+        tuple(sorted((Block(lam, m, c) for (lam, m), c in merged.items()), key=_sort_key)),
+        n,
     )
+
+
+def _sized(out: tuple, n):
+    """(n, out) for a descriptor's blocks, checked to be nonempty and to
+    sum to n when n is given."""
     if not out:
         raise InputError("descriptor needs at least one block")
     total = sum(b.m * b.count for b in out)
@@ -684,25 +689,27 @@ def spectrum_descriptor(a: Matrix, tol: float | None = None) -> SpectrumDescript
 
     Block counts are read off the rank sequences the eigenvalues were
     confirmed or measured with, on the nonnegative-imaginary side, and
-    mirrored, so the result is conjugate-symmetric by construction; it
-    is merged, sorted and size-checked as `SpectrumDescriptor.make` does
-    it, without make's symmetry scan of caller-supplied blocks.  An exact
-    A takes no tolerance.
+    mirrored, so the result is conjugate-symmetric by construction.  The
+    eigenvalues come sorted by (re, im) and distinct, and each one's
+    counts by size, so the blocks are laid out in the (re, im, m) order
+    of `SpectrumDescriptor.make` without another sort; they are
+    size-checked as make does it, without make's symmetry scan of
+    caller-supplied blocks.  An exact A takes no tolerance.
     """
     eigs = _spectrum(a, tol)
-    blocks = []
+    counts = {}
     for lam, mult, ranks in eigs:
-        _, im = lam_parts(lam)
-        if im < 0:
+        if lam_parts(lam)[1] < 0:
             continue
-        counts = _block_counts(ranks, lam, a.mode)
-        measured = sum(m * c for m, c in counts)
+        counts[lam] = _block_counts(ranks, lam, a.mode)
+        measured = sum(m * c for m, c in counts[lam])
         if measured != mult:
             raise DiagnosticError(
                 f"block sizes at {lam} sum to {measured}, expected multiplicity {mult}"
             )
-        for m, c in counts:
-            blocks.append(Block(lam, m, c))
-            if im > 0:
-                blocks.append(Block(lam.conjugate(), m, c))
-    return SpectrumDescriptor(*_merged(blocks, a.n), a.mode == "exact", True)
+    blocks = []
+    for lam, _, _ in eigs:
+        value = canonical_lam(lam)
+        held = counts.get(lam) or counts[lam.conjugate()]
+        blocks.extend(Block(value, m, c) for m, c in held)
+    return SpectrumDescriptor(*_sized(tuple(blocks), a.n), a.mode == "exact", True)

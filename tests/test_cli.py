@@ -14,6 +14,7 @@ import pytest
 import yaml
 
 from conftest import haar_similar, hyperbolic_blocks, rotation
+from flowclass import flowsim
 from flowclass.cli import Report, _load_document, emit_json, emit_text, main, parse_report
 from flowclass.errors import InputError
 
@@ -239,6 +240,25 @@ def test_exact_fallback_beyond_float_range_names_only_the_remedy_that_works(caps
             "factor t^2 + (0)t + (-200000...000000 (401 digits)) whose roots have "
             "irrational parts; supply spectrum blocks directly; float analysis is "
             f"impossible: {path} is beyond the float range\n")
+
+
+def test_simulate_refuses_a_grid_over_the_point_budget(capsys, monkeypatch):
+    # refused before the walk starts, so nothing is allocated even if
+    # the check is missing
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the grid was walked")
+
+    monkeypatch.setattr(flowsim, "_walk", no_walk)
+    code, out, err = run(
+        capsys, "simulate", str(GOLDEN / "simulate_quarter.yaml"),
+        "--horizon", "1e13", "--grid-step", "0.001",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "flowclass: diagnostic: the time grid up to 1e+13 in steps of 0.001 has "
+        "10,000,000,000,000,001 points, over the budget of 1,000,000; use a "
+        "shorter horizon or a larger step\n"
+    )
 
 
 @pytest.mark.parametrize("flag,value", [("--horizon", "inf"), ("--grid-step", "nan")])

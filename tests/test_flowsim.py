@@ -64,6 +64,28 @@ def test_orbit_sample_rejects_bad_grid():
             orbit_sample(ROT, [1.0, 0.0], horizon=horizon, step=step)
 
 
+def test_sampling_refuses_a_grid_over_the_point_budget(monkeypatch):
+    # refused before the walk starts, so nothing is allocated even if
+    # the check is missing
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the grid was walked")
+
+    monkeypatch.setattr(flowsim, "_walk", no_walk)
+    calls = (
+        lambda h, s: orbit_sample(ROT, [1.0, 0.0], h, s),
+        lambda h, s: bounded_probe(ROT, [1.0, 0.0], horizon=h, step=s),
+        lambda h, s: min_period(ROT, [1.0, 0.0], horizon=h, step=s),
+    )
+    for call in calls:
+        with pytest.raises(DiagnosticError, match="has 10,000,000,000,000,001 points"):
+            call(1e13, 0.001)
+        with pytest.raises(DiagnosticError, match="has 1,000,001 points, over the budget"):
+            call(1000.0, 0.001)
+        with pytest.raises(DiagnosticError, match="has over 1e308 points"):
+            call(1e300, 1e-300)
+    assert flowsim._check_window(999.999, 0.001) == 1_000_000
+
+
 def _step_by_step(arr, vec, count, step):
     """Reference walk: one application of exp(step*A) per grid point."""
     prop = mat_exp_array(arr, step)
@@ -370,12 +392,12 @@ def test_min_period_respects_orbit_support():
     assert abs(r.period - 2.0 * math.pi / float(chi)) < 1e-6
 
 
-def test_min_period_precision_on_rational_classes():
-    # the frequency-period law to rounding level: the orbit of x0 under
-    # diag(i beta p) closes first at 2 pi / (beta g), g the gcd of the
-    # multipliers on the support of x0
+def _rational_class_cases():
+    """(generator, point, minimal period) for 300 rational classes
+    diag(i beta p) and points x0 of random support: the orbit closes
+    first at 2 pi / (beta g), g the gcd of the multipliers on the
+    support of x0."""
     rng = np.random.default_rng(6600)
-    worst = 0.0
     for i in range(300):
         k = 2 + i % 3
         p = (2, 2)
@@ -386,9 +408,15 @@ def test_min_period_precision_on_rational_classes():
         support[int(rng.integers(k))] = True
         x0 = np.where(support, rng.uniform(0.5, 2.0, k), 0.0)
         g = math.gcd(*(v for v, on in zip(p, support) if on))
-        want = 2.0 * math.pi / (float(beta) * g)
-        r = min_period(realize_class(RationalClass(beta, p)), x0)
-        assert r.kind == "period", (beta, p, x0, r)
+        yield realize_class(RationalClass(beta, p)), x0, 2.0 * math.pi / (float(beta) * g)
+
+
+def test_min_period_precision_on_rational_classes():
+    # the frequency-period law to rounding level
+    worst = 0.0
+    for arr, x0, want in _rational_class_cases():
+        r = min_period(arr, x0)
+        assert r.kind == "period", (arr, x0, r)
         worst = max(worst, abs(r.period - want) / want)
     assert worst <= 1e-12, worst
 
@@ -465,9 +493,55 @@ def test_nan_or_negative_return_tol_is_refused():
             bounded_probe(ROT, [1.0, 0.0], tol=tol)
 
 
-def _reference_min_period(a, x0, horizon=128.0, step=0.01, tol=1e-9):
+def _bisection_refiner(arr, vec, a_norm, width, limit):
+    """The retired refinement, kept as a reference: 40 bisection steps on
+    the sign of phi' over [lo, lo + width], moved by one batch of
+    propagators exp((width/2^j) A), and the minimum t* checked by a
+    direct exponential from x0 (from the grid point where exp(lo*A) or
+    exp(t*A) overflows)."""
+    steps = 40
+    props = mat_exp_array(arr, width / 2.0 ** np.arange(steps + 1))
+
+    def flow(t, start):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = mat_exp_array(arr, t) @ start
+        return x if np.all(np.isfinite(x)) else None
+
+    def dphi(x):
+        return 2.0 * float(np.real(np.vdot(x - vec, arr @ x)))
+
+    def refine(lo, grid_lo):
+        x_lo = flow(lo, vec)
+        from_grid = x_lo is None
+        if from_grid:
+            x_lo = grid_lo
+        if not dphi(x_lo) < 0.0 or not dphi(props[0] @ x_lo) > 0.0:
+            return None
+        t_lo = lo
+        for j in range(1, steps + 1):
+            x_mid = props[j] @ x_lo
+            if dphi(x_mid) < 0.0:
+                t_lo += width / 2.0**j
+                x_lo = x_mid
+        t_star = t_lo + width / 2.0 ** (steps + 1)
+        x_star = None if from_grid else flow(t_star, vec)
+        if x_star is None:
+            x_star = flow(t_star - lo, grid_lo)
+        if x_star is None:
+            return None
+        residual = float(np.linalg.norm(x_star - vec))
+        if residual <= limit:
+            return flowsim.PeriodResult("period", t_star, residual)
+        return None
+
+    return refine
+
+
+def _reference_min_period(a, x0, horizon=128.0, step=0.01, tol=1e-9,
+                          refiner=flowsim._Refiner):
     """Reference search: the whole grid from orbit_sample, then every
-    local minimum below a prefilter over the whole horizon, in time order."""
+    local minimum below a prefilter over the whole horizon, in time
+    order, each refined by refiner(arr, x0, |A|_1, 2*step, tol*scale)."""
     arr = flowsim._as_array(a)
     vec = flowsim._as_vector(x0, arr.shape[0])
     scale = 1.0 + float(np.linalg.norm(vec))
@@ -481,18 +555,7 @@ def _reference_min_period(a, x0, horizon=128.0, step=0.01, tol=1e-9):
     a_norm = float(np.abs(arr).sum(axis=0).max())
     reach = float(np.nanmax(dist[np.isfinite(dist)], initial=0.0))
     prefilter = 2.0 * a_norm * step * (scale + reach) + 10.0 * tol * scale
-
-    def flow(t, start):
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = mat_exp_array(arr, t) @ start
-        return x if np.all(np.isfinite(x)) else None
-
-    def dphi(x):
-        return 2.0 * float(np.real(np.vdot(x - vec, arr @ x)))
-
-    steps = flowsim._BISECT_STEPS
-    width = 2.0 * step
-    props = None
+    refine = refiner(arr, vec, a_norm, 2.0 * step, tol * scale)
     refined = 0
     for k in range(1, dist.size - 1):
         if refined >= 64:
@@ -505,32 +568,9 @@ def _reference_min_period(a, x0, horizon=128.0, step=0.01, tol=1e-9):
         if lo <= 0.0:
             continue
         refined += 1
-        grid_lo = sample.points[k - 1]
-        x_lo = flow(lo, vec)
-        from_grid = x_lo is None
-        if from_grid:
-            x_lo = grid_lo
-        if not dphi(x_lo) < 0.0:
-            continue
-        if props is None:
-            props = mat_exp_array(arr, width / 2.0 ** np.arange(steps + 1))
-        if not dphi(props[0] @ x_lo) > 0.0:
-            continue
-        t_lo = lo
-        for j in range(1, steps + 1):
-            x_mid = props[j] @ x_lo
-            if dphi(x_mid) < 0.0:
-                t_lo += width / 2.0**j
-                x_lo = x_mid
-        t_star = t_lo + width / 2.0 ** (steps + 1)
-        x_star = None if from_grid else flow(t_star, vec)
-        if x_star is None:
-            x_star = flow(t_star - lo, grid_lo)
-        if x_star is None:
-            continue
-        residual = float(np.linalg.norm(x_star - vec))
-        if residual <= tol * scale:
-            return flowsim.PeriodResult("period", t_star, residual)
+        found = refine(lo, sample.points[k - 1])
+        if found is not None:
+            return found
     return flowsim.PeriodResult("none_found")
 
 
@@ -613,35 +653,71 @@ def test_min_period_stops_walking_at_first_period(monkeypatch):
     assert sum(formed) == 12801
 
 
+def test_min_period_matches_retired_bisection(monkeypatch):
+    """The Taylor-model refinement against the retired bisection: the
+    same kinds, periods within 1e-13 relative, and the model residual
+    within 1e-13 (1 + |x0|) of the residual that exponentials give from
+    the same start, |exp((t* - lo) A) x(lo) - x0|."""
+    starts = []
+    plain = flowsim._Refiner.__call__
+
+    def recording(self, lo, grid_lo):
+        starts.append((lo, grid_lo))
+        return plain(self, lo, grid_lo)
+
+    monkeypatch.setattr(flowsim._Refiner, "__call__", recording)
+    cases = list(_period_sweep(np.random.default_rng(4242)))
+    cases += [(arr, x0, {}) for arr, x0, _ in _rational_class_cases()]
+    periods = 0
+    for arr, x0, kw in cases:
+        got = min_period(arr, x0, **kw)
+        old = _reference_min_period(arr, x0, **kw, refiner=_bisection_refiner)
+        assert got.kind == old.kind, (arr, x0, kw, got, old)
+        if got.kind != "period":
+            continue
+        periods += 1
+        assert abs(got.period - old.period) <= 1e-13 * old.period, (got, old)
+        arr = flowsim._as_array(arr)
+        vec = flowsim._as_vector(x0, arr.shape[0])
+        lo, start = starts[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_lo = mat_exp_array(arr, lo) @ vec
+        if np.all(np.isfinite(x_lo)):
+            start = x_lo
+        direct = np.linalg.norm(mat_exp_array(arr, got.period - lo) @ start - vec)
+        scale = 1.0 + np.linalg.norm(vec)
+        assert abs(got.residual - direct) <= 1e-13 * scale, (got, direct)
+    assert periods >= 320, periods
+
+
 def test_min_period_exponentials_per_refinement(monkeypatch):
-    """The orbit sample takes one exponential, the bisection one batch of
-    propagators per call, and each refinement at most two more: its
-    start and the check of its minimum."""
-    calls = {"scalar": 0, "batched": 0}
+    """The orbit sample takes one exponential and each refinement one
+    more, its start; there is no batched call."""
+    calls = {"scalar": 0, "batched": 0, "refined": 0}
     plain = flowsim.mat_exp_array
+    refine = flowsim._Refiner.__call__
 
     def counting(arr, t=1.0):
         calls["batched" if np.ndim(t) else "scalar"] += 1
         return plain(arr, t)
 
-    # frequencies 6 and 7 come close to x0 twice before the full turn
-    # at 2 pi, so three minima are refined; the sampled distance has
-    # more local minima than that, which bounds the refinements
-    beats = realize_class(RationalClass(Fraction(1), (6, 7)))
-    sample = orbit_sample(beats, [1.0, 1.0], 7.0, 0.01)
-    dist = np.linalg.norm(sample.points - sample.points[0], axis=1)
-    minima = int(np.sum((dist[1:-1] <= dist[:-2]) & (dist[1:-1] <= dist[2:])))
-    monkeypatch.setattr(flowsim, "mat_exp_array", counting)
+    def counting_refine(self, lo, grid_lo):
+        calls["refined"] += 1
+        return refine(self, lo, grid_lo)
 
+    monkeypatch.setattr(flowsim, "mat_exp_array", counting)
+    monkeypatch.setattr(flowsim._Refiner, "__call__", counting_refine)
     fifth = [[0.0, -2.0 * math.pi / 5.0], [2.0 * math.pi / 5.0, 0.0]]
     assert min_period(fifth, [1.0, 0.0]).kind == "period"
-    assert calls == {"scalar": 3, "batched": 1}
+    assert calls == {"scalar": 2, "batched": 0, "refined": 1}
 
-    calls.update(scalar=0, batched=0)
+    # frequencies 6 and 7 come close to x0 twice before the full turn
+    # at 2 pi, so three minima are refined
+    calls.update(scalar=0, refined=0)
+    beats = realize_class(RationalClass(Fraction(1), (6, 7)))
     r = min_period(beats, [1.0, 1.0], horizon=7.0)
     assert r.kind == "period" and abs(r.period - 2.0 * math.pi) < 1e-9
-    assert calls["batched"] == 1
-    assert 3 < calls["scalar"] <= 1 + 2 * minima
+    assert calls == {"scalar": 4, "batched": 0, "refined": 3}
 
 
 # ---- factorial-reciprocal systems -------------------------------------------
