@@ -223,7 +223,8 @@ def orbit_sample(a, x0, horizon: float, step: float) -> OrbitSample:
     rounding of P^B recurs in every block start, and the walk drifts
     along the grid: on the walk test's generators, up to 1.2e-11
     relative at 12,801 points of step 0.01 and 3.5e-10 at step 0.25.
-    A step whose propagator overflows is refused with DiagnosticError.
+    A step whose propagator overflows, or a grid of more than 1,000,000
+    points, is refused with DiagnosticError.
     """
     count = _check_window(horizon, step)
     arr = _as_array(a)
@@ -364,7 +365,8 @@ def bounded_probe(
     (a closed orbit is bounded), and undetermined otherwise.  The probe
     never contradicts bounded_exact: growth beyond the cap cannot happen
     on a bounded orbit, and recurrence cannot happen on an unbounded one.
-    A tol that is NaN or negative raises InputError.
+    A tol that is NaN or negative raises InputError; a grid of more than
+    1,000,000 points raises DiagnosticError, as in orbit_sample.
     """
     if not growth_cap > 1:
         raise InputError("growth_cap must exceed 1")
