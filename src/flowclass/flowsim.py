@@ -461,23 +461,27 @@ class _Refiner:
     """Refines the minimum of the return distance |x(t) - x0| on a
     bracket [lo, lo + width] for min_period, at an orbit start x(lo).
 
-    The bracket is cut into pieces of length sigma with |A|_1*sigma <= 1.
-    On a piece that starts at y the orbit is the Taylor model
-    x = sum_k u^k w_k, with u in [0, 1] the offset in units of sigma,
-    w_k = (sigma A)^k y / k!, and k up to the degree _taylor_degree
-    gives for |A|_1*sigma.  Since A x = sum_k u^k (k + 1) w_(k+1) / sigma,
-    sigma*phi'(t) = 2 Re <x - x0, sigma A x> is the real polynomial
-    sum_m c_m u^m with c_m = sum_(k+l=m) 2 (l + 1) Re <w_k - [k=0] x0, w_(l+1)>,
-    the anti-diagonal sums of one small Gram product.  A piece's vectors
-    come from one product of y with the stack of (sigma A)^k / k!, and
-    its value at u = 1 starts the next piece.  The root is sought on the
-    first piece whose phi' does not end negative.
+    The bracket is cut into 2^m pieces of length sigma, the fewest with
+    |A|_1*sigma <= 1.  On a piece that starts at y the orbit is the
+    Taylor model x = sum_k u^k w_k, with u in [0, 1] the offset in units
+    of sigma, w_k = (sigma A)^k y / k!, and k up to the degree
+    _taylor_degree gives for |A|_1*sigma.  Its sum at u = 1, E y with
+    E = sum_k (sigma A)^k / k!, carries y over one piece, and the squares
+    E^(2^i) carry it over 2^i pieces: with them the piece on which
+    phi' = 2 Re <x - x0, A x> changes sign is found by bisection on the
+    piece index, m matrix-vector steps (none for a single piece).  There,
+    since A x = sum_k u^k (k + 1) w_(k+1) / sigma, sigma*phi' is the real
+    polynomial sum_m c_m u^m with
+    c_m = sum_(k+l=m) 2 (l + 1) Re <w_k - [k=0] x0, w_(l+1)>: the
+    anti-diagonal sums of one small Gram product, whose vectors come from
+    one product of y with the stack of (sigma A)^k / k!.
     """
 
     def __init__(self, arr: np.ndarray, vec: np.ndarray, a_norm: float,
                  width: float, limit: float):
         self.arr, self.vec, self.limit = arr, vec, limit
-        self.pieces = max(1, math.ceil(a_norm * width))
+        span = a_norm * width
+        self.pieces = 1 << math.ceil(math.log2(span)) if span > 1.0 else 1
         self.sigma = width / self.pieces
         terms = _taylor_degree(a_norm * self.sigma) + 1
         powers = np.empty((terms + 1,) + arr.shape, dtype=arr.dtype)
@@ -489,31 +493,35 @@ class _Refiner:
         self.stack = np.concatenate([powers[:terms], powers[1:] * scale[:, None, None]])
         self.exponents = np.arange(terms)
         self.diagonals = np.add.outer(self.exponents, self.exponents).ravel()
+        self.jumps = [powers[:terms].sum(axis=0)]  # E^(2^i) for 2^i <= pieces
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(self.jumps) < self.pieces.bit_length():
+                self.jumps.append(self.jumps[-1] @ self.jumps[-1])
+
+    def _dphi(self, x: np.ndarray) -> float:
+        """phi'/2 at the orbit point x."""
+        return float(np.real(np.vdot(x - self.vec, self.arr @ x)))
 
     def __call__(self, lo: float, grid_lo: np.ndarray) -> PeriodResult | None:
         """The period at the bracket's minimum if it passes the
         acceptance test, else None."""
         with np.errstate(over="ignore", invalid="ignore"):
             x = mat_exp_array(self.arr, lo) @ self.vec
-        if not np.all(np.isfinite(x)):
-            x = grid_lo
-        if not np.real(np.vdot(x - self.vec, self.arr @ x)) < 0.0:
-            return None
+            if not np.all(np.isfinite(x)):
+                x = grid_lo
+            if not self._dphi(x) < 0.0 < self._dphi(self.jumps[-1] @ x):
+                return None
+            j = 0
+            for i in range(len(self.jumps) - 2, -1, -1):
+                y = self.jumps[i] @ x
+                if self._dphi(y) < 0.0:
+                    x, j = y, j + (1 << i)
+            rows = self.stack @ x
         terms = self.exponents.size
-        pieces = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(self.pieces):
-                rows = self.stack @ x
-                x = rows[:terms].sum(axis=0)
-                rows[0] -= self.vec
-                gram = (rows[:terms].conj() @ rows[terms:].T).real
-                pieces.append((rows[:terms], np.bincount(
-                    self.diagonals, weights=gram.ravel()).tolist()))
-        ends = [sum(coeffs) for _, coeffs in pieces]
-        if not ends[-1] > 0.0:
-            return None
-        j = next(j for j, end in enumerate(ends) if end >= 0.0)
-        diff, coeffs = pieces[j]
+        diff = rows[:terms]
+        diff[0] -= self.vec
+        gram = (diff.conj() @ rows[terms:].T).real
+        coeffs = np.bincount(self.diagonals, weights=gram.ravel()).tolist()
         u = _sign_change(coeffs, self.pieces * 2.0**-_ROOT_BITS)
         residual = float(np.linalg.norm(u**self.exponents @ diff))
         if residual <= self.limit:

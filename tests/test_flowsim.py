@@ -448,6 +448,28 @@ def test_min_period_stiff_generator_finds_period(lam):
     assert r.residual <= 1e-9
 
 
+def test_min_period_stiff_decay_bisects_over_pieces(monkeypatch):
+    # |A|_1 * 2 * step = 2e4 cuts each bracket into 2^15 pieces; the piece
+    # holding the minimum is found by 15 bisection steps, not by a scan
+    per_refinement = []
+    refine, dphi = flowsim._Refiner.__call__, flowsim._Refiner._dphi
+
+    def counting_refine(self, lo, grid_lo):
+        per_refinement.append(0)
+        return refine(self, lo, grid_lo)
+
+    def counting_dphi(self, x):
+        per_refinement[-1] += 1
+        return dphi(self, x)
+
+    monkeypatch.setattr(flowsim._Refiner, "__call__", counting_refine)
+    monkeypatch.setattr(flowsim._Refiner, "_dphi", counting_dphi)
+    arr = direct_sum([np.array([[-1e6]]), rotation(0.0, 1.0)])
+    r = min_period(arr, [0.0, 1.0, 0.0])
+    assert r.kind == "period" and abs(r.period - 2.0 * math.pi) < 1e-9
+    assert max(per_refinement) == 2 + 15, per_refinement
+
+
 def _non_normal_rotation(gen):
     """S (rotation(w) + real J2(+-i w2) + diag(-a, b)) S^-1 with a
     non-orthogonal S (condition number at most 30), and a point whose
