@@ -12,6 +12,7 @@ sit on different orbits.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -100,7 +101,7 @@ def orbit_point(a, x0, t: float) -> np.ndarray:
     """The orbit of x0 evaluated at time t: exp(tA) x0."""
     arr = _as_array(a)
     vec = _as_vector(x0, arr.shape[0])
-    return mat_exp_array(arr, float(t)) @ vec
+    return mat_exp_array(arr, t) @ vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,8 +311,11 @@ def bounded_exact(layout, x0, coord_tol: float = 0.0, re_tol: float = 0.0) -> Pr
     coordinates and every zero-real-part block carries weight on its
     leading coordinate alone.  Exact values are compared exactly; float
     coordinates within coord_tol of zero are treated as zero, and float
-    real parts within re_tol count as zero.
+    real parts within re_tol count as zero; a tolerance that is NaN or
+    negative raises InputError.
     """
+    if not (coord_tol >= 0 and re_tol >= 0):  # NaN too
+        raise InputError("coord_tol and re_tol must be nonnegative numbers")
     n = sum(m for _, m in layout)
     if len(x0) != n:
         raise InputError(f"initial point has {len(x0)} coordinates, expected {n}")
@@ -459,7 +463,8 @@ def _sign_change(coeffs: list, res: float) -> float:
 
 class _Refiner:
     """Refines the minimum of the return distance |x(t) - x0| on a
-    bracket [lo, lo + width] for min_period, at an orbit start x(lo).
+    bracket [lo, lo + width] for min_period, from the walked grid point
+    x(lo); it takes no exponential of its own.
 
     The bracket is cut into 2^m pieces of length sigma, the fewest with
     |A|_1*sigma <= 1.  On a piece that starts at y the orbit is the
@@ -502,13 +507,10 @@ class _Refiner:
         """phi'/2 at the orbit point x."""
         return float(np.real(np.vdot(x - self.vec, self.arr @ x)))
 
-    def __call__(self, lo: float, grid_lo: np.ndarray) -> PeriodResult | None:
+    def __call__(self, lo: float, x: np.ndarray) -> PeriodResult | None:
         """The period at the bracket's minimum if it passes the
-        acceptance test, else None."""
+        acceptance test, else None; x is the walked grid point x(lo)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            x = mat_exp_array(self.arr, lo) @ self.vec
-            if not np.all(np.isfinite(x)):
-                x = grid_lo
             if not self._dphi(x) < 0.0 < self._dphi(self.jumps[-1] @ x):
                 return None
             j = 0
@@ -547,34 +549,37 @@ def min_period(
     step-resolution prefilter 2*|A|_1*step*(scale + reach) + 10*tol*scale,
     where reach is the largest finite distance walked through k + 1.
     A refinement brackets [lo, lo + 2*step], lo the grid time k - 1, and
-    starts from x(lo) = exp(lo*A) x0, or from the sampled grid point
-    where that exponential overflows (a stiff generator whose orbit
-    avoids its expanding directions).  The derivative of the squared
-    distance, phi'(t) = 2 Re <x(t) - x0, A x(t)>, must be negative at lo
-    and positive at lo + 2*step.  On the bracket the orbit is a Taylor
-    model in time (see _Refiner), on pieces short enough that
-    |A|_1 * piece <= 1 and of a degree that keeps its truncation below
-    unit roundoff, so phi' is a real polynomial on each piece.  Its sign
-    change is found in scalar arithmetic by Newton's method, with
-    bisection as the safeguard, to 2*step/2^41 or finer.  The refined
-    minimum t* is accepted as a period when the model's |x(t*) - x0|
-    falls under tol * (1 + |x0|), so the rounding of the walk never
-    enters the acceptance test.  After _MAX_REFINEMENTS (64) refinements
+    starts from the walked grid point x(lo), so a call takes one
+    exponential, the walk's, however many minima it refines.  The
+    derivative of the squared distance, phi'(t) = 2 Re <x(t) - x0, A x(t)>,
+    must be negative at lo and positive at lo + 2*step.  On the bracket
+    the orbit is a Taylor model in time (see _Refiner), on pieces short
+    enough that |A|_1 * piece <= 1 and of a degree that keeps its
+    truncation below unit roundoff, so phi' is a real polynomial on each
+    piece.  Its sign change is found in scalar arithmetic by Newton's
+    method, with bisection as the safeguard, to 2*step/2^41 or finer.
+    The refined minimum t* is accepted as a period when the model's
+    |x(t*) - x0|, which carries the rounding of the walked start, falls
+    under tol * (1 + |x0|).  Where np.longdouble is float64 that is the
+    walk's drift (see orbit_sample), up to 3.5e-10 relative, below the
+    default tol of 1e-9.  After _MAX_REFINEMENTS (64) refinements
     without a period the search gives up with none_found.  Periods
     shorter than two grid steps are not resolved.  A tol that is NaN or
-    negative raises InputError; a grid of more than 1,000,000 points
-    raises DiagnosticError.
+    negative raises InputError; a grid of more than 1,000,000 points, or
+    a generator whose 1-norm overflows, raises DiagnosticError.
     """
     _check_return_tol(tol)
     count = _check_window(horizon, step)
     arr = _as_array(a)
     vec = _as_vector(x0, arr.shape[0])
     scale = 1.0 + float(np.linalg.norm(vec))
-    speed = float(np.linalg.norm(arr @ vec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        speed = float(np.linalg.norm(arr @ vec))
+        a_norm = float(np.abs(arr).sum(axis=0).max())
     if speed <= tol * scale:
         return PeriodResult("fixed_point", residual=speed)
-
-    a_norm = float(np.abs(arr).sum(axis=0).max())
+    if a_norm == math.inf:
+        raise DiagnosticError("the generator's 1-norm is beyond the float range")
     margin = 10.0 * tol * scale
     refine = _Refiner(arr, vec, a_norm, 2.0 * step, tol * scale)
 
@@ -790,11 +795,13 @@ def witness_sequence(
     coordinates decay to zero on both sides.
     """
     heads = [complex(*lam_parts(c)) for c in head]
+    if not all(cmath.isfinite(c) for c in heads):
+        raise InputError("head has a non-finite coordinate")
     if count < 1:
         raise InputError("count must be positive")
     beta = float(beta)
-    if beta < 0:
-        raise InputError("the block frequency must be nonnegative")
+    if not 0.0 <= beta < math.inf:
+        raise InputError("the block frequency must be finite and nonnegative")
     odd = 0 if even else 1
     r = len(heads) - odd
     if r < 1:

@@ -14,9 +14,8 @@ converts them to numpy or to float; the pipeline computes on integer
 rows (`cleared`) or on ndarrays, not on `Matrix` values.  Provided
 here: ranks, exact characteristic polynomials (Hessenberg reduction;
 a float matrix has none here, its eigenvalues come from LAPACK in
-`spectral`), float matrix exponentials by scaling and squaring at one
-time or a batch of times, rank sequences of shifted powers, and exact
-linear solves.
+`spectral`), float matrix exponentials by scaling and squaring, rank
+sequences of shifted powers, and exact linear solves.
 
 Exact ranks, and the powers behind exact rank sequences, run on Python
 ints: the matrix is scaled once by the lcm of its denominators (one
@@ -464,8 +463,9 @@ def _char_poly_hessenberg(m: Matrix) -> Poly:
 # ---- matrix exponential ------------------------------------------------------
 
 
-def mat_exp_array(arr: np.ndarray, t=1.0) -> np.ndarray:
-    """exp(t * arr) for a numpy square matrix by scaling and squaring.
+def mat_exp_array(arr: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(t * arr) for a numpy square matrix and a real time t by
+    scaling and squaring.
 
     The scaled matrix b = t*arr/2^s has 1-norm at most 0.5, and its
     Taylor series through b^20 is summed by Paterson-Stockmeyer: the
@@ -473,46 +473,33 @@ def mat_exp_array(arr: np.ndarray, t=1.0) -> np.ndarray:
     sum_i b^i/(5j+i)! formed by one product with the coefficient table,
     and the blocks combined by Horner's rule in b^5.  That takes 8 matrix
     products where term-by-term summation takes 20.  The sum is then
-    squared s times.
-
-    t may also be a 1-D array of times; the result is then the stack of
-    exp(t_i * arr), each slice scaled and squared by its own count, and
-    each slice equal, bit for bit, to the call at its time alone.  A
-    slice whose squaring overflows comes back non-finite, silently.
+    squared s times, and a squaring that overflows comes back
+    non-finite, silently.  A non-finite t raises InputError, and a t*arr
+    whose 1-norm, doubled to read s, is not finite raises DiagnosticError.
     """
+    t = float(t)
+    if not math.isfinite(t):
+        raise InputError(f"the time must be a finite number, got {t}")
     base = np.asarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
-    a = np.asarray(t, dtype=float)[..., None, None] * base
-    nrm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
-    s = np.reshape(
-        [
-            0 if v <= _EXP_TARGET else math.ceil(math.log2(v / _EXP_TARGET))
-            for v in nrm.ravel().tolist()
-        ],
-        nrm.shape,
-    ).astype(int)
-    b = a / (2.0**s)[..., None, None]
+    with np.errstate(over="ignore"):
+        a = t * base
+        ratio = float(np.abs(a).sum(axis=0).max(initial=0.0)) / _EXP_TARGET
+    if not ratio < math.inf:
+        raise DiagnosticError(f"|t*A|_1 overflows at t={t:g}, so exp(t*A) cannot be scaled")
+    s = math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
+    b = a * 2.0**-s  # a / 2^s exactly, also where 2^s overflows
     n = base.shape[0]
-    lead = b.shape[:-2]
-    pows = np.empty(lead + (_EXP_SPLIT, n, n), dtype=b.dtype)
-    pows[..., 0, :, :] = np.eye(n)
-    pows[..., 1, :, :] = b
-    for i in range(2, _EXP_SPLIT):
-        pows[..., i, :, :] = pows[..., i - 1, :, :] @ b
-    top = pows[..., -1, :, :] @ b
-    flat = pows.reshape(lead + (_EXP_SPLIT, n * n))
-    blocks = (_EXP_BLOCKS @ flat).reshape(lead + (-1, n, n))
-    acc = blocks[..., -1, :, :]
-    for j in range(blocks.shape[-3] - 2, -1, -1):
-        acc = acc @ top + blocks[..., j, :, :]
-    most = int(s.max(initial=0))
-    least = int(s.min(initial=most))
+    pows = [np.eye(n), b]
+    while len(pows) < _EXP_SPLIT:
+        pows.append(pows[-1] @ b)
+    top = pows[-1] @ b
+    blocks = (_EXP_BLOCKS @ np.reshape(pows, (_EXP_SPLIT, n * n))).reshape(-1, n, n)
+    acc = blocks[-1]
+    for block in blocks[-2::-1]:
+        acc = acc @ top + block
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(most):
-            if i < least:
-                acc = acc @ acc
-            else:
-                sel = s > i
-                acc[sel] = acc[sel] @ acc[sel]
+        for _ in range(s):
+            acc = acc @ acc
     return acc
 
 

@@ -611,7 +611,8 @@ def split_dims(eigs, tol: float | None = None) -> SpectralSplit:
     Exact values use exact sign; float values compare |re| against tol,
     which defaults to 1e-8 * (1 + largest float eigenvalue magnitude).
     Exact values never use tol, so they do not enter the default (and an
-    exact value beyond the float range is never converted).
+    exact value beyond the float range is never converted).  A tol that
+    is NaN or negative raises InputError.
     """
     eigs = list(eigs)
     if tol is None:
@@ -621,6 +622,8 @@ def split_dims(eigs, tol: float | None = None) -> SpectralSplit:
             default=0.0,
         )
         tol = DEFAULT_CLUSTER_FACTOR * (1.0 + largest)
+    elif not tol >= 0:  # NaN too
+        raise InputError("tolerance must be a nonnegative number")
     plus = minus = zero = 0
     for lam, mult in eigs:
         sign = re_sign(lam, tol)

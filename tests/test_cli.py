@@ -261,6 +261,35 @@ def test_simulate_refuses_a_grid_over_the_point_budget(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "matrix,argv,message",
+    [
+        # |A|_1 overflows, so the squaring count of exp(A) cannot be read
+        (
+            "[[1.0e+308, 1.0e+308], [1.0e+308, 1.0e+308]]",
+            ["--grid-step", "1.0"],
+            "|t*A|_1 overflows at t=1, so exp(t*A) cannot be scaled",
+        ),
+        # nilpotent, and |step*A|_1 scales by 2^-1024, but the squaring
+        # overflows; read as 2^1024 = inf, that scale once gave exp = I
+        # and passed the document on to a crash in min_period
+        (
+            "[[1.0e+308, -1.0e+308], [1.0e+308, -1.0e+308]]",
+            [],
+            "exp(step*A) overflows at grid step 0.25; use a smaller step",
+        ),
+    ],
+    ids=["norm", "squaring"],
+)
+def test_simulate_refuses_a_generator_beyond_the_float_range(
+    capsys, tmp_path, matrix, argv, message
+):
+    doc = write_doc(tmp_path, f"matrix: {matrix}\npoint: [1.0, 0.0]\n")
+    code, out, err = run(capsys, "simulate", doc, *argv)
+    assert code == 2 and out == ""
+    assert err == f"flowclass: diagnostic: {message}\n"
+
+
 @pytest.mark.parametrize("flag,value", [("--horizon", "inf"), ("--grid-step", "nan")])
 def test_simulate_rejects_non_finite_window(capsys, flag, value):
     code, out, err = run(

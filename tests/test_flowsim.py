@@ -246,6 +246,20 @@ def test_sampling_rejects_non_finite_input(bad):
         orbit_sample(ROT, [1.0, bad], horizon=1.0, step=0.1)
     with pytest.raises(InputError, match="non-finite coordinate"):
         bounded_probe(ROT, [1.0, complex(bad, 0.0)])
+    with pytest.raises(InputError, match="time must be a finite number"):
+        orbit_point(ROT, [1.0, 0.0], bad)
+
+
+def test_sampling_refuses_a_generator_whose_norm_overflows():
+    # entries are finite, but |A|_1 overflows: refused, not a crash
+    huge = [[1.0e308, 1.0e308], [1.0e308, 1.0e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DiagnosticError, match=r"\|t\*A\|_1 overflows at t=1, so"):
+            orbit_sample(huge, [1.0, 0.0], horizon=10.0, step=1.0)
+        with pytest.raises(DiagnosticError, match="1-norm is beyond the float range"):
+            min_period(huge, [1.0, 0.0], step=1.0)
+        assert min_period(huge, [0.0, 0.0]).kind == "fixed_point"
 
 
 def test_jordan_flow_matches_matrix_exponential(rng):
@@ -298,6 +312,15 @@ def test_bounded_exact_accepts_exact_coordinates():
 def test_bounded_exact_length_check():
     with pytest.raises(InputError):
         bounded_exact(((0.0, 2),), [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_bounded_exact_refuses_nan_or_negative_tolerances(bad):
+    layout, x0 = ((1j, 1), (1.0, 1)), [1.0, 1e-12]
+    assert bounded_exact(layout, x0, coord_tol=1e-9).verdict == "bounded"
+    for kw in ({"coord_tol": bad}, {"re_tol": bad}):
+        with pytest.raises(InputError, match="must be nonnegative numbers"):
+            bounded_exact(layout, x0, **kw)
 
 
 def test_bounded_probe_detects_growth_and_recurrence():
@@ -517,26 +540,17 @@ def test_nan_or_negative_return_tol_is_refused():
 
 def _bisection_refiner(arr, vec, a_norm, width, limit):
     """The retired refinement, kept as a reference: 40 bisection steps on
-    the sign of phi' over [lo, lo + width], moved by one batch of
-    propagators exp((width/2^j) A), and the minimum t* checked by a
-    direct exponential from x0 (from the grid point where exp(lo*A) or
-    exp(t*A) overflows)."""
+    the sign of phi' over [lo, lo + width] from the walked grid point
+    x(lo), moved by the propagators exp((width/2^j) A), and the minimum
+    t* checked by a direct exponential exp((t* - lo) A) x(lo)."""
     steps = 40
-    props = mat_exp_array(arr, width / 2.0 ** np.arange(steps + 1))
-
-    def flow(t, start):
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = mat_exp_array(arr, t) @ start
-        return x if np.all(np.isfinite(x)) else None
+    props = [mat_exp_array(arr, width / 2.0**j) for j in range(steps + 1)]
 
     def dphi(x):
         return 2.0 * float(np.real(np.vdot(x - vec, arr @ x)))
 
     def refine(lo, grid_lo):
-        x_lo = flow(lo, vec)
-        from_grid = x_lo is None
-        if from_grid:
-            x_lo = grid_lo
+        x_lo = grid_lo
         if not dphi(x_lo) < 0.0 or not dphi(props[0] @ x_lo) > 0.0:
             return None
         t_lo = lo
@@ -546,10 +560,9 @@ def _bisection_refiner(arr, vec, a_norm, width, limit):
                 t_lo += width / 2.0**j
                 x_lo = x_mid
         t_star = t_lo + width / 2.0 ** (steps + 1)
-        x_star = None if from_grid else flow(t_star, vec)
-        if x_star is None:
-            x_star = flow(t_star - lo, grid_lo)
-        if x_star is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_star = mat_exp_array(arr, t_star - lo) @ grid_lo
+        if not np.all(np.isfinite(x_star)):
             return None
         residual = float(np.linalg.norm(x_star - vec))
         if residual <= limit:
@@ -678,8 +691,8 @@ def test_min_period_stops_walking_at_first_period(monkeypatch):
 def test_min_period_matches_retired_bisection(monkeypatch):
     """The Taylor-model refinement against the retired bisection: the
     same kinds, periods within 1e-13 relative, and the model residual
-    within 1e-13 (1 + |x0|) of the residual that exponentials give from
-    the same start, |exp((t* - lo) A) x(lo) - x0|."""
+    within 1e-13 (1 + |x0|) of the residual that an exponential gives
+    from the same walked start, |exp((t* - lo) A) x(lo) - x0|."""
     starts = []
     plain = flowsim._Refiner.__call__
 
@@ -702,10 +715,6 @@ def test_min_period_matches_retired_bisection(monkeypatch):
         arr = flowsim._as_array(arr)
         vec = flowsim._as_vector(x0, arr.shape[0])
         lo, start = starts[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_lo = mat_exp_array(arr, lo) @ vec
-        if np.all(np.isfinite(x_lo)):
-            start = x_lo
         direct = np.linalg.norm(mat_exp_array(arr, got.period - lo) @ start - vec)
         scale = 1.0 + np.linalg.norm(vec)
         assert abs(got.residual - direct) <= 1e-13 * scale, (got, direct)
@@ -713,14 +722,14 @@ def test_min_period_matches_retired_bisection(monkeypatch):
 
 
 def test_min_period_exponentials_per_refinement(monkeypatch):
-    """The orbit sample takes one exponential and each refinement one
-    more, its start; there is no batched call."""
-    calls = {"scalar": 0, "batched": 0, "refined": 0}
+    """A call takes one exponential, the walk's exp(step*A), however many
+    minima it refines: each refinement starts from the walked grid point."""
+    calls = {"exp": 0, "refined": 0}
     plain = flowsim.mat_exp_array
     refine = flowsim._Refiner.__call__
 
     def counting(arr, t=1.0):
-        calls["batched" if np.ndim(t) else "scalar"] += 1
+        calls["exp"] += 1
         return plain(arr, t)
 
     def counting_refine(self, lo, grid_lo):
@@ -731,15 +740,25 @@ def test_min_period_exponentials_per_refinement(monkeypatch):
     monkeypatch.setattr(flowsim._Refiner, "__call__", counting_refine)
     fifth = [[0.0, -2.0 * math.pi / 5.0], [2.0 * math.pi / 5.0, 0.0]]
     assert min_period(fifth, [1.0, 0.0]).kind == "period"
-    assert calls == {"scalar": 2, "batched": 0, "refined": 1}
+    assert calls == {"exp": 1, "refined": 1}
 
     # frequencies 6 and 7 come close to x0 twice before the full turn
     # at 2 pi, so three minima are refined
-    calls.update(scalar=0, refined=0)
+    calls.update(exp=0, refined=0)
     beats = realize_class(RationalClass(Fraction(1), (6, 7)))
     r = min_period(beats, [1.0, 1.0], horizon=7.0)
     assert r.kind == "period" and abs(r.period - 2.0 * math.pi) < 1e-9
-    assert calls == {"scalar": 4, "batched": 0, "refined": 3}
+    assert calls == {"exp": 1, "refined": 3}
+
+    # exp(lo*A) overflows at every refinement's lo, but the walked orbit
+    # of e3 stays on the rotation plane
+    calls.update(exp=0, refined=0)
+    stiff = direct_sum([np.diag([200.0, -200.0]), rotation(0.0, 0.1)])
+    r = min_period(stiff, [0.0, 0.0, 1.0, 0.0])
+    assert r.kind == "period" and abs(r.period - 20.0 * math.pi) < 1e-9
+    assert calls == {"exp": 1, "refined": 1}
+    orbit_sample(stiff, [0.0, 0.0, 1.0, 0.0], horizon=10.0, step=0.01)
+    assert calls == {"exp": 2, "refined": 1}
 
 
 # ---- factorial-reciprocal systems -------------------------------------------
@@ -904,6 +923,14 @@ def test_witness_input_validation():
         witness_sequence([0.1], beta=1.0)  # odd needs head plus corner
     with pytest.raises(InputError):
         witness_sequence([], beta=1.0, even=True)
+    # a NaN beta once built the beta = 0 witness, an infinite one divided
+    # by zero, and a NaN head coordinate gave NaN sequences
+    for beta in (math.nan, math.inf):
+        with pytest.raises(InputError, match="block frequency must be finite"):
+            witness_sequence([1.0, 2.0], beta)
+    for head in ([math.nan, 2.0], [1.0, complex(0.0, math.inf)]):
+        with pytest.raises(InputError, match="head has a non-finite coordinate"):
+            witness_sequence(head, 1.0)
 
 
 # ---- extrapolation -----------------------------------------------------------

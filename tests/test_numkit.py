@@ -359,37 +359,29 @@ def test_mat_exp_array_accuracy_on_normal_matrices(complex_kind):
                 assert np.linalg.norm(got - want, 2) <= scale
 
 
-@pytest.mark.parametrize("complex_kind", [False, True])
-def test_mat_exp_array_batch_matches_scalar_calls(complex_kind):
-    """Each slice of a batched call is the scalar call at that time,
-    bit for bit: t = 0, series-only slices (|tA|_1 <= 0.5) and slices
-    that need squaring, in one mixed batch."""
-    gen = np.random.default_rng(4400 + complex_kind)
-    for _ in range(20):
-        n = int(gen.integers(1, 7))
-        arr = gen.standard_normal((n, n)) * 10 ** gen.uniform(-2, 1)
-        if complex_kind:
-            arr = arr + 1j * gen.standard_normal((n, n))
-        norm = np.abs(arr).sum(axis=0).max()
-        ts = np.array([0.0, 0.1 / norm, -0.4 / norm, 3.0 / norm, -40.0 / norm, 7.5])
-        stack = mat_exp_array(arr, ts)
-        assert stack.shape == (ts.size, n, n)
-        assert stack.dtype == (complex if complex_kind else float)
-        for t, got in zip(ts, stack):
-            assert np.array_equal(got, mat_exp_array(arr, float(t)))
-        assert np.array_equal(stack[0], np.eye(n))
-
-
 def test_mat_exp_array_overflowing_slice_is_silent():
     arr = np.diag([200.0, -1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stack = mat_exp_array(arr, np.array([0.5, 1.0, 10.0]))
-        alone = mat_exp_array(arr, 10.0)
-    assert np.all(np.isfinite(stack[:2]))
-    assert np.array_equal(stack[1], mat_exp_array(arr, 1.0))
-    assert not np.all(np.isfinite(stack[2]))
-    assert not np.all(np.isfinite(alone))
+        assert not np.all(np.isfinite(mat_exp_array(arr, 10.0)))
+        assert np.all(np.isfinite(mat_exp_array(arr, 1.0)))
+
+
+def test_mat_exp_array_refuses_non_finite_time_and_norm():
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="time must be a finite number"):
+            mat_exp_array(np.eye(2), t)
+    # |t*A|_1 overflows: the squaring count cannot be read from it
+    huge = np.full((2, 2), 1.0e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arr, t in ((huge, 1.0), (np.eye(2), 1.0e308), (np.eye(2) * 1e300, 1e10)):
+            with pytest.raises(DiagnosticError, match=r"\|t\*A\|_1 overflows at t="):
+                mat_exp_array(arr, t)
+        # a norm of 1.5 * 2^1022 still scales: by 2^-1024, though 2^1024
+        # is no float, and squared back 1024 times
+        nilpotent = np.array([[0.0, 1.5 * 2.0**1022], [0.0, 0.0]])
+        assert np.array_equal(mat_exp_array(nilpotent, 1.0), np.eye(2) + nilpotent)
 
 
 # ---- rank sequences --------------------------------------------------------------------

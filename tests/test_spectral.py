@@ -747,6 +747,10 @@ def test_split_dims_float_tolerance():
     assert (s.dim_plus, s.dim_minus, s.dim_zero) == (1, 2, 1)
     s2 = split_dims(eigs, tol=1e-15)
     assert (s2.dim_plus, s2.dim_minus, s2.dim_zero) == (2, 2, 0)
+    # a NaN or negative tolerance read as 0 once; now it is refused
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(InputError, match="tolerance must be a nonnegative"):
+            split_dims(eigs, tol=bad)
 
 
 def test_split_dims_center_pair():
