@@ -50,7 +50,6 @@ from .invariants import (
     conjugacy_signature,
     decide_conjugate,
     frequency_profile,
-    frequency_values,
     rational_classes,
 )
 from .numkit import Matrix, RationalComplex, lam_parts
@@ -415,7 +414,7 @@ def _class_payload(cls, dim_fixed: int) -> dict:
         "beta": cls.beta,
         "multipliers": list(cls.p),
         "max_rel_dev": rel_dev,
-        "values": list(frequency_values(cls)),
+        "values": list(profile.values),
         "profile": [[v, d] for v, d in profile.preimage_dims],
     }
 

@@ -794,12 +794,15 @@ def witness_sequence(
     at time times[n] exactly onto the prescribed y head; the unheaded
     coordinates decay to zero on both sides.
     """
-    heads = [complex(*lam_parts(c)) for c in head]
+    try:
+        heads = [complex(*lam_parts(c)) for c in head]
+        beta = float(beta)
+    except OverflowError:
+        raise InputError("a head coordinate or beta is beyond the float range") from None
     if not all(cmath.isfinite(c) for c in heads):
         raise InputError("head has a non-finite coordinate")
     if count < 1:
         raise InputError("count must be positive")
-    beta = float(beta)
     if not 0.0 <= beta < math.inf:
         raise InputError("the block frequency must be finite and nonnegative")
     odd = 0 if even else 1
@@ -861,13 +864,19 @@ def witness_sequence(
 
 def extrapolate_to_zero(ts, vals, degree: int | None = None) -> complex:
     """Limit of a sequence that is polynomial in 1/t: fit the last
-    degree+1 points in the variable 1/t and read off the constant term."""
+    degree+1 points in the variable 1/t and read off the constant term.
+    A time that is zero or not finite, a value that is not finite, or a
+    negative degree raises InputError."""
     ts = [float(t) for t in ts]
     vals = [complex(v) for v in vals]
     if len(ts) != len(vals) or not ts:
         raise InputError("need matching nonempty time and value sequences")
+    if not all(map(math.isfinite, ts)) or 0 in ts or not all(map(cmath.isfinite, vals)):
+        raise InputError("times must be finite and nonzero, and values finite")
     if degree is None:
         degree = len(ts) - 1
+    if degree < 0:
+        raise InputError("the degree must be nonnegative")
     if degree + 1 > len(ts):
         raise InputError("not enough points for the requested degree")
     xs = np.array([1.0 / t for t in ts[-(degree + 1):]])

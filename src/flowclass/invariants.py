@@ -234,14 +234,20 @@ class RationalClass:
         g = gcd(*self.p)
         if g != 1:
             raise InputError(f"multipliers {self.p} have gcd {g}, expected 1")
-        if (self.beta <= 0) if isinstance(self.beta, Fraction) else (
-            float(self.beta) <= 0
-        ):
-            raise InputError("the common measure must be positive")
+        if not _is_positive(self.beta):
+            raise InputError("the common measure must be positive and finite")
 
     @property
     def frequencies(self) -> tuple:
         return tuple(self.beta * k for k in self.p)
+
+
+def _is_positive(beta) -> bool:
+    """Whether a frequency is positive and finite; an exact (Fraction) one
+    is compared as it is, never converted to float."""
+    if isinstance(beta, Fraction):
+        return beta > 0
+    return 0 < float(beta) < float("inf")
 
 
 def _continued_fraction_convergent(x: float, qmax: int):
@@ -311,9 +317,8 @@ def rational_classes(
     exact = all(isinstance(b, Fraction) for b in betas)
     if not exact and any(isinstance(b, Fraction) for b in betas):
         raise InputError("cannot mix exact and float frequencies")
-    for b in betas:
-        if (b <= 0) if exact else (float(b) <= 0):
-            raise InputError("frequencies must be positive")
+    if not all(_is_positive(b) for b in betas):
+        raise InputError("frequencies must be positive and finite")
 
     if exact:
         beta0 = _rational_gcd(betas)
@@ -430,22 +435,21 @@ def bounded_structure(
 # ---- orbit frequencies of the compact part --------------------------------------
 
 
-def frequency_values(cls: RationalClass) -> tuple:
-    """All orbit frequencies attained on the class, sorted ascending.
+def _subset_gcds(p) -> list:
+    """The gcds of the nonempty subsets of the multipliers p, ascending,
+    in one pass: each multiplier adds itself and its gcd with every value
+    found so far."""
+    found: set = set()
+    for x in p:
+        found |= {gcd(x, g) for g in found} | {x}
+    return sorted(found)
 
-    These are beta * g for every g that is a gcd of a nonempty subset
-    of the multipliers.  Computed by closing the multiplier set under
-    pairwise gcd, which reaches exactly the subset gcds.
-    """
-    closure = set(cls.p)
-    while True:
-        extra = {
-            gcd(a, b) for a in closure for b in closure if gcd(a, b) not in closure
-        }
-        if not extra:
-            break
-        closure |= extra
-    return tuple(cls.beta * g for g in sorted(closure))
+
+def frequency_values(cls: RationalClass) -> tuple:
+    """All orbit frequencies attained on the class, sorted ascending:
+    beta * g for every g that is a gcd of a nonempty subset of the
+    multipliers."""
+    return tuple(cls.beta * g for g in _subset_gcds(cls.p))
 
 
 def orbit_frequency(cls: RationalClass, support: Iterable[int]):
@@ -493,8 +497,11 @@ def preimage_dim(cls: RationalClass, q, dim_fixed: int = 0) -> int:
 
 
 def frequency_profile(cls: RationalClass, dim_fixed: int = 0) -> "FrequencyProfile":
-    values = frequency_values(cls)
-    dims = tuple((v, preimage_dim(cls, v, dim_fixed)) for v in values)
+    """Each attained frequency beta * g with dim_fixed + #{p_i : g | p_i}."""
+    gs = _subset_gcds(cls.p)
+    values = tuple(cls.beta * g for g in gs)
+    dims = tuple((v, dim_fixed + sum(1 for x in cls.p if x % g == 0))
+                 for v, g in zip(values, gs))
     return FrequencyProfile(values, dims)
 
 

@@ -34,8 +34,10 @@ eigenvalue (Kato, Perturbation Theory for Linear Operators, II.1), and
 is kept only when the ranks at its mean confirm its size.  A root
 farther than the widest radius from every other root can join no group;
 such isolated roots have their rank walks run in one batch, and only
-the other roots are grouped one at a time.  Clusters are paired into
-conjugates before any counting happens.
+the other roots are grouped one at a time.  LAPACK returns the non-real
+roots of a real A as exact conjugates, so each cluster is settled
+together with its mirror, the cluster of the conjugate roots, and the
+clusters come in conjugate pairs before any counting happens.
 
 Block sizes are never computed from eigenvectors.  The count of size-m
 blocks at an eigenvalue is the second difference of the rank sequence of
@@ -443,25 +445,31 @@ def _float_clusters(a: Matrix, tol: float | None):
     rank sequence at the mean) per cluster, in the (re, im) order of
     their first roots.
 
-    A group of k roots may merge when its spread (largest pairwise
-    distance) is at most limit(k): tol when it is given, else
-    100 (u s)^(1/k) s^(1-1/k) = 100 u^(1/k) s with s = ||A||_2 and k
-    capped at _MAX_CLUSTER_ORDER, beyond which it nears s.  A root
-    farther than the widest limit from every other root is isolated: a
-    group of two or more holding it spreads beyond every limit(k), so it
-    is a cluster of its own with the root as mean, and the rank walks of
-    all isolated roots run in one batch (`numkit.float_rank_sequence`),
-    one root of each conjugate pair measured for both.  On the other
-    roots, taken in (re, im) order, the first one left seeds a group
-    grown by its nearest remaining roots.  Of the sizes that fit, the
-    largest whose rank sequence at the group mean confirms that
+    LAPACK returns the non-real roots of a real A as exact conjugates,
+    and each root is paired with its conjugate once (a root with none
+    raises DiagnosticError).  A group of k roots may merge when its
+    spread (largest pairwise distance) is at most limit(k): tol when it
+    is given, else 100 (u s)^(1/k) s^(1-1/k) = 100 u^(1/k) s with
+    s = ||A||_2 and k capped at _MAX_CLUSTER_ORDER, beyond which it nears
+    s.  A root farther than the widest limit from every other root is
+    isolated: a group of two or more holding it spreads beyond every
+    limit(k), so it is a cluster of its own with the root as mean, and
+    the rank walks of the isolated roots with im <= 0 run in one batch
+    (`numkit.float_rank_sequence`), each measured for its conjugate too.
+    On the other roots, taken in (re, im) order, the first one left
+    (im <= 0, since the roots left are closed under conjugation) seeds a
+    group grown by its nearest remaining roots.  Of the sizes that fit,
+    the largest whose rank sequence at the group mean confirms that
     multiplicity is kept, so distinct eigenvalues that only lie within
     the limit are measured one by one; a lone root is kept unconfirmed,
-    for the block counts to check.  Every walk runs until its rank
-    repeats: unlike exact walks, these are not cut short once the
-    nullities sum to n, since LAPACK can scatter the roots of one large
-    Jordan block (J_12(-1/2) under a random rotation) beyond every
-    limit, each root then showing nullity 1 at k = 1, and only the
+    for the block counts to check.  The conjugates of the kept roots
+    form its mirror cluster, settled in the same step with the conjugate
+    mean and the same size, radius and ranks; a cluster that overlaps its
+    mirror without equalling it raises DiagnosticError.  Every walk runs
+    until its rank repeats: unlike exact walks, these are not cut short
+    once the nullities sum to n, since LAPACK can scatter the roots of
+    one large Jordan block (J_12(-1/2) under a random rotation) beyond
+    every limit, each root then showing nullity 1 at k = 1, and only the
     second power exposes the block.  A mean whose real part is above
     CENTER_TOL but within 100 u s, where rounding hides its sign, raises
     DiagnosticError.  A tol that is not a positive finite number raises
@@ -475,6 +483,12 @@ def _float_clusters(a: Matrix, tol: float | None):
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigenvalue iteration failed: {exc}") from None
     n = a.n
+    # roots in (re, im) order; mirror[i] is the index of the conjugate of root i
+    roots = roots[sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))]
+    mirror = sorted(range(n), key=lambda i: (roots[i].real, -roots[i].imag))
+    for z, w in zip(roots.tolist(), roots[mirror].tolist()):
+        if w != z.conjugate():
+            raise DiagnosticError(f"the LAPACK root {z:.6g} has no exact conjugate")
     scale = float(np.linalg.norm(arr, 2))
     order = np.minimum(np.arange(1, n + 1), _MAX_CLUSTER_ORDER)
     limit = (_CLUSTER_SLACK * _EPS ** (1.0 / order) * scale if tol is None
@@ -482,12 +496,8 @@ def _float_clusters(a: Matrix, tol: float | None):
     axis = _CLUSTER_SLACK * _EPS * scale
     dist = np.abs(roots[:, None] - roots[None, :])
     isolated = ((dist > limit[-1]) | np.eye(n, dtype=bool)).all(axis=1)
-    by_parts = sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))
     # a real A has equal ranks at conjugate shifts: measure one of each pair
-    shifts = []
-    for i in by_parts:
-        if isolated[i] and complex(roots[i]).conjugate() not in shifts:
-            shifts.append(complex(roots[i]))
+    shifts = [complex(z) for z in roots[isolated].tolist() if z.imag <= 0]
     measured = dict(zip(shifts, float_rank_sequence(arr, scale, shifts, n, tol)))
 
     def ranks_at(mean):
@@ -499,7 +509,7 @@ def _float_clusters(a: Matrix, tol: float | None):
     for i in np.flatnonzero(isolated).tolist():
         root = complex(roots[i])
         found[i] = (root, 1, float(limit[0]), ranks_at(root))
-    left = [i for i in by_parts if not isolated[i]]
+    left = np.flatnonzero(~isolated).tolist()
     while left:
         idx = np.array(left)
         near = idx[np.argsort(dist[idx[0], idx], kind="stable")]
@@ -511,8 +521,15 @@ def _float_clusters(a: Matrix, tol: float | None):
                 break
         found[left[0]] = (mean, int(size), float(limit[size - 1]), ranks)
         taken = set(near[:size].tolist())
+        twin = {mirror[i] for i in taken}
+        if twin != taken:
+            if twin & taken:
+                raise DiagnosticError(
+                    f"the cluster at {mean:.6g} overlaps its conjugate; widen tol")
+            found[min(twin)] = (mean.conjugate(),) + found[left[0]][1:]
+            taken |= twin
         left = [i for i in left if i not in taken]
-    clusters = [found[i] for i in by_parts if i in found]
+    clusters = [found[i] for i in sorted(found)]
     for mean, *_ in clusters:
         if CENTER_TOL < abs(mean.real) <= axis:
             raise DiagnosticError(
@@ -520,42 +537,6 @@ def _float_clusters(a: Matrix, tol: float | None):
                 "of the imaginary axis: center or hyperbolic cannot be told"
             )
     return clusters
-
-
-def _pair_conjugates(clusters):
-    """Symmetrize clusters of a real matrix into conjugate pairs; (value,
-    multiplicity, rank sequence) each, sorted by (re, im)."""
-    reals, pos, neg = [], [], []
-    for lam, mult, radius, ranks in clusters:
-        if abs(lam.imag) <= radius:
-            reals.append((lam.real, mult, ranks))
-        elif lam.imag > 0:
-            pos.append((lam, mult, radius, ranks))
-        else:
-            neg.append((lam, mult))
-    if len(pos) != len(neg):
-        raise DiagnosticError(
-            "conjugate pairing failed: unbalanced cluster counts; widen tol"
-        )
-    paired = []
-    for lam, mult, radius, ranks in pos:
-        best, best_d = None, None
-        for idx, (mu, mmult) in enumerate(neg):
-            d = abs(mu.conjugate() - lam)
-            if best_d is None or d < best_d:
-                best, best_d = idx, d
-        mu, mmult = neg[best]
-        if best_d > 2 * radius or mmult != mult:
-            raise DiagnosticError(
-                f"conjugate pairing failed near {lam:.6g}; widen tol"
-            )
-        del neg[best]
-        sym = complex((lam.real + mu.real) / 2, (lam.imag - mu.imag) / 2)
-        paired.append((sym, mult, ranks))
-        paired.append((sym.conjugate(), mult, ranks))
-    out = reals + paired
-    out.sort(key=lambda p: (p[0].real, p[0].imag))
-    return out
 
 
 def eigenvalues(a: Matrix, tol: float | None = None):
@@ -585,11 +566,11 @@ def eigenvalues(a: Matrix, tol: float | None = None):
     the characteristic polynomial is factored over the rationals by
     sympy (see `_exact_spectrum` and `_walked_spectrum`).
 
-    Float matrices give the means of clusters of LAPACK roots,
-    symmetrized into conjugate pairs.  A group merges when its spread is
-    at most tol, or by default a limit that grows with the group size,
-    and only when the ranks at its mean confirm its size (see
-    `_float_clusters`).
+    Float matrices give the means of clusters of LAPACK roots, each
+    cluster settled with its conjugate mirror.  A group merges when its
+    spread is at most tol, or by default a limit that grows with the
+    group size, and only when the ranks at its mean confirm its size
+    (see `_float_clusters`).
     """
     return tuple((lam, mult) for lam, mult, _ in _spectrum(a, tol))
 
@@ -599,7 +580,9 @@ def _spectrum(a: Matrix, tol):
     if a.mode == "exact":
         _check_tol(a, tol)
         return _exact_spectrum(a)
-    return _pair_conjugates(_float_clusters(a, tol))
+    spectrum = [(lam.real if abs(lam.imag) <= radius else lam, mult, ranks)
+                for lam, mult, radius, ranks in _float_clusters(a, tol)]
+    return sorted(spectrum, key=lambda p: (p[0].real, p[0].imag))
 
 
 # ---- real-part split ---------------------------------------------------------

@@ -933,6 +933,13 @@ def test_witness_input_validation():
             witness_sequence(head, 1.0)
 
 
+def test_witness_refuses_numbers_beyond_the_float_range():
+    # both once raised a bare OverflowError from the float conversion
+    for head, beta in (([10**400, 2.0], 1.0), ([1.0, 2.0], 10**400)):
+        with pytest.raises(InputError, match="beyond the float range"):
+            witness_sequence(head, beta)
+
+
 # ---- extrapolation -----------------------------------------------------------
 
 
@@ -951,3 +958,20 @@ def test_extrapolate_to_zero_validation():
         extrapolate_to_zero([1.0], [1.0, 2.0])
     with pytest.raises(InputError):
         extrapolate_to_zero([1.0, 2.0], [1.0, 2.0], degree=2)
+
+
+@pytest.mark.parametrize("ts, vals, degree, message", [
+    # LAPACK complained on stderr and numpy raised LinAlgError
+    ([1.0, math.nan], [1.0, 2.0], None, "times must be finite and nonzero"),
+    # ZeroDivisionError
+    ([0.0, 1.0], [1.0, 2.0], None, "times must be finite and nonzero"),
+    # fitted silently at 1/t = 0
+    ([1.0, math.inf], [1.0, 2.0], None, "times must be finite and nonzero"),
+    # returned (nan+nanj)
+    ([1.0, 2.0], [1.0, math.inf], None, "and values finite"),
+    # numpy's ValueError
+    ([1.0, 2.0], [1.0, 2.0], -1, "degree must be nonnegative"),
+], ids=["nan_time", "zero_time", "inf_time", "inf_value", "negative_degree"])
+def test_extrapolate_to_zero_refuses_input_it_cannot_fit(ts, vals, degree, message):
+    with pytest.raises(InputError, match=message):
+        extrapolate_to_zero(ts, vals, degree)

@@ -265,6 +265,20 @@ def test_rational_class_validation():
         RationalClass(Fraction(1), ())  # empty
 
 
+def test_non_finite_frequencies_are_refused():
+    # NaN passed the positivity check, and rational_classes and
+    # frequency_profile then failed with "cannot convert float NaN to integer"
+    for beta, p in ((math.nan, (1,)), (math.inf, (1, 2))):
+        with pytest.raises(InputError, match="positive and finite"):
+            RationalClass(beta, p)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="positive and finite"):
+            rational_classes([bad, 1.0])
+    # an exact beta is compared exactly, never converted to float
+    assert RationalClass(Fraction(10**400), (1,)).frequencies == (Fraction(10**400),)
+    assert rational_classes([Fraction(10**400)])[0].p == (1,)
+
+
 def test_exact_rationals_form_one_class():
     cls = rational_classes([Fraction(1, 3), Fraction(2, 3), Fraction(5, 6)])
     assert len(cls) == 1
@@ -391,6 +405,11 @@ def test_frequency_values_match_subset_enumeration(raw):
     got = frequency_values(cls)
     expected = tuple(Fraction(1, 4) * g for g in subset_gcds(p))
     assert got == expected
+    # the profile reads each dimension directly; preimage_dim validates
+    for c in (cls, RationalClass(0.37, p)):
+        prof = frequency_profile(c, dim_fixed=2)
+        assert prof.values == frequency_values(c)
+        assert prof.preimage_dims == tuple((v, preimage_dim(c, v, 2)) for v in prof.values)
 
 
 def test_orbit_frequency_support_gcd():

@@ -1,8 +1,8 @@
 """Package-level guards: the README's library example runs as written,
-sympy stays unimported by importing flowclass and by exact spectra that
-the candidate certificate closes (only its fallback loads sympy), every
-exported name resolves, and the benchmark's tracer finds every function
-it wraps."""
+sympy stays unimported by importing flowclass, by exact spectra that
+the candidate certificate closes (only its fallback loads sympy) and by
+float classify and simulate runs, every exported name resolves, and the
+benchmark's tracer finds every function it wraps."""
 
 import importlib
 import importlib.util
@@ -50,6 +50,23 @@ def test_certified_exact_spectra_do_not_load_sympy():
         "print('sympy' in sys.modules)\n"
     )
     assert _fresh_python(code) == "False"
+
+
+def test_float_classify_and_simulate_do_not_load_sympy(tmp_path):
+    # both run in the float benchmark workloads, whose setup time a stray
+    # sympy import would land in
+    doc = tmp_path / "float.yaml"
+    doc.write_text("mode: float\nmatrix:\n  - [0.5, -1.25, 0.0]\n"
+                   "  - [1.25, 0.5, 0.0]\n  - [0.0, 0.0, -2.25]\n")
+    simulate = ROOT / "tests" / "golden" / "simulate_quarter.yaml"
+    for argv in (["classify", str(doc)], ["simulate", str(simulate)]):
+        code = (
+            "import sys\n"
+            "from flowclass import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('sympy' in sys.modules)\n"
+        )
+        assert _fresh_python(code) == "False", argv
 
 
 MODULES = ("numkit", "spectral", "invariants", "flowsim", "cli")
