@@ -234,7 +234,7 @@ class RationalClass:
         g = gcd(*self.p)
         if g != 1:
             raise InputError(f"multipliers {self.p} have gcd {g}, expected 1")
-        if not _is_positive(self.beta):
+        if not _positive_finite(self.beta):
             raise InputError("the common measure must be positive and finite")
 
     @property
@@ -242,7 +242,7 @@ class RationalClass:
         return tuple(self.beta * k for k in self.p)
 
 
-def _is_positive(beta) -> bool:
+def _positive_finite(beta) -> bool:
     """Whether a frequency is positive and finite; an exact (Fraction) one
     is compared as it is, never converted to float."""
     if isinstance(beta, Fraction):
@@ -317,7 +317,7 @@ def rational_classes(
     exact = all(isinstance(b, Fraction) for b in betas)
     if not exact and any(isinstance(b, Fraction) for b in betas):
         raise InputError("cannot mix exact and float frequencies")
-    if not all(_is_positive(b) for b in betas):
+    if not all(_positive_finite(b) for b in betas):
         raise InputError("frequencies must be positive and finite")
 
     if exact:
