@@ -865,10 +865,13 @@ def witness_sequence(
 def extrapolate_to_zero(ts, vals, degree: int | None = None) -> complex:
     """Limit of a sequence that is polynomial in 1/t: fit the last
     degree+1 points in the variable 1/t and read off the constant term.
-    A time that is zero or not finite, a value that is not finite, or a
-    negative degree raises InputError."""
-    ts = [float(t) for t in ts]
-    vals = [complex(v) for v in vals]
+    A time that is zero or not finite, a value that is not finite or
+    beyond the float range, or a negative degree raises InputError."""
+    try:
+        ts = [float(t) for t in ts]
+        vals = [complex(v) for v in vals]
+    except OverflowError:
+        raise InputError("a time or value is beyond the float range") from None
     if len(ts) != len(vals) or not ts:
         raise InputError("need matching nonempty time and value sequences")
     if not all(map(math.isfinite, ts)) or 0 in ts or not all(map(cmath.isfinite, vals)):

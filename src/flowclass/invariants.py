@@ -244,10 +244,14 @@ class RationalClass:
 
 def _positive_finite(beta) -> bool:
     """Whether a frequency is positive and finite; an exact (Fraction) one
-    is compared as it is, never converted to float."""
+    is compared as it is, never converted to float.  Any other one beyond
+    the float range raises InputError."""
     if isinstance(beta, Fraction):
         return beta > 0
-    return 0 < float(beta) < float("inf")
+    try:
+        return 0 < float(beta) < float("inf")
+    except OverflowError:
+        raise InputError("a frequency is beyond the float range") from None
 
 
 def _continued_fraction_convergent(x: float, qmax: int):
@@ -306,7 +310,8 @@ def rational_classes(
     tol); acceptance that fails transitivity raises DiagnosticError and
     names an offending triple.  Returns classes sorted by beta; repeated
     input frequencies produce repeated multipliers.  A NaN or negative
-    tol raises InputError.
+    tol, or a frequency that is not positive and finite or is beyond the
+    float range, raises InputError.
     """
     betas = list(betas)
     if qmax < 1:

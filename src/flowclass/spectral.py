@@ -8,16 +8,18 @@ With B = D A, D the lcm of the denominators of A, det(tI - B) is monic
 with integer coefficients, so D lam is a Gaussian integer for every
 eigenvalue lam with rational real and imaginary parts.  The roots of B
 as floats, rounded to the nearest Gaussian integers, give the candidates
-and their votes.  The votes name a polynomial f of degree n; when one
-exact Krylov sequence of a fixed vector proves f = det(tI - B) and B
-non-derogatory (`_cyclic`), each eigenvalue has one Jordan block, sized
-by its votes, and its rank sequence n - min(k, m) is derived, not
-measured.  Otherwise a candidate is accepted when the integer rank
-sequence of its shifted powers drops, and n minus the stable rank is its
-multiplicity.  Generalized eigenspaces are independent, so when the
-accepted multiplicities sum to n the spectrum is complete; the same
-count shows that every sequence has reached its stable rank, so no
-power is taken only to see a rank repeat.  When the count falls short
+and their votes.  The votes name a polynomial f of degree n; when the
+Krylov sequence of a fixed vector v, run modulo small primes against an
+a-priori bound, proves f(B) v = 0 and no proper divisor of f kills v,
+then f = det(tI - B) and B is non-derogatory (`_cyclic`): each
+eigenvalue has one Jordan block, sized by its votes, and its rank
+sequence n - min(k, m) is derived, not measured.  Otherwise a candidate
+is accepted when the integer rank sequence of its shifted powers drops,
+and n minus the stable rank is its multiplicity.  Generalized
+eigenspaces are independent, so when the accepted multiplicities sum
+to n the spectrum is complete; the same count shows that every sequence
+has reached its stable rank, so no power is taken only to see a rank
+repeat.  When the count falls short
 (irrational parts, roots that round away from their eigenvalue, or
 entries of B too large for floats) the characteristic polynomial is
 factored over the rationals by sympy instead; a root with an irrational
@@ -56,7 +58,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, isqrt
+from itertools import accumulate
+from math import hypot, isfinite, isqrt
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -304,59 +308,76 @@ def _start_vector(n: int) -> list:
     return [3**i for i in range(n)]
 
 
+# `_cyclic` works modulo these primes below 2^24, largest first: products of
+# residues stay below 2^48, so an n-term sum of them is exact in int64 for
+# n < 2^15; together they exceed 2^1535
+_MODULI = tuple(2**24 - c for c in (
+    3, 17, 33, 63, 75, 77, 89, 95, 117, 167, 189, 227, 243, 245, 249, 255,
+    275, 279, 285, 297, 315, 317, 347, 359, 377, 383, 399, 453, 485, 497,
+    503, 525, 527, 537, 557, 585, 593, 597, 609, 623, 635, 669, 695, 725,
+    735, 747, 765, 815, 825, 837, 845, 849, 873, 879, 899, 903, 927, 999,
+    1005, 1025, 1029, 1043, 1047, 1049))
+
+
 def _cyclic(b: list, candidates: list) -> bool:
     """Whether the votes of `_candidates` are proven to give the
     characteristic polynomial of the integer matrix B, and B to be
     non-derogatory (one Jordan block per eigenvalue).
 
-    The votes name f = prod (t - x)^votes prod ((t - x)^2 + y^2)^(votes/2),
-    a pair's votes counting both sides; they must be even for a pair and
-    sum to n, so that deg f = n.  From v = `_start_vector(n)` the sequence
-    e(k+1) = (B - x) e(k) applies one linear factor a step, and a
-    quadratic one takes two: (B - x) e(k), then (B - x) e(k+1) + y^2 e(k).
-    Each e(k) is B^k v plus a combination of the earlier ones, so
-    e(0) ... e(n-1) span the Krylov space of v, and e(n) = f(B) v.  When
-    e(n) is exactly 0 and e(0) ... e(n-1) are independent modulo a prime
-    (their determinant is then nonzero over the integers), v is cyclic:
-    its minimal polynomial is det(tI - B), has degree n and divides f, so
-    it is f (Gantmacher, The Theory of Matrices I, ch. VII).  Any other
-    outcome proves nothing and answers False.  Zero entries of B are
-    skipped, and no power of B is formed.
+    The votes name f = prod q_i^(m_i) over distinct factors
+    q_i = t - x, or (t - x)^2 + y^2 for a pair, with m_i the votes (half
+    of them for a pair); a pair's votes must be even and all sum to n,
+    so that deg f = n.  The q_i are irreducible over the rationals and
+    distinct.  With v = `_start_vector(n)` and rho the largest row sum
+    of |B|, a linear factor multiplies the largest entry of a vector at
+    most by rho + |x| and a quadratic one by (rho + |x|)^2 + y^2, so
+    ||f(B) v|| has an a-priori bound.  f(B) v is computed modulo the
+    fewest `_MODULI` whose product exceeds that bound (at least one), all
+    of them in one stacked product a step; when it is 0 modulo each, it
+    is 0 over the integers (Chinese remaindering; von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 5).  Then the minimal
+    polynomial of v divides f, and if it is not f it divides some f/q_i.
+    So when every (f/q_i)(B) v is nonzero modulo the first modulus (one
+    block of columns, column i skipping one copy of q_i), v has minimal
+    polynomial f of degree n: it is cyclic, f = det(tI - B) and B is
+    non-derogatory (Gantmacher, The Theory of Matrices I, ch. VII).  Any
+    other outcome proves nothing and answers False, as do n >= 2^15, an
+    entry of B beyond int64 and a bound beyond the product of `_MODULI`.
     """
     n = len(b)
-    if sum(votes for _, votes in candidates) != n or any(
+    if n >= 2**15 or sum(votes for _, votes in candidates) != n or any(
             y and votes % 2 for (_, y), votes in candidates):
         return False
-    nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in b]
-
-    def shifted(e, x):  # (B - x) e
-        return [sum(c * e[j] for j, c in row) - x * ei for row, ei in zip(nonzero, e)]
-
-    seq = [_start_vector(n)]
+    v = _start_vector(n)
+    rho = max(sum(map(abs, row)) for row in b)
+    bound = max(map(abs, v))
     for (x, y), votes in candidates:
-        for _ in range(votes // 2 if y else votes):
-            seq.append(shifted(seq[-1], x))
-            if y:
-                seq.append([p + y * y * q for p, q in zip(shifted(seq[-1], x), seq[-2])])
-    return not any(seq.pop()) and _independent_mod_p(seq)
+        step = rho + abs(x)
+        bound *= (step * step + y * y) ** (votes // 2) if y else step**votes
+    size = next((k for k, p in enumerate(accumulate(_MODULI, mul), 1) if p > bound), 0)
+    if not size or rho >= 2**63:
+        return False
+    moduli = _MODULI[:size]
+    q = np.array(moduli, dtype=np.int64)[:, None, None]
+    shifted = np.array(b, dtype=np.int64) % q - np.array(  # B - x, per candidate
+        [[x % p for p in moduli] for (x, _), _ in candidates]
+    )[..., None, None] * np.eye(n, dtype=np.int64)
+    squares = np.array([[y * y % p for p in moduli] for (_, y), _ in candidates])[..., None, None]
+    e = np.array([[c % p for c in v] for p in moduli])[..., None]  # f(B) v
+    s = e[:1].repeat(len(candidates), axis=2)  # (f/q_i)(B) v in column i
 
+    def factor(e, f, y2, q):  # q_i(B) e modulo q, with f = B - x and y2 = y^2
+        g = f @ e % q
+        return (f @ g + y2 * e) % q if y else g
 
-# the independence check of `_cyclic` runs modulo this prime, 2^61 - 1
-_PRIME = 2**61 - 1
-
-
-def _independent_mod_p(vectors: list) -> bool:
-    """Whether n integer vectors of length n are independent modulo
-    _PRIME, by Gaussian elimination over the field of integers mod p."""
-    rows = [[x % _PRIME for x in v] for v in vectors]
-    while rows:
-        piv = next((row for row in rows if row[0]), None)
-        if piv is None:
-            return False
-        inv = pow(piv[0], -1, _PRIME)
-        rows = [[(x - c * y) % _PRIME for x, y in zip(row[1:], piv[1:])]
-                for row in rows if row is not piv for c in (row[0] * inv,)]
-    return True
+    for i, ((_, y), votes) in enumerate(candidates):
+        full, first = (shifted[i], squares[i], q), (shifted[i, :1], squares[i, :1], q[:1])
+        skipped = s[..., i].copy()
+        for copy in range(votes // 2 if y else votes):
+            e, s = factor(e, *full), factor(s, *first)
+            if not copy:
+                s[..., i] = skipped
+    return not e.any() and s.any(axis=1).all()
 
 
 def _exact_spectrum(a: Matrix) -> list:
@@ -472,8 +493,10 @@ def _float_clusters(a: Matrix, tol: float | None):
     every limit, each root then showing nullity 1 at k = 1, and only the
     second power exposes the block.  A mean whose real part is above
     CENTER_TOL but within 100 u s, where rounding hides its sign, raises
-    DiagnosticError.  A tol that is not a positive finite number raises
-    InputError.
+    DiagnosticError, and so does a root distance (bounded by the spread
+    of the real and imaginary parts) or ||A||_2 beyond the float range,
+    before any distance is formed.  A tol that is not a positive finite
+    number raises InputError.
     """
     if tol is not None and not (tol > 0 and isfinite(tol)):
         raise InputError("float mode needs a positive finite tolerance")
@@ -482,6 +505,11 @@ def _float_clusters(a: Matrix, tol: float | None):
         roots = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigenvalue iteration failed: {exc}") from None
+    scale = float(np.linalg.norm(arr, 2))
+    spread = [max(part) - min(part) for part in (roots.real.tolist(), roots.imag.tolist())]
+    if not isfinite(hypot(*spread) + scale):
+        raise DiagnosticError("the root distances or the norm of A overflow the "
+                              f"float range (||A||_2 = {scale:.3g})")
     n = a.n
     # roots in (re, im) order; mirror[i] is the index of the conjugate of root i
     roots = roots[sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))]
@@ -489,7 +517,6 @@ def _float_clusters(a: Matrix, tol: float | None):
     for z, w in zip(roots.tolist(), roots[mirror].tolist()):
         if w != z.conjugate():
             raise DiagnosticError(f"the LAPACK root {z:.6g} has no exact conjugate")
-    scale = float(np.linalg.norm(arr, 2))
     order = np.minimum(np.arange(1, n + 1), _MAX_CLUSTER_ORDER)
     limit = (_CLUSTER_SLACK * _EPS ** (1.0 / order) * scale if tol is None
              else np.full(n, float(tol)))
@@ -550,8 +577,9 @@ def eigenvalues(a: Matrix, tol: float | None = None):
     before any work) and give Fraction or RationalComplex values or raise
     ExactModeError.  The LAPACK roots of B = D A, with D the lcm of the
     denominators of A, rounded to the nearest Gaussian integers z, give
-    the candidates z / D and their votes.  When one exact Krylov sequence
-    proves that the votes give det(tI - B) and that B is non-derogatory,
+    the candidates z / D and their votes.  When a Krylov sequence, run
+    modulo small primes against an a-priori bound (`_cyclic`), proves
+    that the votes give det(tI - B) and that B is non-derogatory,
     each candidate is an eigenvalue with one Jordan block, its
     multiplicity m is its vote count (half of it for a pair), and its
     rank sequence n - min(k, m) is derived, not measured: no rank is

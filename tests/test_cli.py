@@ -216,6 +216,20 @@ def test_number_beyond_float_range_is_refused(capsys, tmp_path, command, text, p
     assert err == f"flowclass: error: {path}: number is beyond the float range\n"
 
 
+@pytest.mark.parametrize("matrix, norm", [
+    ("[[1.0e+308, -1.0e+308], [1.0e+308, 1.0e+308]]", "1.41e+308"),
+    ("[[1.0e+308, 1.0e+308], [1.0e+308, 1.0e+308]]", "inf"),
+], ids=["pair", "real"])
+def test_classify_refuses_root_distances_beyond_the_float_range(
+        capsys, tmp_path, matrix, norm):
+    # the pair was classified (exit 0) after an overflow warning, and the
+    # real matrix was refused as within rounding of the imaginary axis
+    code, out, err = run(capsys, "classify", write_doc(tmp_path, f"matrix: {matrix}\n"))
+    assert code == 2 and out == ""
+    assert err == ("flowclass: diagnostic: the root distances or the norm of A overflow "
+                   f"the float range (||A||_2 = {norm})\n")
+
+
 def test_exact_fallback_beyond_float_range_is_a_refusal(capsys, tmp_path):
     # the irrational spectrum cannot be analysed exactly, nor converted to float
     for text, path in ((f"matrix: [[0, {2 * HUGE}], [1, 0]]\n", "matrix[0][1]"),

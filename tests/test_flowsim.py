@@ -943,6 +943,13 @@ def test_witness_refuses_numbers_beyond_the_float_range():
 # ---- extrapolation -----------------------------------------------------------
 
 
+def test_extrapolate_to_zero_refuses_numbers_beyond_the_float_range():
+    # both once raised a bare OverflowError from the float conversion
+    for ts, vals in (([10**400, 1.0], [1.0, 2.0]), ([1.0, 2.0], [1.0, 10**400])):
+        with pytest.raises(InputError, match="beyond the float range"):
+            extrapolate_to_zero(ts, vals)
+
+
 def test_extrapolate_to_zero_polynomial():
     ts = [float(t) for t in range(10, 21)]
     vals = [3.0 - 2.0 / t + 5.0 / t**2 for t in ts]

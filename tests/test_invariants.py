@@ -279,6 +279,14 @@ def test_non_finite_frequencies_are_refused():
     assert rational_classes([Fraction(10**400)])[0].p == (1,)
 
 
+def test_frequencies_beyond_the_float_range_are_refused():
+    # both once raised a bare OverflowError from the float conversion
+    with pytest.raises(InputError, match="beyond the float range"):
+        rational_classes([10**400, 1.0])
+    with pytest.raises(InputError, match="beyond the float range"):
+        RationalClass(10**400, (1,))
+
+
 def test_exact_rationals_form_one_class():
     cls = rational_classes([Fraction(1, 3), Fraction(2, 3), Fraction(5, 6)])
     assert len(cls) == 1

@@ -2,7 +2,9 @@
 counting, and full descriptors, checked against numpy roots, sympy
 eigenvalue multiplicities, and constructed block data."""
 
+import math
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -447,6 +449,169 @@ def test_certificate_agrees_with_walks_and_reference_on_random_integer_matrices(
     assert certified == {False: 22, True: 0}  # every non-derogatory draw certifies
 
 
+# ---- exact eigenvalues: the certificate's modular proof -------------------------
+
+
+def _reference_cyclic(b: list, candidates: list) -> bool:
+    """The certificate as it was before it ran modulo small primes: one
+    big-integer Krylov sequence and an elimination modulo 2^61 - 1."""
+    n = len(b)
+    if sum(votes for _, votes in candidates) != n or any(
+            y and votes % 2 for (_, y), votes in candidates):
+        return False
+    nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in b]
+
+    def shifted(e, x):  # (B - x) e
+        return [sum(c * e[j] for j, c in row) - x * ei for row, ei in zip(nonzero, e)]
+
+    seq = [spectral._start_vector(n)]
+    for (x, y), votes in candidates:
+        for _ in range(votes // 2 if y else votes):
+            seq.append(shifted(seq[-1], x))
+            if y:
+                seq.append([p + y * y * q for p, q in zip(shifted(seq[-1], x), seq[-2])])
+    return not any(seq.pop()) and _reference_independent_mod_p(seq)
+
+
+_REFERENCE_PRIME = 2**61 - 1
+
+
+def _reference_independent_mod_p(vectors: list) -> bool:
+    """Whether n integer vectors of length n are independent modulo
+    _REFERENCE_PRIME, by Gaussian elimination over the integers mod p."""
+    rows = [[x % _REFERENCE_PRIME for x in v] for v in vectors]
+    while rows:
+        piv = next((row for row in rows if row[0]), None)
+        if piv is None:
+            return False
+        inv = pow(piv[0], -1, _REFERENCE_PRIME)
+        rows = [[(x - c * y) % _REFERENCE_PRIME for x, y in zip(row[1:], piv[1:])]
+                for row in rows if row is not piv for c in (row[0] * inv,)]
+    return True
+
+
+def _certificate_bound(b, candidates):
+    """The a-priori bound on the entries of f(B) v that `_cyclic` needs its
+    moduli to exceed, with rho the largest row sum of |B|."""
+    rho = max(sum(map(abs, row)) for row in b)
+    bound = max(map(abs, spectral._start_vector(len(b))))
+    for (x, y), votes in candidates:
+        step = rho + abs(x)
+        bound *= (step * step + y * y) ** (votes // 2) if y else step**votes
+    return bound
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5, 77, 4242])
+def test_certificate_verdicts_match_the_reference_on_benchmark_inputs(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    certified = 0
+    for op in workloads.ExactDecide().inputs(seed):
+        for side in ("left", "right"):
+            b = cleared(Matrix.exact(op.data[side]))[1]
+            votes = _candidates(b)
+            assert spectral._cyclic(b, votes) == _reference_cyclic(b, votes)
+            certified += _reference_cyclic(b, votes)
+    assert 100 < certified < 150  # both verdicts occur
+
+
+def _big_entry_matrix(rng, n, pair, derogatory):
+    """An integer matrix with entries up to 2^53 in size: a triangular one
+    with values in [-4, 4] on the diagonal, with one 2 x 2 rotation block
+    a +- bi on it when pair is set, and a value in two blocks when
+    derogatory is set, its rows and columns permuted at random."""
+    t = [[rng.randint(-2**53, 2**53) if j > i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        t[i][i] = rng.randint(-4, 4)
+    if pair:
+        k = rng.randrange(2, n - 1)
+        t[k][k] = t[k + 1][k + 1] = rng.randint(-4, 4)
+        t[k + 1][k] = rng.randint(1, 4)
+        t[k][k + 1] = -t[k + 1][k]
+    if derogatory:  # columns 0 and 1 of T - t00 I vanish
+        t[0][0] = t[1][1]
+        t[0][1] = 0
+    perm = rng.sample(range(n), n)
+    return [[t[i][j] for j in perm] for i in perm]
+
+
+def _big_entry_matrices():
+    rng = random.Random(2323)
+    return [(_big_entry_matrix(rng, n, pair, derogatory), pair, derogatory)
+            for n in (20, 24) for pair, derogatory in ((False, False), (True, False), (True, True))]
+
+
+def test_certificate_with_many_moduli_agrees_with_sympy():
+    # the bound needs dozens of moduli; a certified matrix has
+    # det(tI - B) = f and a Krylov matrix of v of full rank over the integers
+    from sympy.polys.matrices import DomainMatrix
+
+    for b, pair, derogatory in _big_entry_matrices():
+        n = len(b)
+        votes = _candidates(b)
+        assert any(y for (_, y), _ in votes) == pair
+        assert _certificate_bound(b, votes) > spectral._MODULI[0] ** 45
+        verdict = spectral._cyclic(b, votes)
+        assert verdict == (not derogatory)
+        if verdict:
+            t = sympy.Symbol("t")
+            f = sympy.prod([((t - x) ** 2 + y * y) ** (m // 2) if y else (t - x) ** m
+                            for (x, y), m in votes])
+            assert DomainMatrix.from_list(b, sympy.ZZ).charpoly() == sympy.Poly(f, t).all_coeffs()
+            krylov = [spectral._start_vector(n)]
+            for _ in range(n - 1):
+                krylov.append([sum(c * x for c, x in zip(row, krylov[-1])) for row in b])
+            assert DomainMatrix.from_list(krylov, sympy.ZZ).rank() == n
+
+
+def test_moduli_table_holds_distinct_primes_below_2_to_24():
+    moduli = spectral._MODULI
+    assert list(moduli) == sorted(set(moduli), reverse=True)
+    assert all(2**23 < p < 2**24 and sympy.isprime(p) for p in moduli)
+    # enough for the certificates above, and for any n = 24 matrix with
+    # entries up to 2^53: a root of B is at most rho in size, so each
+    # factor of f grows the bound by at most (3 rho)^degree
+    product = math.prod(moduli)
+    assert product > max(_certificate_bound(b, _candidates(b)) for b, *_ in _big_entry_matrices())
+    assert product > 3**23 * (3 * 24 * 2**53) ** 24
+
+
+def test_certificate_with_zero_row_sums():
+    # rho = 0 gives the bound 0, and one modulus still runs the sequence
+    for b, certified in (([[0]], True), ([[0] * 3] * 3, False), ([[0, 1], [0, 0]], True)):
+        votes = _candidates(b)
+        assert spectral._cyclic(b, votes) == _reference_cyclic(b, votes) == certified
+    assert spectrum_descriptor(Matrix.exact([[0]])).blocks == ((Fraction(0), 1, 1),)
+
+
+def test_multiples_of_the_first_moduli_are_not_taken_for_zero():
+    # wrong votes with f(B) v a nonzero multiple of the first one or two
+    # moduli: 0 modulo each of them, and the bound calls for one more
+    moduli = spectral._MODULI
+    for k in (1, 2):
+        b = [[5 + math.prod(moduli[:k])]]
+        for votes, certified in (([((b[0][0], 0), 1)], True), ([((5, 0), 1)], False)):
+            assert spectral._cyclic(b, votes) == _reference_cyclic(b, votes) == certified
+    # the candidate's |x| and y^2 count in the bound, not only B
+    for b, votes in (([[0]], [((-moduli[0], 0), 1)]),
+                     ([[0, 0], [0, 0]], [((0, moduli[0]), 2)])):
+        assert not spectral._cyclic(b, votes)
+        assert not _reference_cyclic(b, votes)
+
+
+def test_bound_beyond_the_moduli_falls_through_to_the_walks(monkeypatch):
+    # with one modulus, a bound beyond it proves nothing
+    paired, _ = _similar(_PAIR_PARTS, 99)
+    b = cleared(paired)[1]
+    assert _certificate_bound(b, _candidates(b)) > spectral._MODULI[0]
+    monkeypatch.setattr(spectral, "_MODULI", spectral._MODULI[:1])
+    assert not spectral._cyclic(b, _candidates(b))
+    _assert_walked(monkeypatch, paired)
+    assert spectrum_descriptor(paired).blocks == SpectrumDescriptor.make(
+        expected_blocks(_PAIR_PARTS)).blocks
+
+
 def test_fallback_walks_match_power_rank_sequence():
     # 2^60 (J_2(1) + rotation(1)): entries beyond 2^53 give no candidates,
     # so the factored polynomial names the eigenvalues and their walks run
@@ -602,6 +767,18 @@ def test_float_sign_within_rounding_is_refused():
     # axis, so its sign is not certified: refused, not put on the axis
     with pytest.raises(DiagnosticError, match="within rounding"):
         spectrum_descriptor(Matrix.from_numpy(np.diag([1e10, 1e-4, 1000.0])))
+
+
+def test_float_root_distances_beyond_the_float_range_are_refused():
+    # the first printed "overflow encountered in subtract" and was
+    # classified from infinite distances; the second was refused as a
+    # root within rounding (inf) of the imaginary axis
+    for rows in ([[1e308, -1e308], [1e308, 1e308]], [[1e308, 1e308], [1e308, 1e308]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DiagnosticError,
+                               match="root distances or the norm of A overflow"):
+                spectrum_descriptor(Matrix.floating(rows))
 
 
 def test_float_stiff_sweep_classifies_every_case():
