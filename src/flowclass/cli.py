@@ -694,7 +694,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_document(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:

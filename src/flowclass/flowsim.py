@@ -68,6 +68,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 _WALK_GROUP = 4
 _VERIFY_MARGIN = 1e-9
 _LOG_JUMP_CAP = 300.0
+# a witness is refused where the terms t^k/k! x_(i+k) of a flowed head
+# coordinate have sizes summing to S with S u beyond this times (1 + |head|):
+# S u is about the rounding noise left where the terms cancel
+_WITNESS_HEAD_NOISE = 1e-6
 
 
 def _as_array(a) -> np.ndarray:
@@ -733,6 +737,19 @@ def _head_sum(head, i: int, r: int, t: float) -> complex:
     return total
 
 
+def _term_sizes(times, xs, rows: int) -> np.ndarray:
+    """Sizes of the terms that exp(tJ) x adds up, J a Jordan block on the
+    imaginary axis: for each time t_n and point x_n, and each of the
+    first rows coordinates i, the sum over k of |t_n^k/k! x_n(i+k)|.
+    An overflow raises FloatingPointError under np.errstate(over="raise")."""
+    sizes = np.abs(np.array(xs))
+    m = sizes.shape[1]
+    steps = np.array(times)[:, None] / np.arange(1.0, m)
+    powers = np.cumprod(np.hstack([np.ones((len(times), 1)), steps]), axis=1)  # t^k/k!
+    return np.stack([(powers[:, : m - i] * sizes[:, i:]).sum(axis=1) for i in range(rows)],
+                    axis=1)
+
+
 def _assert_distinct_orbits(beta: float, x_lim, y_lim) -> None:
     """Decide, for every real t at once, whether y_lim lies on the orbit
     of x_lim under the single block J = i*beta*I + N.
@@ -793,6 +810,13 @@ def witness_sequence(
     tail coordinate is an exact polynomial in 1/t_n.  Each x_seq[n] flows
     at time times[n] exactly onto the prescribed y head; the unheaded
     coordinates decay to zero on both sides.
+
+    A prescribed coordinate i of y (the head, and the corner of an odd
+    block) sums terms t^k/k! x_(i+k) that cancel, so it carries rounding
+    noise of about S u, S the sum of their sizes and u = 2^-53.  When
+    S u exceeds 1e-6 (1 + |y_lim[i]|) at some t_n, or building the
+    witness overflows the float range, DiagnosticError is raised: a tiny
+    beta makes t_n so large that the computed head would be noise.
     """
     try:
         heads = [complex(*lam_parts(c)) for c in head]
@@ -837,25 +861,39 @@ def witness_sequence(
     times = []
     xs = []
     ys = []
-    for n in range(1, count + 1):
-        t = (2.0 * math.pi * n / beta) if beta > 0 else float(n)
-        # rotation factor exp(-i beta t) is exactly 1 at these times; an odd
-        # block solves for its corner coordinate u[0] too
-        v = np.array(
-            [
-                t ** (i - r - odd) * (y_head[i - 1] - _head_sum(x_head, i, r, t))
-                for i in range(1, r + 1)
-            ]
-            + y_corner,
-            dtype=complex,
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for n in range(1, count + 1):
+                t = (2.0 * math.pi * n / beta) if beta > 0 else float(n)
+                # rotation factor exp(-i beta t) is exactly 1 at these times; an
+                # odd block solves for its corner coordinate u[0] too
+                v = np.array(
+                    [
+                        t ** (i - r - odd) * (y_head[i - 1] - _head_sum(x_head, i, r, t))
+                        for i in range(1, r + 1)
+                    ]
+                    + y_corner,
+                    dtype=complex,
+                )
+                u = inv @ v
+                tail = tuple(u[k - 1 + odd] / t**k for k in range(1, r + 1))
+                xn = tuple(x_head) + tuple(u[:odd]) + tail
+                yn = tuple(jordan_flow(1j * beta, m, t) @ np.asarray(xn, dtype=complex))
+                times.append(t)
+                xs.append(tuple(complex(c) for c in xn))
+                ys.append(tuple(complex(c) for c in yn))
+            sizes = _term_sizes(times, xs, r + odd)
+    except (OverflowError, FloatingPointError):
+        noisy = [t]
+    else:
+        scale = 1 + np.abs(np.array(y_lim[: r + odd]))
+        ok = (sizes * _UNIT_ROUNDOFF <= _WITNESS_HEAD_NOISE * scale).all(axis=1)
+        noisy = [t for t, fine in zip(times, ok.tolist()) if not fine]
+    if noisy:
+        raise DiagnosticError(
+            f"the witness at t = {noisy[0]:.3g} overflows or its head carries rounding "
+            f"noise beyond {_WITNESS_HEAD_NOISE:g} (1 + |head|); raise beta or lower count"
         )
-        u = inv @ v
-        tail = tuple(u[k - 1 + odd] / t**k for k in range(1, r + 1))
-        xn = tuple(x_head) + tuple(u[:odd]) + tail
-        yn = tuple(jordan_flow(1j * beta, m, t) @ np.asarray(xn, dtype=complex))
-        times.append(t)
-        xs.append(tuple(complex(c) for c in xn))
-        ys.append(tuple(complex(c) for c in yn))
 
     return WitnessSequence(
         beta, m, r, tuple(times), tuple(xs), tuple(ys), x_lim, y_lim

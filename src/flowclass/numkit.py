@@ -108,13 +108,20 @@ class RationalComplex:
         return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
 
 
+# the imaginary part of every real exact scalar; Fractions are immutable
+_ZERO = Fraction(0)
+
+
 def lam_parts(lam) -> tuple:
     """(re, im) of a scalar: Fractions for an exact value (Fraction, int,
-    RationalComplex), floats for a float or complex one."""
+    RationalComplex), a Fraction being its own real part, and floats for
+    a float or complex one."""
     if isinstance(lam, RationalComplex):
         return lam.re, lam.im
-    if isinstance(lam, (Fraction, int)):
-        return Fraction(lam), Fraction(0)
+    if isinstance(lam, Fraction):
+        return lam, _ZERO
+    if isinstance(lam, int):
+        return Fraction(lam), _ZERO
     if isinstance(lam, numbers.Complex):
         z = complex(lam)
         return z.real, z.imag
@@ -134,7 +141,9 @@ def re_sign(lam, tol: float = 0.0) -> int:
     """Sign of the real part: exact for an exact scalar; a float real part
     within tol of zero counts as zero."""
     re, _ = lam_parts(lam)
-    if not isinstance(re, Fraction) and abs(re) <= tol:
+    if isinstance(re, Fraction):
+        re = re.numerator  # the same sign, compared as an int
+    elif abs(re) <= tol:
         return 0
     return (re > 0) - (re < 0)
 
@@ -329,10 +338,11 @@ def cleared(m: Matrix, *extra: Fraction) -> tuple:
     """(D, rows of D*m as ints), D the lcm of the denominators of m's
     entries and of extra.  One scalar D keeps the rank of every power of
     a shifted matrix; clearing each row by its own denominator would
-    multiply by a diagonal matrix that does not commute with m."""
-    d = math.lcm(*(x.denominator for row in m.rows for x in row),
-                 *(x.denominator for x in extra))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m.rows]
+    multiply by a diagonal matrix that does not commute with m.  Each
+    entry's integer ratio is read once."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in m.rows]
+    d = math.lcm(*{q for row in ratios for _, q in row}, *(x.denominator for x in extra))
+    return d, [[p * (d // q) for p, q in row] for row in ratios]
 
 
 def _primitive(row: list) -> list:
@@ -551,7 +561,7 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     if not isinstance(re, Fraction):
         raise InputError(f"an exact matrix needs an exact eigenvalue, got {lam!r}")
     d, b = cleared(a, re, im)
-    walk = integer_rank_walks(d, b)(lam)
+    walk = integer_rank_walks(d, b)(int(d * re), int(d * im))  # D clears re and im too
     while len(walk.ranks) <= kmax and not walk.stable():
         walk.deepen()
     return walk.filled(kmax)
@@ -622,13 +632,14 @@ def _lockstep_ranks(steps: np.ndarray, rel: float, kmax: int) -> list:
 
 class _RankWalk:
     """Resumable rank loop of power_rank_sequence over the integer rows of
-    one step matrix.  `ranks` holds [n, r(1), ..., r(k)] as measured so
-    far, r(k) the rank of step^k, halved onto lam for a pair step q(A)
-    (see above); `deepen` forms the next power only when its rank is
-    asked for.  A rank that rises raises DiagnosticError."""
+    one step matrix, at the lam with D lam = x + yi.  `ranks` holds
+    [n, r(1), ..., r(k)] as measured so far, r(k) the rank of step^k,
+    halved onto lam for a pair step q(A) (see above); `deepen` forms the
+    next power only when its rank is asked for.  A rank that rises
+    raises DiagnosticError."""
 
-    def __init__(self, step: list, lam, pair: bool):
-        self.step, self.lam, self.pair = step, lam, pair
+    def __init__(self, step: list, d: int, x: int, y: int):
+        self.step, self.at, self.pair = step, (d, x, y), bool(y)
         self.power = step
         self.ranks = [len(step)]
 
@@ -642,8 +653,10 @@ class _RankWalk:
         if self.pair:
             nullity = n - r
             if nullity % 2:
+                d, x, y = self.at
+                lam = RationalComplex(Fraction(x, d), Fraction(y, d))
                 raise DiagnosticError(
-                    f"q(A)^{len(ranks)} at the pair {self.lam} has odd nullity {nullity}; "
+                    f"q(A)^{len(ranks)} at the pair {lam} has odd nullity {nullity}; "
                     "a real matrix has paired kernels"
                 )
             r = n - nullity // 2
@@ -665,44 +678,38 @@ class _RankWalk:
 
 
 def integer_rank_walks(d: int, b: list):
-    """For D and B = D A as `cleared` gives them, a function lam -> the
-    rank walk of (A - lam I): a `_RankWalk` that takes one more integer
-    power per rank of power_rank_sequence, so a caller can stop a walk
-    early and resume it later.  lam must be exact, with D re lam and
-    D im lam integers, as they are for every eigenvalue of A with
-    rational parts (D lam is then a root of the monic integer polynomial
-    det(tI - B) in Q(i), hence in Z[i]).  The rows of B are not
-    modified.  All walks of one such function share one B^2, formed for
-    the first non-real lam."""
+    """For D and B = D A as `cleared` gives them, a function (x, y) -> the
+    rank walk of (A - lam I) at lam = (x + yi) / D: a `_RankWalk` that
+    takes one more integer power per rank of power_rank_sequence, so a
+    caller can stop a walk early and resume it later.  x and y are
+    integers: D lam is a Gaussian integer for every eigenvalue lam of A
+    with rational parts, a root of the monic integer polynomial
+    det(tI - B) in Q(i), hence in Z[i].  The rows of B are not modified.
+    All walks of one such function share one B^2, formed for the first
+    y != 0."""
     square = cache(lambda: _row_product(b, b))
 
-    def walk(lam):
-        lam = canonical_lam(lam)
-        step, pair = _integer_step(d, b, lam, square)
-        return _RankWalk(step, lam, pair)
+    def walk(x: int, y: int):
+        return _RankWalk(_integer_step(b, x, y, square), d, x, y)
 
     return walk
 
 
-def _integer_step(d: int, b: list, lam, square) -> tuple:
-    """(integer rows of the step matrix, whether lam is a non-real pair)
-    from D, B = D A and a function giving B^2; see power_rank_sequence."""
-    re, im = lam_parts(lam)
-    da, db = d * re, d * im
-    if da.denominator != 1 or db.denominator != 1:
-        raise InputError(f"{lam} times the common denominator {d} is not a Gaussian integer")
-    da, db = da.numerator, db.numerator
-    if not db:
+def _integer_step(b: list, x: int, y: int, square) -> list:
+    """Integer rows of the step matrix at D lam = x + yi, from B = D A and
+    a function giving B^2: B - xI, or B^2 - 2xB + (x^2 + y^2) I for
+    y != 0; see power_rank_sequence."""
+    if not y:
         step = [list(row) for row in b]
         for i, row in enumerate(step):
-            row[i] -= da
-        return step, False
+            row[i] -= x
+        return step
     step = [list(row) for row in square()]
     for i, (row, brow) in enumerate(zip(step, b)):
-        for j, x in enumerate(brow):
-            row[j] -= 2 * da * x
-        row[i] += da * da + db * db
-    return step, True
+        for j, c in enumerate(brow):
+            row[j] -= 2 * x * c
+        row[i] += x * x + y * y
+    return step
 
 
 # ---- exact solves ------------------------------------------------------------

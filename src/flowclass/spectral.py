@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import hypot, isfinite, isqrt
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -283,12 +283,18 @@ def _candidates(b: list) -> list:
     """((x, y), votes) per Gaussian integer x + yi, y >= 0, nearest to a
     LAPACK root of the integer matrix B, one per conjugate pair, with
     votes the number of roots nearest to it (a pair's counted on both
-    sides), most votes first; none when an entry of B is too large to
-    convert exactly."""
-    if max(abs(x) for row in b for x in row) > _FLOAT_EXACT:
+    sides), most votes first; none when an entry of B is beyond 2^53 in
+    size, where floats stop being exact.  B's rows are read into one
+    int64 array, which both checks the entries and converts them."""
+    try:
+        b = np.array(b, dtype=np.int64)
+    except OverflowError:  # beyond int64, so beyond 2^53 too
+        return []
+    # max and min, not abs: abs(-2^63) wraps to itself in int64
+    if b.max() > _FLOAT_EXACT or b.min() < -_FLOAT_EXACT:
         return []
     try:
-        roots = np.linalg.eigvals(np.array(b, dtype=float))
+        roots = np.linalg.eigvals(b.astype(float))
     except np.linalg.LinAlgError:
         return []
     if not np.isfinite(roots).all():
@@ -384,36 +390,40 @@ def _exact_spectrum(a: Matrix) -> list:
     """(value, multiplicity, rank sequence) per eigenvalue of an exact A,
     sorted by (re, im); a conjugate pair shares one sequence.
 
-    With B = D A cleared of denominators, each candidate z = x + yi from
-    `_candidates` stands for lam = z / D.  The votes are put to `_cyclic`
-    first.  When it proves that they give det(tI - B) and that B is
-    non-derogatory, each lam has one Jordan block, of size m its vote
-    count (half of it for a pair), and its rank sequence
-    r(k) = n - min(k, m) is derived, not measured: no rank, no power and
-    no B^2 is taken.  Otherwise the rank walks of `_walked_spectrum`
-    measure the sequences.
+    With B = D A cleared of denominators, every eigenvalue is carried as
+    its Gaussian integer D lam = x + yi until the values are built, once
+    each, at the end: a conjugate is (x, -y), and since D > 0 the order
+    of (x, y) is the order of (re, im), so one sort of integer keys
+    orders the certified, the walked and the factored spectrum alike.
+    Each candidate z = x + yi from `_candidates` stands for lam = z / D.
+    The votes are put to `_cyclic` first.  When it proves that they give
+    det(tI - B) and that B is non-derogatory, each lam has one Jordan
+    block, of size m its vote count (half of it for a pair), and its
+    rank sequence r(k) = n - min(k, m) is derived, not measured: no
+    rank, no power and no B^2 is taken.  Otherwise the rank walks of
+    `_walked_spectrum` measure the sequences.
     """
     n = a.n
     d, b = cleared(a)
     candidates = _candidates(b)
-    cands = [(RationalComplex(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d),
-              votes) for (x, y), votes in candidates]
     if _cyclic(b, candidates):
         found = []
-        for lam, votes in cands:
-            m = votes // 2 if lam_parts(lam)[1] else votes
-            found.append((lam, m, [n - min(k, m) for k in range(n + 1)]))
+        for z, votes in candidates:
+            m = votes // 2 if z[1] else votes
+            # r(k) = n - min(k, m) for k = 0, ..., n
+            found.append((z, m, [*range(n, n - m, -1)] + [n - m] * (n + 1 - m)))
     else:
-        found = _walked_spectrum(a, d, b, cands)
-    found += [(lam.conjugate(), mult, ranks) for lam, mult, ranks in found
-              if lam_parts(lam)[1]]
-    return sorted(found, key=lambda p: lam_parts(p[0]))
+        found = _walked_spectrum(a, d, b, candidates)
+    found += [((x, -y), mult, ranks) for (x, y), mult, ranks in found if y]
+    found.sort(key=itemgetter(0))
+    return [(RationalComplex(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d),
+             mult, ranks) for (x, y), mult, ranks in found]
 
 
-def _walked_spectrum(a: Matrix, d: int, b: list, cands: list) -> list:
-    """(value, multiplicity, rank sequence) per eigenvalue of an exact A
-    with nonnegative imaginary part, from rank walks at the candidates
-    (lam, votes) of `_exact_spectrum`, B = D A.
+def _walked_spectrum(a: Matrix, d: int, b: list, candidates: list) -> list:
+    """(D lam as (x, y), multiplicity, rank sequence) per eigenvalue lam
+    of an exact A with y >= 0, from rank walks at the `_candidates`
+    ((x, y), votes) of B = D A.
 
     Each candidate's rank walk (`numkit.integer_rank_walks`, all sharing
     one B^2) measures r(k) = rank (A - lam I)^k one power at a time.  The
@@ -429,32 +439,35 @@ def _walked_spectrum(a: Matrix, d: int, b: list, cands: list) -> list:
     yet repeated.  The votes only order the work; the count alone
     certifies.  When it falls short, the eigenvalues come from
     `_eigenvalues_exact` instead (which raises ExactModeError on
-    irrational parts), and each of their walks, those measured so far
-    included, runs until its rank repeats.
+    irrational parts), each one keyed by D lam, a Gaussian integer (see
+    `numkit.integer_rank_walks`), and each of their walks, those
+    measured so far included, runs until its rank repeats.
     """
     n = a.n
     walk_at = integer_rank_walks(d, b)
-    walks = {}  # lam -> its rank walk, made when first deepened
+    walks = {}  # D lam as (x, y) -> its rank walk, made when first deepened
     total = 0  # nullity measured over all walks, a pair counting twice
-    for lam, _ in cands:
+    for z, _ in candidates:
         if total < n:
-            walk = walks[lam] = walk_at(lam)
+            walk = walks[z] = walk_at(*z)
             total += (1 + walk.pair) * walk.deepen()
     for wanted in (lambda walk, votes: (1 + walk.pair) * (n - walk.ranks[-1]) < votes,
                    lambda walk, votes: True):
-        for (_, votes), walk in zip(cands, walks.values()):
+        for (_, votes), walk in zip(candidates, walks.values()):
             while total < n and not walk.stable() and wanted(walk, votes):
                 total += (1 + walk.pair) * walk.deepen()
     if total == n:
-        return [(lam, n - walk.ranks[-1], walk.filled(n))
-                for lam, walk in walks.items() if walk.ranks[-1] < n]
+        return [(z, n - walk.ranks[-1], walk.filled(n))
+                for z, walk in walks.items() if walk.ranks[-1] < n]
     found = []
     for lam, mult in _eigenvalues_exact(a):
-        if lam_parts(lam)[1] >= 0:
-            walk = walks.get(lam) or walk_at(lam)
+        re, im = lam_parts(lam)
+        if im >= 0:
+            z = int(d * re), int(d * im)
+            walk = walks.get(z) or walk_at(*z)
             while not walk.stable():
                 walk.deepen()
-            found.append((lam, mult, walk.filled(n)))
+            found.append((z, mult, walk.filled(n)))
     return found
 
 
@@ -703,27 +716,26 @@ def spectrum_descriptor(a: Matrix, tol: float | None = None) -> SpectrumDescript
 
     Block counts are read off the rank sequences the eigenvalues were
     confirmed or measured with, on the nonnegative-imaginary side, and
-    mirrored, so the result is conjugate-symmetric by construction.  The
-    eigenvalues come sorted by (re, im) and distinct, and each one's
-    counts by size, so the blocks are laid out in the (re, im, m) order
-    of `SpectrumDescriptor.make` without another sort; they are
-    size-checked as make does it, without make's symmetry scan of
-    caller-supplied blocks.  An exact A takes no tolerance.
+    mirrored, so the result is conjugate-symmetric by construction.  A
+    conjugate pair shares one sequence, so the counts are read once per
+    pair and found again by the sequence, without hashing a value.  The
+    eigenvalues come sorted by (re, im) and distinct (an exact spectrum
+    is sorted on the Gaussian integers D lam, see `_exact_spectrum`),
+    and each one's counts by size, so the blocks are laid out in the
+    (re, im, m) order of `SpectrumDescriptor.make` without another sort;
+    they are size-checked as make does it, without make's symmetry scan
+    of caller-supplied blocks.  An exact A takes no tolerance.
     """
     eigs = _spectrum(a, tol)
-    counts = {}
+    counts = {}  # id of a rank sequence -> its block counts
     for lam, mult, ranks in eigs:
         if lam_parts(lam)[1] < 0:
             continue
-        counts[lam] = _block_counts(ranks, lam, a.mode)
-        measured = sum(m * c for m, c in counts[lam])
+        held = counts[id(ranks)] = _block_counts(ranks, lam, a.mode)
+        measured = sum(m * c for m, c in held)
         if measured != mult:
             raise DiagnosticError(
                 f"block sizes at {lam} sum to {measured}, expected multiplicity {mult}"
             )
-    blocks = []
-    for lam, _, _ in eigs:
-        value = canonical_lam(lam)
-        held = counts.get(lam) or counts[lam.conjugate()]
-        blocks.extend(Block(value, m, c) for m, c in held)
-    return SpectrumDescriptor(*_sized(tuple(blocks), a.n), a.mode == "exact", True)
+    blocks = tuple(Block(lam, m, c) for lam, _, ranks in eigs for m, c in counts[id(ranks)])
+    return SpectrumDescriptor(*_sized(blocks, a.n), a.mode == "exact", True)

@@ -373,6 +373,14 @@ def test_witness_orbit_collision_is_exit_2(capsys, tmp_path):
     assert "orbit-equal" in err
 
 
+def test_witness_head_lost_to_rounding_is_exit_2(capsys, tmp_path):
+    doc = write_doc(tmp_path, "head: [1.0, 2.0]\nbeta: 1.0e-150\n")
+    code, out, err = run(capsys, "witness", doc)
+    assert code == 2 and out == ""
+    assert err.startswith("flowclass: diagnostic:")
+    assert "rounding noise beyond 1e-06 (1 + |head|)" in err
+
+
 # ---- invariants variants ---------------------------------------------------
 
 

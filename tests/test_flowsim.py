@@ -940,6 +940,23 @@ def test_witness_refuses_numbers_beyond_the_float_range():
             witness_sequence(head, beta)
 
 
+def test_witness_refuses_a_head_lost_to_rounding():
+    # at t = 2 pi n / 1e-150 the odd head [1, 2] flows onto y_0 = 2 through
+    # terms of size 1e151 that cancel, so y_seq[0][0] came out as 1.45e135;
+    # at beta = 1e-300 the powers of t overflowed to NaN with RuntimeWarnings
+    for head, beta, even in (([1.0, 2.0], 1e-150, False), ([1.0, 2.0], 1e-300, False),
+                             ([1.0, 2.0, 3.0], 1e-300, True), ([1.0, 2.0], 1e-320, False)):
+        with pytest.raises(DiagnosticError, match="rounding noise beyond 1e-06"):
+            witness_sequence(head, beta, even=even)
+    # the bound is on the cancellation, not on beta: an even 2-block adds
+    # head and tail without cancelling, so its head is exact at any t
+    w = witness_sequence([0.5], 1e-300, even=True)
+    assert all(abs(y[0] - 1.5) < 1e-12 for y in w.y_seq)
+    # the terms of the flowed head at beta = 1 stay far inside the bound
+    w = witness_sequence([1.0, 2.0], 1.0)
+    assert flowsim._term_sizes(w.times, w.x_seq, 2).max() < 1e-6 / 2.0**-53 / 100
+
+
 # ---- extrapolation -----------------------------------------------------------
 
 

@@ -30,7 +30,13 @@ from conftest import (
 from flowclass.errors import DiagnosticError, ExactModeError, InputError
 from flowclass.invariants import conjugacy_signature
 from flowclass import numkit, spectral
-from flowclass.numkit import Matrix, RationalComplex, cleared, power_rank_sequence
+from flowclass.numkit import (
+    Matrix,
+    RationalComplex,
+    cleared,
+    lam_parts,
+    power_rank_sequence,
+)
 from flowclass.spectral import (
     CENTER_TOL,
     SpectrumDescriptor,
@@ -209,6 +215,25 @@ def test_exact_entries_beyond_float_fall_back():
         (Fraction(2), 1), (Fraction(10**400), 1))
     assert spectrum_descriptor(Matrix.exact([[1, 10**400], [0, 1]])).blocks == (
         (Fraction(1), 2, 1),)
+
+
+@pytest.mark.parametrize("v", [2**53, -2**53, 2**53 + 1, -2**53 - 1, -2**63, 2**63, 10**400])
+def test_candidates_stop_beyond_2_to_53(v):
+    # entries up to 2^53 in size convert to float exactly; beyond that,
+    # -2^63 (whose abs wraps in int64) and entries beyond int64 included,
+    # no candidate is tried and the factored polynomial answers alike
+    a = Matrix.exact([[v, 1], [0, 2]])
+    assert bool(_candidates(cleared(a)[1])) == (abs(v) <= 2**53)
+    want = tuple(sorted([(Fraction(v), 1), (Fraction(2), 1)]))
+    assert eigenvalues(a) == want
+    assert spectrum_descriptor(a).blocks == tuple((lam, 1, 1) for lam, _ in want)
+    # t^2 - v: irrational roots are refused, only 10^400 is a square
+    swap = Matrix.exact([[0, v], [1, 0]])
+    if v == 10**400:
+        assert eigenvalues(swap) == ((Fraction(-10**200), 1), (Fraction(10**200), 1))
+    else:
+        with pytest.raises(ExactModeError, match="whose roots have irrational parts"):
+            eigenvalues(swap)
 
 
 def _count_calls(monkeypatch, module, name, counted=lambda *args: True):
@@ -643,6 +668,41 @@ def test_short_count_reuses_measured_walks(monkeypatch):
     assert [(lam, mult) for lam, mult, _ in spectrum] == [(Fraction(-1), 1), (Fraction(3), 7)]
     for lam, _, ranks in spectrum:
         assert ranks == power_rank_sequence(a, lam, 8)
+    assert spectrum_descriptor(a).blocks == SpectrumDescriptor.make(expected_blocks(parts)).blocks
+
+
+@pytest.mark.parametrize("d, parts", [
+    # values sharing real parts, zero, negative parts; D the lcm of denominators
+    (1, [(-1, 0, 1, 1), (-1, 2, 1, 1), (0, 0, 1, 1), (0, 1, 1, 1), (0, 3, 1, 1), (2, 1, 1, 1)]),
+    (2, [(Fraction(-1, 2), 0, 2, 1), (Fraction(-1, 2), Fraction(3, 2), 1, 1), (0, 0, 1, 1),
+         (0, Fraction(1, 2), 1, 1), (1, 0, 1, 1)]),
+    (6, [(Fraction(-1, 3), 0, 1, 1), (Fraction(-1, 3), Fraction(1, 2), 2, 1),
+         (0, Fraction(5, 6), 1, 1), (0, 0, 1, 1), (Fraction(1, 2), Fraction(1, 3), 1, 1)]),
+])
+def test_exact_spectrum_sorts_and_pairs_alike_on_every_route(monkeypatch, d, parts):
+    # the certified, the walked and the factored spectrum are each sorted
+    # by (re, im) and give a conjugate pair one shared rank sequence
+    a, _ = _similar(parts, 40 + d)
+    assert cleared(a)[0] == d
+    spectra = []
+    for route in ("certified", "walked", "factored"):
+        with monkeypatch.context() as mp:
+            if route != "certified":
+                _walks_only(mp)
+            if route == "factored":
+                mp.setattr(spectral, "_candidates", lambda b: [])
+            fallbacks = _count_calls(mp, spectral, "_eigenvalues_exact")
+            measured = _count_calls(mp, numkit, "_rank_int")
+            spectrum = spectral._exact_spectrum(a)
+            assert (len(fallbacks), not measured) == (route == "factored", route == "certified")
+        keys = [lam_parts(lam) for lam, _, _ in spectrum]
+        assert keys == sorted(set(keys))
+        ranks_at = {lam: ranks for lam, _, ranks in spectrum}
+        for lam, _, ranks in spectrum:
+            if isinstance(lam, RationalComplex):
+                assert ranks_at[lam.conjugate()] is ranks
+        spectra.append(repr(spectrum))
+    assert spectra[0] == spectra[1] == spectra[2]
     assert spectrum_descriptor(a).blocks == SpectrumDescriptor.make(expected_blocks(parts)).blocks
 
 
