@@ -25,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import yaml
@@ -77,21 +78,33 @@ class Report:
     diagnostics: tuple = ()
 
 
+def _same(x):
+    return x
+
+
+# _jsonable by exact type, and by the first base in this order for a subclass
+_JSONABLE = {
+    type(None): _same,
+    bool: _same,
+    int: _same,
+    str: _same,
+    float: lambda x: float(x) if math.isfinite(x) else None,
+    Fraction: str,
+    RationalComplex: lambda x: [str(x.re), str(x.im)],
+    complex: lambda x: [float(x.real), float(x.imag)],
+    dict: lambda x: {str(k): _jsonable(v) for k, v in x.items()},
+    list: lambda x: [_jsonable(v) for v in x],
+    tuple: lambda x: [_jsonable(v) for v in x],
+}
+
+
 def _jsonable(x):
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if isinstance(x, float):
-        return float(x) if x == x and abs(x) != float("inf") else None
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, RationalComplex):
-        return [str(x.re), str(x.im)]
-    if isinstance(x, complex):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+    convert = _JSONABLE.get(type(x))
+    if convert is not None:
+        return convert(x)
+    for base, convert in _JSONABLE.items():
+        if isinstance(x, base):
+            return convert(x)
     if isinstance(x, np.generic):
         return _jsonable(x.item())
     if isinstance(x, np.ndarray):
@@ -104,16 +117,77 @@ def _report(command: str, payload: dict, diagnostics) -> Report:
 
 
 def emit_json(report: Report) -> str:
-    return json.dumps(
+    """The report as json.dumps(..., sort_keys=True, indent=2,
+    allow_nan=False) writes it, byte for byte, by `_json_text`."""
+    return _json_text(
         {
             "command": report.command,
             "diagnostics": list(report.diagnostics),
             "payload": report.payload,
         },
-        sort_keys=True,
-        indent=2,
-        allow_nan=False,
+        "\n",
     )
+
+
+def _json_text(o, pad: str) -> str:
+    """JSON text of o as json.dumps(o, sort_keys=True, indent=2,
+    allow_nan=False) writes it, pad being the newline and indent before
+    o's line.  The stdlib writes an indented document with its
+    pure-Python encoder, a generator step per token; this dispatches on
+    exact type and falls back to json's isinstance order for subclasses.
+    A non-finite float raises ValueError and a value json cannot write
+    TypeError, as json.dumps does (without its check for cycles)."""
+    kind = type(o)
+    if kind is str:
+        return encode_basestring_ascii(o)
+    if kind is float:
+        return _json_float(o)
+    if kind is int:
+        return int.__repr__(o)
+    if kind is not list and kind is not dict and kind is not tuple:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _json_float(o)
+        if not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(o, dict):
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + pad + "]"
+
+
+def _json_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _json_key(k) -> str:
+    """A dict key as json writes it: a string, or a float, bool, None or
+    int spelled as that value is and quoted."""
+    if isinstance(k, str):
+        text = k
+    elif isinstance(k, float):
+        text = _json_float(k)
+    elif k is True or k is False or k is None:
+        text = _json_text(k, "")
+    elif isinstance(k, int):
+        text = int.__repr__(k)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return encode_basestring_ascii(text)
 
 
 def parse_report(text: str) -> Report:
@@ -226,11 +300,29 @@ def _scan_real(x, path: str, ev: _Evidence):
         return x
     if isinstance(x, str):
         if not _FRACTION_RE.match(x):
-            raise InputError(f"{path}: cannot read {x!r} as a number")
+            raise InputError(f"{path}: cannot read {x!r} as a number{_float_hint(x)}")
         if ev.frac_at is None:
             ev.frac_at = (path, x)
         return _note_range(Fraction(x), path, ev)
     raise InputError(f"{path}: expected a number, got {type(x).__name__}")
+
+
+def _float_hint(text: str) -> str:
+    """How to write text as a float, when Python reads it as a finite one:
+    YAML 1.1 reads a float only when its digits have a decimal point and
+    its exponent, if any, a sign, so 1e-3 and 1.0e300 are text.  The
+    spelling offered is the shortest that reads back as the same float."""
+    try:
+        value = float(text)
+    except ValueError:
+        return ""
+    if not math.isfinite(value):
+        return ""
+    spelled = repr(value)
+    if "." not in spelled:
+        spelled = spelled.replace("e", ".0e")
+    return (f"; YAML reads a float only with a decimal point and a signed "
+            f"exponent, so write {spelled}, or a ratio in exact mode")
 
 
 def _note_range(x, path: str, ev: _Evidence):
@@ -305,8 +397,10 @@ def _load_matrix(rows, path: str, ev: _Evidence):
         isinstance(r, list) for r in rows
     ):
         raise InputError(f"{path}: a matrix is a list of rows")
+    # once a float is noted, a finite float needs no scan and no path
     return [
-        [_scan_real(x, f"{path}[{i}][{j}]", ev) for j, x in enumerate(row)]
+        [x if type(x) is float and ev.float_at and -math.inf < x < math.inf
+         else _scan_real(x, f"{path}[{i}][{j}]", ev) for j, x in enumerate(row)]
         for i, row in enumerate(rows)
     ]
 

@@ -474,6 +474,21 @@ def _walked_spectrum(a: Matrix, d: int, b: list, candidates: list) -> list:
 # ---- eigenvalues: float path -------------------------------------------------
 
 
+def _conjugate_order(roots: np.ndarray) -> tuple:
+    """(roots in (re, im) order, mirror), mirror[i] the index there of the
+    conjugate of root i.  Both orders are stable sorts (np.lexsort sorts
+    on its last key first), so equal roots keep LAPACK's order and a
+    real root is its own mirror.  A root with no exact conjugate raises
+    DiagnosticError naming the first such root in (re, im) order."""
+    roots = roots[np.lexsort((roots.imag, roots.real))]
+    mirror = np.lexsort((-roots.imag, roots.real))
+    unpaired = np.flatnonzero(roots[mirror] != roots.conj())
+    if unpaired.size:
+        raise DiagnosticError(
+            f"the LAPACK root {roots[unpaired[0]].item():.6g} has no exact conjugate")
+    return roots, mirror.tolist()
+
+
 def _float_clusters(a: Matrix, tol: float | None):
     """Clusters of the LAPACK roots of a float A; (mean, size, radius,
     rank sequence at the mean) per cluster, in the (re, im) order of
@@ -518,18 +533,15 @@ def _float_clusters(a: Matrix, tol: float | None):
         roots = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigenvalue iteration failed: {exc}") from None
-    scale = float(np.linalg.norm(arr, 2))
+    # ||A||_2, the largest singular value, as np.linalg.norm(arr, 2) reads it
+    # from the same LAPACK call, without its axis handling
+    scale = float(np.linalg.svd(arr, compute_uv=False)[0])
     spread = [max(part) - min(part) for part in (roots.real.tolist(), roots.imag.tolist())]
     if not isfinite(hypot(*spread) + scale):
         raise DiagnosticError("the root distances or the norm of A overflow the "
                               f"float range (||A||_2 = {scale:.3g})")
     n = a.n
-    # roots in (re, im) order; mirror[i] is the index of the conjugate of root i
-    roots = roots[sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))]
-    mirror = sorted(range(n), key=lambda i: (roots[i].real, -roots[i].imag))
-    for z, w in zip(roots.tolist(), roots[mirror].tolist()):
-        if w != z.conjugate():
-            raise DiagnosticError(f"the LAPACK root {z:.6g} has no exact conjugate")
+    roots, mirror = _conjugate_order(roots)
     order = np.minimum(np.arange(1, n + 1), _MAX_CLUSTER_ORDER)
     limit = (_CLUSTER_SLACK * _EPS ** (1.0 / order) * scale if tol is None
              else np.full(n, float(tol)))
@@ -691,7 +703,9 @@ def _block_counts(ranks: list, lam, mode: str):
     ext = ranks + [stable]
     counts = []
     total = 0
-    for m in range(1, n + 1):
+    # the sequence never rises, so past the first k with r(k) stable
+    # every second difference is 0
+    for m in range(1, ranks.index(stable) + 1):
         c = ext[m - 1] - 2 * ext[m] + ext[m + 1]
         if c < 0:
             raise DiagnosticError(

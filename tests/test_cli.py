@@ -1,22 +1,37 @@
 """Command-line behavior: golden reports, exit codes, document
 validation, report round trips, and the exact-to-float fallback."""
 
+import hashlib
 import io
 import json
+import math
 import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
+import flowclass
 from conftest import haar_similar, hyperbolic_blocks, rotation
 from flowclass import flowsim
-from flowclass.cli import Report, _load_document, emit_json, emit_text, main, parse_report
+from flowclass.cli import (
+    Report,
+    _jsonable,
+    _load_document,
+    emit_json,
+    emit_text,
+    main,
+    parse_report,
+)
 from flowclass.errors import InputError
+from flowclass.numkit import RationalComplex
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -507,6 +522,34 @@ def test_loader_matches_pyyaml_safe_load(tmp_path):
         assert _load_document(write_doc(tmp_path, text)) == yaml.safe_load(text), text
 
 
+@pytest.mark.parametrize("text,spelled", [
+    ("1e-3", "0.001"), ("2E5", "200000.0"), ("1.0e300", "1.0e+300"), ("-.5", "-0.5"),
+    ("5e-324", "5.0e-324"),
+])
+def test_float_that_yaml_reads_as_text_names_its_spelling(capsys, tmp_path, text, spelled):
+    # YAML 1.1 reads a float only with a decimal point and a signed
+    # exponent; the spelling offered reads back as the same float
+    doc = write_doc(tmp_path, f"matrix: [[0.0, {text}], [1.0, 0.0]]\n")
+    code, out, err = run(capsys, "classify", doc)
+    assert code == 1 and out == ""
+    assert err == (
+        f"flowclass: error: matrix[0][1]: cannot read {text!r} as a number; YAML reads "
+        f"a float only with a decimal point and a signed exponent, so write {spelled}, "
+        "or a ratio in exact mode\n"
+    )
+    assert yaml.safe_load(spelled) == float(text)
+    code, _, err = run(capsys, "classify", write_doc(tmp_path, f"matrix: [[{spelled}]]\n"))
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0.5", "nan", "1e999", "0x10"])
+def test_text_that_is_no_finite_float_keeps_the_plain_message(capsys, tmp_path, text):
+    doc = write_doc(tmp_path, f"matrix: [['{text}']]\n")
+    code, _, err = run(capsys, "classify", doc)
+    assert code == 1
+    assert err == f"flowclass: error: matrix[0][0]: cannot read {text!r} as a number\n"
+
+
 def test_exact_flag_conflicts_with_float_document(capsys, tmp_path):
     doc = write_doc(tmp_path, "mode: float\nmatrix: [[0.0]]\n")
     code, _, err = run(capsys, "classify", doc, "--exact")
@@ -579,7 +622,185 @@ def test_stdin_document(capsys, monkeypatch):
     assert json.loads(out)["payload"]["verdict"] == "CONJUGATE"
 
 
+# ---- the float_classify benchmark workload ------------------------------------------
+
+# sha256 of the JSON reports of one round of the benchmark's float_classify
+# workload, concatenated in round order, per seed; recorded from the reports
+# of the Python-sorted clusters and the stdlib JSON encoder (numpy 2.4,
+# OpenBLAS LAPACK), so a changed report fails here before the benchmark
+# finds it
+FLOAT_CLASSIFY_REPORTS = {
+    1: "1477183f04ab846a3c259ae787d0711f1c65f659192afb7dc1cc0c4995359a35",
+    2: "02f70f278b7bd8a45e6c799a1a18d04867fcccec27e41681a8d6a15cf0790a48",
+    5: "fc37a14b54fb91dff566b761ae1144a5ace4e0f0b04b494ddfa3c779891ed473",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FLOAT_CLASSIFY_REPORTS))
+def test_float_classify_workload_reports_are_unchanged(monkeypatch, tmp_path, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import FloatClassify
+
+    workload = FloatClassify(str(tmp_path))
+    texts = []
+    for op in workload.inputs(seed):
+        out = workload.run(flowclass, op)
+        assert workload.check(op, out), (op.n, out[2])
+        texts.append(out[1])
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == FLOAT_CLASSIFY_REPORTS[seed]
+
+
 # ---- report helpers ------------------------------------------------------------
+
+
+def _abc_jsonable(x):
+    """_jsonable by the isinstance chain alone: the reference for its
+    exact-type table."""
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
+    if isinstance(x, float):
+        return float(x) if x == x and abs(x) != float("inf") else None
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, RationalComplex):
+        return [str(x.re), str(x.im)]
+    if isinstance(x, complex):
+        return [float(x.real), float(x.imag)]
+    if isinstance(x, dict):
+        return {str(k): _abc_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_abc_jsonable(v) for v in x]
+    if isinstance(x, np.generic):
+        return _abc_jsonable(x.item())
+    if isinstance(x, np.ndarray):
+        return [_abc_jsonable(v) for v in x.tolist()]
+    raise InputError(f"cannot serialize {type(x).__name__} into a report")
+
+
+def _typed(x):
+    """x with the type of every value in it, so that equal values of
+    different types (1 and 1.0, True and 1) and NaN compare as told apart."""
+    if isinstance(x, dict):
+        return {k: _typed(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_typed(v) for v in x]
+    return type(x), repr(x)
+
+
+JSONABLE_VALUES = [
+    None, True, False, 0, -3, 10**400, "text", "",
+    0.5, -0.0, math.nan, math.inf, -math.inf, 1e-320,
+    Fraction(7, 3), Fraction(-2), RationalComplex(Fraction(1, 2), Fraction(-1)),
+    complex(1.0, -0.0), complex(math.nan, 2.0),
+    np.float64(2.5), np.float64(math.inf), np.complex128(1 - 1j), np.int64(-4), np.bool_(True),
+    np.float32(0.25), np.array([[1.0, 2.0], [3.0, math.nan]]), np.array([1 + 2j]),
+    (1, 2.0, "3"), [], {}, {1: "a", 2.5: [Fraction(1, 2)], None: (np.int64(1),)},
+    {"nested": [{"x": [np.float64(1.0), complex(0.0, 1.0)]}, ()]},
+]
+
+
+@pytest.mark.parametrize("value", JSONABLE_VALUES, ids=repr)
+def test_jsonable_equals_the_isinstance_chain(value):
+    assert _typed(_jsonable(value)) == _typed(_abc_jsonable(value))
+
+
+def test_jsonable_refuses_what_the_isinstance_chain_refuses():
+    for bad in (object(), {1, 2}, b"bytes", [1.0, object()]):
+        with pytest.raises(InputError, match="cannot serialize"):
+            _jsonable(bad)
+        with pytest.raises(InputError, match="cannot serialize"):
+            _abc_jsonable(bad)
+
+
+def _dumps(report: Report) -> str:
+    return json.dumps(
+        {"command": report.command, "diagnostics": list(report.diagnostics),
+         "payload": report.payload},
+        sort_keys=True, indent=2, allow_nan=False,
+    )
+
+
+# every character class json escapes: ASCII controls, quotes and
+# backslashes, non-ASCII and astral code points
+_text = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=8) | st.sampled_from(
+    ["", "\x00\x1f\x7f", '"\\/', "\u00e9\u2028\U0001f600", "\ud800"])
+_leaves = (
+    st.none() | st.booleans() | _text
+    | st.integers() | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([1e300, -1e300, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -0.0])
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_text, st.lists(_text, max_size=3), _values)
+def test_emit_json_equals_json_dumps(command, diagnostics, payload):
+    report = Report(command, payload, tuple(diagnostics))
+    assert emit_json(report) == _dumps(report)
+
+
+def test_emit_json_equals_json_dumps_on_subclasses_and_keys():
+    class Text(str):
+        pass
+
+    class Count(int):
+        pass
+
+    class Real(float):
+        pass
+
+    class Row(list):
+        pass
+
+    class Table(dict):
+        pass
+
+    payloads = [
+        {1: "int key", 2.5: "float key", -0.0: [], 10**30: {}},
+        {True: 1, False: 0},
+        {None: "null key"},
+        [Text("sub"), Count(3), Real(0.5), Row([1, Row()]), Table({"b": 1, "a": Table()})],
+        {Text("k"): np.float64(0.1), "z": np.float64(-0.0)},
+        [],
+        {},
+    ]
+    for payload in payloads:
+        report = Report("demo", payload)
+        assert emit_json(report) == _dumps(report)
+
+
+@pytest.mark.parametrize("payload", [
+    {"x": math.nan}, [1.0, [math.inf]], {"y": (-math.inf,)}, {math.nan: 1},
+    [np.float64(math.nan)], {"z": {"w": ["1/2", math.inf]}},
+])
+def test_emit_json_refuses_non_finite_floats_like_json_dumps(payload):
+    report = Report("demo", payload)
+    with pytest.raises(ValueError) as ours:
+        emit_json(report)
+    with pytest.raises(ValueError) as stdlib:
+        _dumps(report)
+    assert str(ours.value) == str(stdlib.value)
+
+
+@pytest.mark.parametrize("payload", [
+    {"x": Fraction(1, 2)}, [np.int64(1)], [np.bool_(True)], {"s": {1, 2}}, [object()],
+    {(1, 2): "tuple key"}, {1: "a", "b": 2}, {None: 1, True: 2},
+])
+def test_emit_json_refuses_what_json_dumps_refuses(payload):
+    report = Report("demo", payload)
+    with pytest.raises(TypeError) as ours:
+        emit_json(report)
+    with pytest.raises(TypeError) as stdlib:
+        _dumps(report)
+    assert str(ours.value) == str(stdlib.value)
+
+
 
 
 def test_parse_report_rejects_non_reports():

@@ -4,6 +4,7 @@ independent oracles (sympy for algebra, numpy eigendecomposition and
 closed forms for exponentials)."""
 
 import math
+import numbers
 import random
 import warnings
 from fractions import Fraction
@@ -30,12 +31,15 @@ from flowclass.numkit import (
     Matrix,
     Poly,
     RationalComplex,
+    canonical_lam,
     char_poly,
     float_rank_sequence,
     inverse_exact,
+    lam_parts,
     mat_exp_array,
     power_rank_sequence,
     rank,
+    re_sign,
     solve_exact,
 )
 
@@ -64,6 +68,72 @@ def test_rational_complex_mixed_arithmetic():
     assert complex(z) == 0.5 + 3j
     assert str(z) == "1/2+3i"
     assert str(z.conjugate()) == "1/2-3i"
+
+
+# ---- scalar helpers ----------------------------------------------------------------
+
+
+def _abc_lam_parts(lam) -> tuple:
+    """lam_parts by the ABC chain alone: the reference for its exact-type
+    fast paths."""
+    if isinstance(lam, RationalComplex):
+        return lam.re, lam.im
+    if isinstance(lam, Fraction):
+        return lam, Fraction(0)
+    if isinstance(lam, int):
+        return Fraction(lam), Fraction(0)
+    if isinstance(lam, numbers.Complex):
+        z = complex(lam)
+        return z.real, z.imag
+    raise InputError(f"cannot interpret scalar {lam!r}")
+
+
+def _abc_canonical_lam(lam):
+    re, im = _abc_lam_parts(lam)
+    if im == 0:
+        return re
+    return lam if isinstance(lam, RationalComplex) else complex(re, im)
+
+
+def _abc_re_sign(lam, tol: float = 0.0) -> int:
+    re, _ = _abc_lam_parts(lam)
+    if isinstance(re, Fraction):
+        re = re.numerator
+    elif abs(re) <= tol:
+        return 0
+    return (re > 0) - (re < 0)
+
+
+def _same_value(x, y) -> bool:
+    """Equal in type and in repr, so that NaN, -0.0 and 0.0 are told apart."""
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same_value, x, y))
+    return type(x) is type(y) and repr(x) == repr(y)
+
+
+SCALARS = [
+    0.0, -0.0, 1.5, -2.25, 1e-320, 1e308, math.nan, math.inf, -math.inf,
+    complex(1.5, -2.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(3.0, math.nan),
+    np.float64(-0.5), np.float64(-0.0), np.complex128(1 - 2j), np.complex128(4.0),
+    True, False, 0, -7, 10**400,
+    Fraction(3, 4), Fraction(-5, 2), Fraction(0), Fraction(10**400, 3),
+    RationalComplex(Fraction(1, 2), Fraction(-3)), RationalComplex(Fraction(0), Fraction(0)),
+]
+
+
+@pytest.mark.parametrize("lam", SCALARS, ids=repr)
+def test_scalar_helpers_equal_the_abc_chain(lam):
+    assert _same_value(lam_parts(lam), _abc_lam_parts(lam))
+    assert _same_value(canonical_lam(lam), _abc_canonical_lam(lam))
+    for tol in (0.0, 1e-8, 3.0):
+        assert re_sign(lam, tol) == _abc_re_sign(lam, tol)
+
+
+def test_scalar_helpers_refuse_what_the_abc_chain_refuses():
+    for bad in ("1.5", None, [1.0, 2.0]):
+        for helper in (lam_parts, canonical_lam, re_sign):
+            with pytest.raises(InputError, match="cannot interpret scalar"):
+                helper(bad)
 
 
 # ---- construction and modes -----------------------------------------------------

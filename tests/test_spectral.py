@@ -41,6 +41,7 @@ from flowclass.spectral import (
     CENTER_TOL,
     SpectrumDescriptor,
     _candidates,
+    _conjugate_order,
     _eigenvalues_exact,
     _float_clusters,
     eigenvalues,
@@ -949,6 +950,90 @@ def test_float_clusters_match_the_greedy_loop(monkeypatch):
             if isinstance(got, list):
                 merged.add(max(size for _, size, _, _ in got))
     assert 1 in merged and max(merged) >= 4
+
+
+def _python_conjugate_order(roots):
+    """The root order and mirror of _float_clusters by Python's sort on
+    (re, im) and (re, -im) keys, and its refusal: the reference for the
+    np.lexsort order of _conjugate_order."""
+    n = len(roots)
+    roots = roots[sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))]
+    mirror = sorted(range(n), key=lambda i: (roots[i].real, -roots[i].imag))
+    for z, w in zip(roots.tolist(), roots[mirror].tolist()):
+        if w != z.conjugate():
+            raise DiagnosticError(f"the LAPACK root {z:.6g} has no exact conjugate")
+    return roots, mirror
+
+
+def _tied_root_cases():
+    """Matrices whose LAPACK roots tie in their real parts, or are equal:
+    rotation blocks on one real part, J_2 and J_3 at one value (exact in
+    block form, split by rounding once rotated), and real roots at a
+    pair's real part."""
+    rng = np.random.default_rng(2503)
+    blocks = [
+        [rotation(0.0, 1.0), rotation(0.0, 2.0), rotation(0.0, 0.5)],
+        [rotation(-1.0, 1.0), rotation(-1.0, 3.0), np.diag([-1.0]), rotation(-1.0, 1.0)],
+        [jordan(-0.5, 2), jordan(-0.5, 3)],
+        [jordan(0.0, 2), jordan(0.0, 3), rotation(0.0, 1.0)],
+        [np.diag([0.75, 0.75]), rotation(0.75, 1.5), rotation(0.75, -1.5), np.diag([0.0])],
+        [rotation(2.0, 1.0), jordan(2.0, 2), rotation(-2.0, 1.0), np.diag([-2.0, 2.0])],
+    ]
+    cases = []
+    for parts in blocks:
+        cases.append(direct_sum(parts))
+        cases.append(haar_similar(rng, parts))
+    return cases
+
+
+def test_conjugate_order_equals_the_python_sort():
+    rng = np.random.default_rng(2504)
+    for arr in _tied_root_cases():
+        roots = np.linalg.eigvals(arr)
+        got, want = _conjugate_order(roots), _python_conjugate_order(roots)
+        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+    # conjugate-closed root sets with ties, equal roots and signed zeros,
+    # in shuffled orders
+    values = [0.0, -0.0, 1.0, -1.0, 0.5]
+    for _ in range(300):
+        roots = []
+        while len(roots) < 9:
+            z = complex(rng.choice(values), rng.choice(values))
+            roots += [z, z.conjugate()] if z.imag else [z]
+        roots = np.array(roots)[rng.permutation(len(roots))]
+        got, want = _conjugate_order(roots), _python_conjugate_order(roots)
+        assert [(repr(z.real), repr(z.imag)) for z in got[0].tolist()] == \
+            [(repr(z.real), repr(z.imag)) for z in want[0].tolist()]
+        assert got[1] == want[1]
+
+
+def test_float_clusters_keep_the_python_sorted_order(monkeypatch):
+    # tied real parts must give the same clusters, in the same order, as
+    # the Python-sorted roots did
+    cases = _tied_root_cases()
+    outcomes = [[_outcome(_float_clusters, Matrix.from_numpy(arr), tol)
+                 for tol in (None, 1e-3)] for arr in cases]
+    monkeypatch.setattr(spectral, "_conjugate_order", _python_conjugate_order)
+    for arr, got in zip(cases, outcomes):
+        want = [_outcome(_float_clusters, Matrix.from_numpy(arr), tol) for tol in (None, 1e-3)]
+        assert got == want
+    assert any(isinstance(got, list) and any(size > 1 for _, size, _, _ in got)
+               for pair in outcomes for got in pair)
+
+
+def test_root_without_exact_conjugate_is_named_in_re_im_order(monkeypatch):
+    # LAPACK pairs the roots of a real matrix exactly; were it not to,
+    # the refusal names the first unpaired root in (re, im) order
+    roots = np.array([1 + 2j, 3.0 + 0j, 1 - 2.000001j, 1 + 1j, 1 - 1j, -1 + 0.5j,
+                      -2.0 + 0j, -1 - 0.5j, 1 + 2.000001j, 1 - 2.0000001j])
+    monkeypatch.setattr(np.linalg, "eigvals", lambda arr: roots.copy())
+    a = Matrix.floating(np.eye(len(roots)).tolist())
+    with pytest.raises(DiagnosticError) as ours:
+        _float_clusters(a, None)
+    with pytest.raises(DiagnosticError) as reference:
+        _python_conjugate_order(roots)
+    assert str(ours.value) == str(reference.value) == (
+        "the LAPACK root 1-2j has no exact conjugate")
 
 
 def test_scattered_jordan_blocks_stay_refused():
