@@ -186,7 +186,8 @@ def _json_key(k) -> str:
     elif isinstance(k, int):
         text = int.__repr__(k)
     else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {type(k).__name__}")
     return encode_basestring_ascii(text)
 
 

@@ -723,13 +723,16 @@ def _dumps(report: Report) -> str:
 
 # every character class json escapes: ASCII controls, quotes and
 # backslashes, non-ASCII and astral code points
-_text = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=8) | st.sampled_from(
-    ["", "\x00\x1f\x7f", '"\\/', "\u00e9\u2028\U0001f600", "\ud800"])
+_text = (
+    st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=8)
+    | st.sampled_from(["", "\x00\x1f\x7f", '"\\/', "\u00e9\u2028\U0001f600", "\ud800"])
+)
 _leaves = (
     st.none() | st.booleans() | _text
     | st.integers() | st.integers(min_value=-(10**60), max_value=10**60)
     | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([1e300, -1e300, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -0.0])
+    | st.sampled_from([1e300, -1e300, 5e-324, -2.2250738585072014e-308,
+                       1.7976931348623157e308, -0.0])
 )
 _values = st.recursive(
     _leaves,
