@@ -97,30 +97,33 @@ def conjugacy_signature(
     """Collapse a descriptor to the invariant that decides conjugacy.
 
     A float real part within tol (default CENTER_TOL) of zero counts as
-    center; a NaN or negative tol raises InputError.
+    center; a NaN or negative tol raises InputError.  Float center blocks
+    are merged by (im, m), since values whose real parts differ within
+    tol land on one key.  An exact center block has a real part of
+    exactly 0, and an exact descriptor (from `SpectrumDescriptor.make` or
+    `spectrum_descriptor`) holds its blocks merged by (value, size) and
+    in (re, im, m) order, so its center blocks are taken as they are.
     """
     if tol is None:
         tol = _CENTER_TOL
     _check_tol(tol)
     plus = minus = 0
-    center: dict = {}
+    center = []
     for lam, m, count in desc.blocks:
-        _, im = lam_parts(lam)
         sign = re_sign(lam, tol)
         if sign > 0:
             plus += m * count
         elif sign < 0:
             minus += m * count
         else:
-            key = (im, m)
-            center[key] = center.get(key, 0) + count
-    canon = tuple(
-        sorted(
-            ((im, m, c) for (im, m), c in center.items()),
-            key=lambda t: (float(t[0]), t[1]),
-        )
-    )
-    return ConjugacySignature(plus, minus, canon, desc.exact)
+            center.append((lam_parts(lam)[1], m, count))
+    if not desc.exact:
+        merged: dict = {}
+        for im, m, count in center:
+            merged[im, m] = merged.get((im, m), 0) + count
+        center = sorted(((im, m, c) for (im, m), c in merged.items()),
+                        key=lambda t: (float(t[0]), t[1]))
+    return ConjugacySignature(plus, minus, tuple(center), desc.exact)
 
 
 def decide_conjugate(

@@ -26,17 +26,21 @@ factored over the rationals by sympy instead; a root with an irrational
 part then raises ExactModeError with a pointer to the float fallback.
 Either way the block counts reuse the rank sequences.
 
-In float mode the roots come from LAPACK (`numpy.linalg.eigvals`).
-Rounding splits an eigenvalue with a size-k Jordan block into k roots
-about (u ||A||)^(1/k) ||A||^(1-1/k) apart (Golub & Wilkinson, SIAM
-Rev. 18, 1976), so by default a group of roots may merge within a
-radius that grows with the group size, or within an explicit tol.  A group stands
-for its mean, which is accurate to O(u ||A||) even for a defective
+In float mode the roots and eigenvectors come from LAPACK
+(`numpy.linalg.eig`).  Rounding splits an eigenvalue with a size-k
+Jordan block into k roots about (u ||A||)^(1/k) ||A||^(1-1/k) apart
+(Golub & Wilkinson, SIAM Rev. 18, 1976), so by default a group of
+roots may merge within a radius that grows with the group size, or
+within an explicit tol.  A group stands for its mean, which is accurate to O(u ||A||) even for a defective
 eigenvalue (Kato, Perturbation Theory for Linear Operators, II.1), and
 is kept only when the ranks at its mean confirm its size.  A root
 farther than the widest radius from every other root can join no group;
-such isolated roots have their rank walks run in one batch, and only
-the other roots are grouped one at a time.  LAPACK returns the non-real
+at the default tolerance such an isolated root is proven simple when a
+Gershgorin disk of the eigenvector similarity, widened by rigorous
+rounding bounds, holds it and no other eigenvalue (`_certified_simple`),
+and its rank sequence is then derived, not measured.  The other
+isolated roots have their rank walks run in one batch, and only the
+other roots are grouped one at a time.  LAPACK returns the non-real
 roots of a real A as exact conjugates, so each cluster is settled
 together with its mirror, the cluster of the conjugate roots, and the
 clusters come in conjugate pairs before any counting happens.
@@ -59,7 +63,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import hypot, isfinite, isqrt
+from math import frexp, hypot, isfinite, isqrt
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -100,6 +104,9 @@ _EPS = float(np.finfo(float).eps)
 # the largest group size whose radius still grows with the size
 _CLUSTER_SLACK = 100.0
 _MAX_CLUSTER_ORDER = 4
+# simple-root certificate: an absolute bound above any subnormal rounding
+# of its products, which act on a matrix scaled to 2-norm at most 1
+_UNDERFLOW = 2.0**-1000
 # exact candidates: integer entries up to this convert to float exactly
 _FLOAT_EXACT = 2**53
 # float descriptors: values within this (relative) count as conjugates
@@ -489,6 +496,62 @@ def _conjugate_order(roots: np.ndarray) -> tuple:
     return roots, mirror.tolist()
 
 
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002, ch. 3)."""
+    return k * _EPS / 2 / (1 - k * _EPS / 2)
+
+
+def _certified_simple(arr: np.ndarray, scale: float, roots: np.ndarray,
+                      vecs: np.ndarray) -> np.ndarray:
+    """Mask of the LAPACK roots proven to be simple eigenvalues of A.
+
+    A' = 2^-e A, with 2^e > ||A||_2, is exact; so is 2^-e z for each root
+    z (otherwise nothing is proven).  With X = inv(V) for the computed
+    eigenvectors V and E = I - X V, ||E||_inf <= delta < 1 makes V
+    invertible and V^-1 A' V = (I - E)^-1 X A' V, which differs from
+    C = X A' V by at most delta / (1 - delta) ||C||_inf per row.
+    M = fl(fl(X A') V) differs from C entrywise by at most g (|P| |V| +
+    |X| |A'| |V|), P = fl(X A'), with g = 2 gamma_{2n+2} bounding a
+    complex inner product of length n.  Every Gershgorin disk of
+    V^-1 A' V then lies in the disk centered M_ii with the off-diagonal
+    row sum of |M| widened by those two terms; the rounding of the bound
+    itself, all sums and products of nonnegative numbers, is covered by
+    the factor `grow`.  A disk disjoint from every other holds exactly
+    one eigenvalue (Gershgorin), so a root inside such a disk is simple
+    (Rump, Acta Numerica 19, 2010).  Anything non-finite, or a singular
+    V, proves nothing.
+    """
+    n = len(roots)
+    none = np.zeros(n, dtype=bool)
+    e = frexp(scale)[1]
+    g, grow = 2 * _gamma(2 * n + 2), 1 + _gamma(8 * n + 64)
+    with np.errstate(all="ignore"):
+        parts = (arr, roots.real, roots.imag)
+        a, re, im = scaled = [np.ldexp(part, -e) for part in parts]
+        if not all((np.ldexp(s, e) == part).all() for s, part in zip(scaled, parts)):
+            return none
+        try:
+            x = np.linalg.inv(vecs)
+        except np.linalg.LinAlgError:
+            return none
+        p = x @ a
+        m = p @ vecs
+        ax, col = np.abs(x), np.abs(vecs).sum(axis=1)
+        f = g * (np.abs(p) @ col + ax @ (np.abs(a) @ col))
+        delta = (np.abs(np.eye(n) - x @ vecs).sum(axis=1) + g * (ax @ col)).max() * grow
+        delta += _UNDERFLOW
+        am = np.abs(m)
+        norm = am.sum(axis=1).max() + f.max()
+        np.fill_diagonal(am, 0.0)
+        r = (am.sum(axis=1) + f + delta / (1 - delta) * norm) * grow + _UNDERFLOW
+        c = m.diagonal()
+        apart = np.abs(c[:, None] - c[None, :]) > (r[:, None] + r[None, :]) * grow
+        np.fill_diagonal(apart, True)
+        held = np.hypot(re - c.real, im - c.imag) * grow <= r
+        return apart.all(axis=1) & held & (delta < 1) & np.isfinite(r)
+
+
 def _float_clusters(a: Matrix, tol: float | None):
     """Clusters of the LAPACK roots of a float A; (mean, size, radius,
     rank sequence at the mean) per cluster, in the (re, im) order of
@@ -502,8 +565,12 @@ def _float_clusters(a: Matrix, tol: float | None):
     s = ||A||_2 and k capped at _MAX_CLUSTER_ORDER, beyond which it nears
     s.  A root farther than the widest limit from every other root is
     isolated: a group of two or more holding it spreads beyond every
-    limit(k), so it is a cluster of its own with the root as mean, and
-    the rank walks of the isolated roots with im <= 0 run in one batch
+    limit(k), so it is a cluster of its own with the root as mean.  At
+    the default tol, an isolated root that `_certified_simple` proves
+    simple, with its conjugate, gets the derived rank sequence
+    [n, n - 1, n - 1, ...]; an explicit tol proves nothing, since there
+    the ranks under that tol define the answer.  The rank walks of the
+    other isolated roots with im <= 0 run in one batch
     (`numkit.float_rank_sequence`), each measured for its conjugate too.
     On the other roots, taken in (re, im) order, the first one left
     (im <= 0, since the roots left are closed under conjugation) seeds a
@@ -530,7 +597,7 @@ def _float_clusters(a: Matrix, tol: float | None):
         raise InputError("float mode needs a positive finite tolerance")
     arr = a.to_numpy()
     try:
-        roots = np.linalg.eigvals(arr)
+        roots, vecs = np.linalg.eig(arr)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigenvalue iteration failed: {exc}") from None
     # ||A||_2, the largest singular value, as np.linalg.norm(arr, 2) reads it
@@ -541,6 +608,7 @@ def _float_clusters(a: Matrix, tol: float | None):
         raise DiagnosticError("the root distances or the norm of A overflow the "
                               f"float range (||A||_2 = {scale:.3g})")
     n = a.n
+    lapack = roots
     roots, mirror = _conjugate_order(roots)
     order = np.minimum(np.arange(1, n + 1), _MAX_CLUSTER_ORDER)
     limit = (_CLUSTER_SLACK * _EPS ** (1.0 / order) * scale if tol is None
@@ -548,9 +616,19 @@ def _float_clusters(a: Matrix, tol: float | None):
     axis = _CLUSTER_SLACK * _EPS * scale
     dist = np.abs(roots[:, None] - roots[None, :])
     isolated = ((dist > limit[-1]) | np.eye(n, dtype=bool)).all(axis=1)
+    simple = np.zeros(n, dtype=bool)
+    if tol is None and isolated.any():
+        # an isolated root equals no other root, so the proven ones are
+        # found again by value in the (re, im) order
+        proven = set(lapack[_certified_simple(arr, scale, lapack, vecs)].tolist())
+        simple = np.array([z in proven for z in roots.tolist()])
+        simple &= isolated & simple[mirror]
     # a real A has equal ranks at conjugate shifts: measure one of each pair
-    shifts = [complex(z) for z in roots[isolated].tolist() if z.imag <= 0]
-    measured = dict(zip(shifts, float_rank_sequence(arr, scale, shifts, n, tol)))
+    measured = {complex(z): [n] + [n - 1] * n
+                for z in roots[simple].tolist() if z.imag <= 0}
+    shifts = [complex(z) for z in roots[isolated & ~simple].tolist() if z.imag <= 0]
+    if shifts:
+        measured.update(zip(shifts, float_rank_sequence(arr, scale, shifts, n, tol)))
 
     def ranks_at(mean):
         if mean not in measured and mean.conjugate() not in measured:
@@ -623,7 +701,10 @@ def eigenvalues(a: Matrix, tol: float | None = None):
     cluster settled with its conjugate mirror.  A group merges when its
     spread is at most tol, or by default a limit that grows with the
     group size, and only when the ranks at its mean confirm its size
-    (see `_float_clusters`).
+    (see `_float_clusters`).  At the default tol, a root that no group
+    can take is a simple eigenvalue without any rank taken when a
+    Gershgorin enclosure with rigorous rounding bounds proves it simple
+    (see `_certified_simple`).
     """
     return tuple((lam, mult) for lam, mult, _ in _spectrum(a, tol))
 

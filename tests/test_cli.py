@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import flowclass
 from conftest import haar_similar, hyperbolic_blocks, rotation
-from flowclass import flowsim
+from flowclass import flowsim, numkit, spectral
 from flowclass.cli import (
     Report,
     _jsonable,
@@ -649,6 +649,35 @@ def test_float_classify_workload_reports_are_unchanged(monkeypatch, tmp_path, se
         texts.append(out[1])
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == FLOAT_CLASSIFY_REPORTS[seed]
+
+
+@pytest.mark.parametrize("seed", (1, 2, 5))
+def test_float_classify_workload_roots_are_certified_simple(monkeypatch, tmp_path, seed):
+    # every workload document has distinct simple eigenvalues, so each of
+    # its roots is proven simple and no rank walk runs; a silent fall back
+    # to the walks fails here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import FloatClassify
+
+    walked, proven = [], []
+
+    def recorded_walks(arr, norm, shifts, kmax, tol=None):
+        walked.extend(shifts)
+        return numkit.float_rank_sequence(arr, norm, shifts, kmax, tol)
+
+    def recorded_proofs(arr, scale, roots, vecs, certify=spectral._certified_simple):
+        proven.append(certify(arr, scale, roots, vecs))
+        return proven[-1]
+
+    monkeypatch.setattr(spectral, "float_rank_sequence", recorded_walks)
+    monkeypatch.setattr(spectral, "_certified_simple", recorded_proofs)
+    workload = FloatClassify(str(tmp_path))
+    ops = workload.inputs(seed)
+    for op in ops:
+        out = workload.run(flowclass, op)
+        assert workload.check(op, out), (op.n, out[2])
+    assert len(proven) == len(ops) and all(mask.all() for mask in proven)
+    assert walked == []
 
 
 # ---- report helpers ------------------------------------------------------------

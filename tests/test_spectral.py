@@ -41,6 +41,7 @@ from flowclass.spectral import (
     CENTER_TOL,
     SpectrumDescriptor,
     _candidates,
+    _certified_simple,
     _conjugate_order,
     _eigenvalues_exact,
     _float_clusters,
@@ -806,7 +807,8 @@ def test_float_eigenvalues_near_the_float_range_stay_finite():
 def test_root_without_exact_conjugate_is_refused(monkeypatch):
     # LAPACK returns the non-real roots of a real matrix as exact
     # conjugates; a root without one is refused, not paired by distance
-    monkeypatch.setattr(spectral.np.linalg, "eigvals", lambda arr: np.array([1 + 1j, 1 - 1.0001j]))
+    monkeypatch.setattr(spectral.np.linalg, "eig",
+                        lambda arr: (np.array([1 + 1j, 1 - 1.0001j]), np.eye(2)))
     with pytest.raises(DiagnosticError, match="has no exact conjugate"):
         spectrum_descriptor(Matrix.floating([[1.0, 1.0], [-1.0, 1.0]]))
 
@@ -871,7 +873,9 @@ def test_float_tol_must_be_positive():
 def _reference_float_clusters(a, tol, shifts):
     """The greedy loop over every root, one rank walk per tentative mean,
     each measured shift appended to shifts: the reference for
-    _float_clusters, which settles isolated roots in one batch."""
+    _float_clusters, which settles isolated roots in one batch and, at
+    the default tol, derives the ranks of those it proves simple
+    (_certified_simple) in place of walking them."""
     arr = a.to_numpy()
     roots = np.linalg.eigvals(arr)
     n = a.n
@@ -1026,7 +1030,7 @@ def test_root_without_exact_conjugate_is_named_in_re_im_order(monkeypatch):
     # the refusal names the first unpaired root in (re, im) order
     roots = np.array([1 + 2j, 3.0 + 0j, 1 - 2.000001j, 1 + 1j, 1 - 1j, -1 + 0.5j,
                       -2.0 + 0j, -1 - 0.5j, 1 + 2.000001j, 1 - 2.0000001j])
-    monkeypatch.setattr(np.linalg, "eigvals", lambda arr: roots.copy())
+    monkeypatch.setattr(np.linalg, "eig", lambda arr: (roots.copy(), np.eye(len(roots))))
     a = Matrix.floating(np.eye(len(roots)).tolist())
     with pytest.raises(DiagnosticError) as ours:
         _float_clusters(a, None)
@@ -1048,6 +1052,39 @@ def test_scattered_jordan_blocks_stay_refused():
         assert sum(m - ranks[1] for _, _, _, ranks in clusters) == m
         with pytest.raises(DiagnosticError):
             spectrum_descriptor(Matrix.from_numpy(arr))
+
+
+def _proven(arr):
+    """_certified_simple on the roots and eigenvectors of one eig call."""
+    roots, vecs = np.linalg.eig(arr)
+    return roots, _certified_simple(arr, float(np.linalg.norm(arr, 2)), roots, vecs)
+
+
+def test_certificate_never_proves_a_defective_root_simple():
+    # J_m(lam) next to three simple values under a Haar rotation: LAPACK
+    # splits the defective eigenvalue into m roots, and none of them may
+    # be proven simple, whatever the block size or the scale of lam
+    rng = np.random.default_rng(2601)
+    for m in (2, 3, 4, 8):
+        for lam in (-0.5, 0.0, 0.3, 1e3):
+            for _ in range(50):
+                simple = np.array([-2.5, 1.7, 2.9]) + rng.uniform(-0.2, 0.2, 3)
+                roots, proven = _proven(haar_similar(rng, [jordan(lam, m), np.diag(simple)]))
+                defective = np.argsort(np.abs(roots - lam), kind="stable")[:m]
+                assert not proven[defective].any(), (m, lam)
+    # the scattered roots of one large block are isolated, yet none is simple
+    for m in (12, 16):
+        _, proven = _proven(haar_similar(np.random.default_rng(0), [jordan(-0.5, m)]))
+        assert not proven.any()
+
+
+def test_certificate_proves_simple_spectra_at_every_scale():
+    rng = np.random.default_rng(2602)
+    for c in (1e-12, 1.0, 1e12):
+        for _ in range(50):
+            blocks, _ = hyperbolic_blocks(rng, [0j], int(rng.integers(2, 13)))
+            _, proven = _proven(c * haar_similar(rng, blocks))
+            assert proven.all(), c
 
 
 def test_cluster_overlapping_its_conjugate_stays_refused():
