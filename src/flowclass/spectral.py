@@ -31,9 +31,10 @@ In float mode the roots and eigenvectors come from LAPACK
 Jordan block into k roots about (u ||A||)^(1/k) ||A||^(1-1/k) apart
 (Golub & Wilkinson, SIAM Rev. 18, 1976), so by default a group of
 roots may merge within a radius that grows with the group size, or
-within an explicit tol.  A group stands for its mean, which is accurate to O(u ||A||) even for a defective
-eigenvalue (Kato, Perturbation Theory for Linear Operators, II.1), and
-is kept only when the ranks at its mean confirm its size.  A root
+within an explicit tol.  A group stands for its mean, which is
+accurate to O(u ||A||) even for a defective eigenvalue (Kato,
+Perturbation Theory for Linear Operators, II.1), and is kept only
+when the ranks at its mean confirm its size.  A root
 farther than the widest radius from every other root can join no group;
 at the default tolerance such an isolated root is proven simple when a
 Gershgorin disk of the eigenvector similarity, widened by rigorous
@@ -45,7 +46,8 @@ roots of a real A as exact conjugates, so each cluster is settled
 together with its mirror, the cluster of the conjugate roots, and the
 clusters come in conjugate pairs before any counting happens.
 
-Block sizes are never computed from eigenvectors.  The count of size-m
+Block sizes are never read off eigenvectors, which serve only as the
+similarity of the float certificate.  The count of size-m
 blocks at an eigenvalue is the second difference of the rank sequence of
 shifted powers:  count(lam, m) = r(m-1) - 2 r(m) + r(m+1), with the
 sequence derived for a certified non-derogatory exact A, and otherwise
