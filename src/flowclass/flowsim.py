@@ -87,13 +87,20 @@ def _as_array(a) -> np.ndarray:
     return arr
 
 
+def _as_complex(x, what: str) -> complex:
+    """A scalar of either mode as a complex; one beyond the float range
+    raises InputError naming what it is."""
+    try:
+        return complex(*lam_parts(x))
+    except OverflowError:
+        raise InputError(f"{what} is beyond the float range") from None
+
+
 def _as_vector(x0, n: int) -> np.ndarray:
     items = list(x0)
-    vec = np.asarray(
-        [float(c) for c in items]
-        if all(isinstance(c, numbers.Real) for c in items)
-        else [complex(*lam_parts(c)) for c in items]
-    )
+    vec = np.array([_as_complex(c, "an initial coordinate") for c in items])
+    if all(isinstance(c, numbers.Real) for c in items):
+        vec = vec.real.copy()
     if vec.shape != (n,):
         raise InputError(f"initial point has {vec.size} coordinates, expected {n}")
     if not np.all(np.isfinite(vec)):
@@ -246,7 +253,7 @@ def jordan_flow(lam, m: int, t: float) -> np.ndarray:
     exp(lam t) times powers t^k/k! on the k-th superdiagonal."""
     if m < 1:
         raise InputError("block size must be at least 1")
-    lam_c = complex(*lam_parts(lam))
+    lam_c = _as_complex(lam, "an eigenvalue")
     out = np.zeros((m, m), dtype=complex)
     coeff = np.exp(lam_c * t)
     fact = 1.0
@@ -279,7 +286,7 @@ def realize_blocks(blocks):
     out = np.zeros((n, n), dtype=complex)
     at = 0
     for lam, m in layout:
-        lam_c = complex(*lam_parts(lam))
+        lam_c = _as_complex(lam, "an eigenvalue")
         for i in range(m):
             out[at + i, at + i] = lam_c
             if i + 1 < m:
@@ -291,7 +298,7 @@ def realize_blocks(blocks):
 def realize_class(cls) -> np.ndarray:
     """Diagonal rotation generator of a rational frequency class:
     diag(i * beta * p_1, ..., i * beta * p_k)."""
-    beta = float(cls.beta)
+    beta = _as_complex(cls.beta, "the common measure").real
     return np.diag([1j * beta * p for p in cls.p])
 
 

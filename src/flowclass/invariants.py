@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import DiagnosticError, InconsistentInvariantsError, InputError
@@ -261,7 +261,8 @@ def _continued_fraction_convergent(x: float, qmax: int):
     """Best rational approximation p/q with q <= qmax, plus its error.
 
     Walks the continued fraction of x and stops before the denominator
-    passes qmax.  Returns (p, q, abs_err).
+    passes qmax, or where the reciprocal of the remainder overflows: the
+    next quotient would then exceed any qmax.  Returns (p, q, abs_err).
     """
     if x <= 0:
         raise InputError("ratio must be positive")
@@ -272,6 +273,8 @@ def _continued_fraction_convergent(x: float, qmax: int):
         if abs(x - p_cur / q_cur) == 0 or frac == 0:
             break
         rec = 1.0 / frac
+        if rec == inf:
+            break
         a = int(rec // 1)
         frac = rec - a
         p_nxt = a * p_cur + p_prev
@@ -287,9 +290,11 @@ def _ratio_accept(bi: float, bj: float, qmax: int, tol: float):
 
     Returns (p, q, rel_err) when the continued-fraction convergent of
     bi/bj with denominator at most qmax lands within relative tol,
-    otherwise None.
+    otherwise None, as for a ratio that under- or overflows to 0 or inf.
     """
     ratio = bi / bj
+    if not 0 < ratio < inf:
+        return None
     p, q, err = _continued_fraction_convergent(ratio, qmax)
     if p >= 1 and q >= 1 and err < tol * ratio:
         return p, q, err / ratio

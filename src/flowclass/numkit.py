@@ -12,10 +12,10 @@ value with no arithmetic, which never enters a matrix.  `lam_parts`,
 `Matrix` is a validated container: it checks and holds the rows, and
 converts them to numpy or to float; the pipeline computes on integer
 rows (`cleared`) or on ndarrays, not on `Matrix` values.  Provided
-here: ranks, exact characteristic polynomials (Hessenberg reduction;
-a float matrix has none here, its eigenvalues come from LAPACK in
-`spectral`), float matrix exponentials by scaling and squaring, rank
-sequences of shifted powers, and exact linear solves.
+here: ranks, exact characteristic polynomials (Berkowitz's recurrence
+on the integer rows; a float matrix has none here, LAPACK gives its
+eigenvalues in `spectral`), float matrix exponentials by scaling and
+squaring, rank sequences of shifted powers, and exact linear solves.
 
 Exact ranks, and the powers behind exact rank sequences, run on Python
 ints: the matrix is scaled once by the lcm of its denominators (one
@@ -34,6 +34,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
     "power_rank_sequence",
     "float_rank_sequence",
     "integer_rank_walks",
+    "integer_char_poly",
     "cleared",
     "solve_exact",
     "inverse_exact",
@@ -407,78 +409,51 @@ def _rank_int(rows: list) -> int:
 
 def char_poly(m: Matrix) -> Poly:
     """Monic characteristic polynomial det(tI - A) of an exact matrix,
-    ascending Fraction coefficients.
-
-    A is reduced to upper Hessenberg form H by elementary similarity
-    over the rationals (a row/column transposition brings a nonzero
-    entry onto the subdiagonal when the pivot there is zero, and a
-    column with nothing to bring is skipped), then the coefficients are
-    read off the three-term recurrence for the leading principal minors
-    of tI - H.  This costs O(n^3) scalar operations.  A float matrix
-    raises InputError: its eigenvalues come from LAPACK directly.
+    ascending Fraction coefficients: with B = D A cleared (`cleared`),
+    coefficient k is c_k / D^(n-k), c_k that of the integer det(tI - B)
+    (`integer_char_poly`).  A float matrix raises InputError: its
+    eigenvalues come from LAPACK directly.
     """
     if m.mode != "exact":
         raise InputError("char_poly needs an exact matrix")
-    return _char_poly_hessenberg(m)
+    d, b = cleared(m)
+    return Poly.make(Fraction(c, d ** (m.n - k)) for k, c in enumerate(integer_char_poly(b)))
 
 
-def _hessenberg_exact(m: Matrix) -> list:
-    """Rows of an upper Hessenberg matrix similar to m, by exact similarity."""
-    h = [list(r) for r in m.rows]
-    n = m.n
-    for col in range(n - 2):
-        sub = col + 1
-        if not h[sub][col]:
-            piv = next((i for i in range(sub + 1, n) if h[i][col]), None)
-            if piv is None:
-                continue
-            # similarity by the transposition (sub piv): swap rows, then columns
-            h[sub], h[piv] = h[piv], h[sub]
-            for row in h:
-                row[sub], row[piv] = row[piv], row[sub]
-        prow = h[sub]
-        pval = prow[col]
-        for i in range(sub + 1, n):
-            if not h[i][col]:
-                continue
-            u = h[i][col] / pval
-            # row_i -= u * row_sub; entries left of col are zero in both rows
-            row = h[i]
-            for j in range(col, n):
-                if prow[j]:
-                    row[j] -= u * prow[j]
-            # then col_sub += u * col_i completes the similarity
-            for row in h:
-                if row[i]:
-                    row[sub] += u * row[i]
-    return h
-
-
-def _char_poly_hessenberg(m: Matrix) -> Poly:
-    h = _hessenberg_exact(m)
-    n = m.n
-    zero, one = Fraction(0), Fraction(1)
-    # p[k]: ascending coefficients of det(tI - H[:k, :k])
-    p = [[one]]
-    for k in range(1, n + 1):
-        d = h[k - 1][k - 1]
-        prev = p[k - 1]
-        # (t - h_kk) p_(k-1)
-        nxt = [zero] + prev
-        for j, c in enumerate(prev):
-            nxt[j] -= d * c
-        # - sum_i h_ik (h_(k,k-1) ... h_(i+1,i)) p_(i-1), in 1-based indices
-        prod = one
-        for i in range(k - 1, 0, -1):
-            prod *= h[i][i - 1]
-            if not prod:
+def integer_char_poly(b: list) -> list:
+    """Ascending integer coefficients of det(tI - B), B a square integer
+    matrix given as rows, by Berkowitz's division-free recurrence (Inf.
+    Process. Lett. 18, 1984): with B_k the leading k x k block, r and c
+    the first k entries of row and column k and x = B[k][k], the
+    descending coefficients of det(tI - B_(k+1)) are those of
+    det(tI - B_k) times the lower triangular Toeplitz matrix with first
+    column (1, -x, -r c, -r B_k c, ..., -r B_k^(k-1) c).  The vectors
+    r B_k^j skip zero entries, as `_row_product` does, and the taps stop
+    once r B_k^j or c is zero.  O(n^4) integer operations for a dense B.
+    """
+    p = [1]  # descending coefficients of det(tI - B_k)
+    nonzero = []  # nonzero[i]: the (j, B[i][j]) with B[i][j] != 0 and j < k, rows i < k
+    for k, row in enumerate(b):
+        column = [(i, r[k]) for i, r in enumerate(b[:k]) if r[k]]
+        taps = [1, -row[k]]
+        w = row[:k]
+        while column and any(w):
+            taps.append(-sum(w[i] * y for i, y in column))
+            if len(taps) == k + 2:
                 break
-            f = prod * h[i - 1][k - 1]
-            if f:
-                for j, c in enumerate(p[i - 1]):
-                    nxt[j] -= f * c
-        p.append(nxt)
-    return Poly.make(tuple(p[n]))
+            nxt = [0] * k
+            for x, entries in zip(w, nonzero):
+                if x:
+                    for j, y in entries:
+                        nxt[j] += x * y
+            w = nxt
+        # times the Toeplitz matrix of the taps, k + 2 rows by k + 1 columns
+        p = [sum(map(mul, p[max(0, i + 1 - len(taps)):i + 1], taps[min(i, len(taps) - 1)::-1]))
+             for i in range(k + 2)]
+        for i, y in column:
+            nonzero[i].append((k, y))
+        nonzero.append([(j, x) for j, x in enumerate(row[:k + 1]) if x])
+    return p[::-1]
 
 
 # ---- matrix exponential ------------------------------------------------------
@@ -594,7 +569,8 @@ def float_rank_sequence(arr: np.ndarray, norm: float, shifts, kmax: int,
     the stack's walks still moving and one batched `@` to take their
     next powers, which cannot overflow.  A walk leaves at its first
     repeated rank or at k = kmax, and its last rank fills the rest.  A
-    rank that rises raises DiagnosticError; a NaN tol raises InputError.
+    rank that rises raises DiagnosticError; a NaN tol, or a shift beyond
+    the float range, raises InputError.
     """
     _check_rank_tol(tol)
     rel = _POWER_RANK_TOL if tol is None else tol
@@ -605,10 +581,13 @@ def float_rank_sequence(arr: np.ndarray, norm: float, shifts, kmax: int,
             nonreal.append((at, lam))
             continue
         re, im = lam_parts(lam)
-        if im:
-            nonreal.append((at, complex(float(re), float(im))))
-        else:
-            real.append((at, float(re)))
+        try:
+            if im:
+                nonreal.append((at, complex(float(re), float(im))))
+            else:
+                real.append((at, float(re)))
+        except OverflowError:
+            raise InputError("a shift is beyond the float range") from None
     out = [None] * len(shifts)
     for walks, dtype in ((real, float), (nonreal, complex)):
         if walks:

@@ -77,9 +77,9 @@ from .numkit import (
     RationalComplex,
     _check_tol,
     canonical_lam,
-    char_poly,
     cleared,
     float_rank_sequence,
+    integer_char_poly,
     integer_rank_walks,
     lam_parts,
     power_rank_sequence,
@@ -249,14 +249,13 @@ def _shortened(c: Fraction) -> str:
                   lambda m: f"{m[0][:6]}...{m[0][-6:]} ({len(m[0])} digits)", str(c))
 
 
-def _eigenvalues_exact(a: Matrix):
-    """Eigenvalues of an exact A by factoring char_poly over the rationals
-    (sympy); the fallback of `_walked_spectrum`."""
+def _eigenvalues_exact(d: int, b: list):
+    """Eigenvalues of an exact A, from D and B = D A as `cleared` gives
+    them, by factoring det(tI - A) over the rationals (sympy): coefficient
+    k is that of det(tI - B) over D^(n-k).  The fallback of `_walked_spectrum`."""
     import sympy
 
-    poly = char_poly(a)
-    descending = [sympy.Rational(c.numerator, c.denominator)
-                  for c in reversed(poly.coeffs)]
+    descending = [sympy.Rational(c, d**k) for k, c in enumerate(reversed(integer_char_poly(b)))]
     _, factors = sympy.Poly(descending, sympy.Symbol("t"), domain="QQ").factor_list()
     found = []
     for fac, mult in factors:
@@ -293,10 +292,10 @@ def _candidates(b: list) -> list:
     LAPACK root of the integer matrix B, one per conjugate pair, with
     votes the number of roots nearest to it (a pair's counted on both
     sides), most votes first; none when an entry of B is beyond 2^53 in
-    size, where floats stop being exact.  B's rows are read into one
-    int64 array, which both checks the entries and converts them."""
+    size, where floats stop being exact.  B, an int64 array or rows read
+    into one, is both checked and converted."""
     try:
-        b = np.array(b, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
     except OverflowError:  # beyond int64, so beyond 2^53 too
         return []
     # max and min, not abs: abs(-2^63) wraps to itself in int64
@@ -356,25 +355,29 @@ def _cyclic(b: list, candidates: list) -> bool:
     block of columns, column i skipping one copy of q_i), v has minimal
     polynomial f of degree n: it is cyclic, f = det(tI - B) and B is
     non-derogatory (Gantmacher, The Theory of Matrices I, ch. VII).  Any
-    other outcome proves nothing and answers False, as do n >= 2^15, an
-    entry of B beyond int64 and a bound beyond the product of `_MODULI`.
+    other outcome proves nothing and answers False, as do n >= 2^10 or an
+    entry of B (an int64 array, or rows) beyond 2^53 in size, where the
+    int64 row sums for rho could wrap, and a bound beyond `_MODULI`.
     """
     n = len(b)
-    if n >= 2**15 or sum(votes for _, votes in candidates) != n or any(
-            y and votes % 2 for (_, y), votes in candidates):
+    b = np.asarray(b, dtype=np.int64)
+    # max and min, not abs: abs(-2^63) wraps to itself in int64
+    if (n >= 2**10 or b.max() > _FLOAT_EXACT or b.min() < -_FLOAT_EXACT
+            or sum(votes for _, votes in candidates) != n
+            or any(y and votes % 2 for (_, y), votes in candidates)):
         return False
     v = _start_vector(n)
-    rho = max(sum(map(abs, row)) for row in b)
+    rho = int(np.abs(b).sum(axis=1).max())
     bound = max(map(abs, v))
     for (x, y), votes in candidates:
         step = rho + abs(x)
         bound *= (step * step + y * y) ** (votes // 2) if y else step**votes
     size = next((k for k, p in enumerate(accumulate(_MODULI, mul), 1) if p > bound), 0)
-    if not size or rho >= 2**63:
+    if not size:
         return False
     moduli = _MODULI[:size]
     q = np.array(moduli, dtype=np.int64)[:, None, None]
-    shifted = np.array(b, dtype=np.int64) % q - np.array(  # B - x, per candidate
+    shifted = b % q - np.array(  # B - x, per candidate
         [[x % p for p in moduli] for (x, _), _ in candidates]
     )[..., None, None] * np.eye(n, dtype=np.int64)
     squares = np.array([[y * y % p for p in moduli] for (_, y), _ in candidates])[..., None, None]
@@ -414,22 +417,26 @@ def _exact_spectrum(a: Matrix) -> list:
     """
     n = a.n
     d, b = cleared(a)
-    candidates = _candidates(b)
-    if _cyclic(b, candidates):
+    try:
+        b64 = np.asarray(b, dtype=np.int64)  # read by _candidates and _cyclic
+        candidates = _candidates(b64)
+    except OverflowError:  # beyond int64, so beyond 2^53 too
+        candidates = []
+    if candidates and _cyclic(b64, candidates):
         found = []
         for z, votes in candidates:
             m = votes // 2 if z[1] else votes
             # r(k) = n - min(k, m) for k = 0, ..., n
             found.append((z, m, [*range(n, n - m, -1)] + [n - m] * (n + 1 - m)))
     else:
-        found = _walked_spectrum(a, d, b, candidates)
+        found = _walked_spectrum(d, b, candidates)
     found += [((x, -y), mult, ranks) for (x, y), mult, ranks in found if y]
     found.sort(key=itemgetter(0))
     return [(RationalComplex(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d),
              mult, ranks) for (x, y), mult, ranks in found]
 
 
-def _walked_spectrum(a: Matrix, d: int, b: list, candidates: list) -> list:
+def _walked_spectrum(d: int, b: list, candidates: list) -> list:
     """(D lam as (x, y), multiplicity, rank sequence) per eigenvalue lam
     of an exact A with y >= 0, from rank walks at the `_candidates`
     ((x, y), votes) of B = D A.
@@ -446,13 +453,13 @@ def _walked_spectrum(a: Matrix, d: int, b: list, candidates: list) -> list:
     the candidates' vote order: one rank at every candidate, then more
     where the nullity is below the votes, then wherever the rank has not
     yet repeated.  The votes only order the work; the count alone
-    certifies.  When it falls short, the eigenvalues come from
-    `_eigenvalues_exact` instead (which raises ExactModeError on
-    irrational parts), each one keyed by D lam, a Gaussian integer (see
-    `numkit.integer_rank_walks`), and each of their walks, those
-    measured so far included, runs until its rank repeats.
+    certifies.  When it falls short, `_eigenvalues_exact` factors the
+    characteristic polynomial of the same D and B instead (raising
+    ExactModeError on irrational parts); each value is keyed by D lam, a
+    Gaussian integer (see `numkit.integer_rank_walks`), and each of their
+    walks, those measured so far included, runs until its rank repeats.
     """
-    n = a.n
+    n = len(b)
     walk_at = integer_rank_walks(d, b)
     walks = {}  # D lam as (x, y) -> its rank walk, made when first deepened
     total = 0  # nullity measured over all walks, a pair counting twice
@@ -469,7 +476,7 @@ def _walked_spectrum(a: Matrix, d: int, b: list, candidates: list) -> list:
         return [(z, n - walk.ranks[-1], walk.filled(n))
                 for z, walk in walks.items() if walk.ranks[-1] < n]
     found = []
-    for lam, mult in _eigenvalues_exact(a):
+    for lam, mult in _eigenvalues_exact(d, b):
         re, im = lam_parts(lam)
         if im >= 0:
             z = int(d * re), int(d * im)

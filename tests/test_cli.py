@@ -231,6 +231,18 @@ def test_number_beyond_float_range_is_refused(capsys, tmp_path, command, text, p
     assert err == f"flowclass: error: {path}: number is beyond the float range\n"
 
 
+def test_center_frequencies_of_extreme_ratio_are_classified(capsys, tmp_path):
+    # the ratio 1e-5 / 1e304 underflows to a subnormal whose continued
+    # fraction overflowed, and classify exited 1 with a ValueError traceback
+    doc = write_doc(tmp_path, "spectrum:\n" + "".join(
+        f"  - {{re: 0.0, im: {im}, size: 1}}\n"
+        for im in ("1.0e-5", "-1.0e-5", "1.0e+304", "-1.0e+304")))
+    code, out, err = run(capsys, "classify", doc, "--format", "json")
+    assert (code, err) == (0, "")
+    bounded = json.loads(out)["payload"]["bounded"]
+    assert (bounded["classes"], bounded["unclassed"]) == ([], [1e-05, 1e+304])
+
+
 @pytest.mark.parametrize("matrix, norm", [
     ("[[1.0e+308, -1.0e+308], [1.0e+308, 1.0e+308]]", "1.41e+308"),
     ("[[1.0e+308, 1.0e+308], [1.0e+308, 1.0e+308]]", "inf"),

@@ -933,6 +933,28 @@ def test_witness_input_validation():
             witness_sequence(head, 1.0)
 
 
+_HUGE = Fraction(10**400)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: orbit_point(np.eye(2), [10**400, 1.0], 1.0), "an initial coordinate"),
+    (lambda: orbit_sample(np.eye(2), [_HUGE / 3, 1], 1.0, 0.5), "an initial coordinate"),
+    (lambda: bounded_probe(np.eye(2), [RationalComplex(_HUGE, Fraction(1)), 1]),
+     "an initial coordinate"),
+    (lambda: min_period(np.eye(2), [RationalComplex(Fraction(1), _HUGE), 1]),
+     "an initial coordinate"),
+    (lambda: jordan_flow(_HUGE, 2, 1.0), "an eigenvalue"),
+    (lambda: jordan_flow(RationalComplex(Fraction(1), _HUGE), 2, 1.0), "an eigenvalue"),
+    (lambda: realize_blocks([(Fraction(1), 1, 1), (_HUGE, 2, 1)]), "an eigenvalue"),
+    (lambda: realize_class(RationalClass(_HUGE, (1, 2))), "the common measure"),
+], ids=["orbit_point", "orbit_sample", "bounded_probe", "min_period", "jordan_flow",
+        "jordan_flow-pair", "realize_blocks", "realize_class"])
+def test_simulation_refuses_numbers_beyond_the_float_range(call, what):
+    # each once raised a bare OverflowError from the float conversion
+    with pytest.raises(InputError, match=f"{what} is beyond the float range"):
+        call()
+
+
 def test_witness_refuses_numbers_beyond_the_float_range():
     # both once raised a bare OverflowError from the float conversion
     for head, beta in (([10**400, 2.0], 1.0), ([1.0, 2.0], 10**400)):

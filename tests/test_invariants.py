@@ -287,6 +287,18 @@ def test_frequencies_beyond_the_float_range_are_refused():
         RationalClass(10**400, (1,))
 
 
+@pytest.mark.parametrize("freqs", [
+    [1e-320, 1.0], [1.0, 1e-320], [1e308, 1e-308], [1e-308, 1e308],
+    [1e-300, 1e300], [1e300, 1e-300], [1e-5, 1e304],
+])
+def test_frequency_ratios_beyond_the_float_range_are_singletons(freqs):
+    # a ratio or its reciprocal that under- or overflows once raised
+    # ValueError ("cannot convert float NaN to integer") or InputError
+    # ("ratio must be positive"); like [1e-300, 1.0], they stay apart
+    out = rational_classes(freqs)
+    assert [(c.beta, c.p) for c in out] == [(f, (1,)) for f in sorted(freqs)]
+
+
 def test_exact_rationals_form_one_class():
     cls = rational_classes([Fraction(1, 3), Fraction(2, 3), Fraction(5, 6)])
     assert len(cls) == 1

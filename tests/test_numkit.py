@@ -42,6 +42,7 @@ from flowclass.numkit import (
     re_sign,
     solve_exact,
 )
+from flowclass.spectral import jordan_counts
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 rationals_c = st.builds(RationalComplex, fractions, fractions)
@@ -317,10 +318,11 @@ def _structured_rows(rng, n):
 
 
 def test_char_poly_matches_sympy_on_structured_inputs():
-    # zeros below the diagonal put a zero on the subdiagonal during the
-    # Hessenberg reduction: a block-diagonal input leaves whole columns
-    # with nothing to bring up, and a permuted one needs the row/column
-    # swap; the two fixed cases reach each branch for certain
+    # zero rows and columns cut the recurrence short: a zero column above
+    # the diagonal leaves a step with no taps, and a row vector r B^j that
+    # vanishes stops the taps early; the permuted inputs move the zeros
+    # about, and the two fixed cases are a cyclic permutation and a
+    # block-diagonal matrix with zero columns
     rng = random.Random(29)
     cases = [
         [[0, 1, 0], [0, 0, 1], [1, 0, 0]],  # swap at the first column
@@ -330,6 +332,64 @@ def test_char_poly_matches_sympy_on_structured_inputs():
     cases += [_structured_rows(rng, rng.randint(2, 8)) for _ in range(40)]
     for rows in cases:
         _assert_char_poly_matches_sympy(rows)
+
+
+def _expanded(parts) -> list:
+    """Ascending coefficients of prod (t - lam)^m over the eigenvalues of
+    realize_real(parts), expanded with Fractions."""
+    out = [Fraction(1)]
+    for a, b, m, count in parts:
+        a, b = Fraction(a), Fraction(b)
+        factor = [a * a + b * b, -2 * a, Fraction(1)] if b else [-a, Fraction(1)]
+        for _ in range(m * count):
+            nxt = [Fraction(0)] * (len(out) + len(factor) - 1)
+            for i, x in enumerate(out):
+                for j, y in enumerate(factor):
+                    nxt[i + j] += x * y
+            out = nxt
+    return out
+
+
+def _parts_of_size(rng, n):
+    """Real-Jordan data of total size n: rational values and pairs in
+    blocks up to size 3, some of them repeated."""
+    parts = []
+    while n:
+        b = Fraction(rng.randint(1, 5), rng.randint(1, 3)) if n >= 2 and rng.random() < 0.5 else 0
+        m = rng.randint(1, min(3, n // 2 if b else n))
+        part = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), b, m, rng.choice((1, 1, 2)))
+        if (1 + bool(b)) * m * part[3] > n:
+            part = part[:3] + (1,)
+        parts.append(part)
+        n -= (1 + bool(b)) * m * part[3]
+    return parts
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_char_poly_of_dense_similar_matrices(n):
+    # S J S^-1 with J in real-Jordan form and S = U D rational: U
+    # unimodular, D diagonal with denominators up to 5
+    rng = random.Random(n)
+    parts = _parts_of_size(rng, n)
+    u, u_inv = random_unimodular(rng, n, ops=8 * n)
+    d = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5)) for _ in range(n)]
+    diag = Matrix.exact([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    diag_inv = Matrix.exact([[1 / d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    a = (u @ diag) @ realize_real(parts) @ (diag_inv @ u_inv)
+    assert sum(bool(x) for row in a.rows for x in row) > 0.8 * n * n  # dense
+    assert any(x.denominator > 1 for row in a.rows for x in row)
+    assert list(char_poly(a).coeffs) == _expanded(parts)
+
+
+@pytest.mark.parametrize("parts", [
+    [(Fraction(1, 2), 3, 5, 1), (0, 2, 3, 2), (-1, Fraction(1, 3), 1, 4), (2, 0, 4, 1),
+     (0, 0, 3, 1), (Fraction(-3, 2), 0, 1, 3)],  # sparse real-Jordan, n = 36
+    [(Fraction(-7, 3), 0, 1, 1)],  # n = 1
+    [(0, 0, 1, 5)],  # the zero matrix
+], ids=["real-jordan", "n=1", "zero"])
+def test_char_poly_of_sparse_real_jordan_matrices(parts):
+    a = realize_real(parts)
+    assert list(char_poly(a).coeffs) == _expanded(parts)
 
 
 # ---- matrix exponential --------------------------------------------------------------
@@ -612,6 +672,23 @@ def test_rank_routines_refuse_nan_tol():
         float_rank_sequence(a.to_numpy(), 2.0, [1.0], 2, tol=math.nan)
     with pytest.raises(InputError, match="nonnegative number"):
         rank(a, tol=math.nan)
+
+
+_HUGE = Fraction(10**400)
+_FLOAT_2X2 = Matrix.floating([[1.0, 0.0], [0.0, 2.0]])
+
+
+@pytest.mark.parametrize("measure", [
+    lambda: power_rank_sequence(_FLOAT_2X2, _HUGE, 2),
+    lambda: power_rank_sequence(_FLOAT_2X2, RationalComplex(Fraction(1), _HUGE), 2),
+    lambda: float_rank_sequence(_FLOAT_2X2.to_numpy(), 2.0, [1.0, 10**400], 2),
+    lambda: jordan_counts(_FLOAT_2X2, _HUGE),
+    lambda: jordan_counts(_FLOAT_2X2, RationalComplex(Fraction(0), _HUGE)),
+], ids=["power-real", "power-pair", "float-batch", "jordan-real", "jordan-pair"])
+def test_float_rank_shifts_beyond_the_float_range_are_refused(measure):
+    # the shift's float conversion once raised a bare OverflowError
+    with pytest.raises(InputError, match="shift is beyond the float range"):
+        measure()
 
 
 # ---- exact solves ------------------------------------------------------------------------
