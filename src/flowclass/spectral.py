@@ -355,9 +355,9 @@ def _cyclic(b: list, candidates: list) -> bool:
     block of columns, column i skipping one copy of q_i), v has minimal
     polynomial f of degree n: it is cyclic, f = det(tI - B) and B is
     non-derogatory (Gantmacher, The Theory of Matrices I, ch. VII).  Any
-    other outcome proves nothing and answers False, as do n >= 2^10 or an
-    entry of B (an int64 array, or rows) beyond 2^53 in size, where the
-    int64 row sums for rho could wrap, and a bound beyond `_MODULI`.
+    other outcome proves nothing and answers False, as do n >= 2^10, an
+    entry of B (int64 array or rows) beyond 2^53 in size, where int64 row
+    sums for rho could wrap, and a bound beyond the product of `_MODULI`.
     """
     n = len(b)
     b = np.asarray(b, dtype=np.int64)
