@@ -25,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -394,14 +395,21 @@ def _declared_mode(doc: dict, path: str, force_exact: bool) -> str | None:
 
 
 def _load_matrix(rows, path: str, ev: _Evidence):
+    """The matrix's rows as scanned numbers, or one float64 ndarray when
+    every entry is a finite float (its first float is then [0][0])."""
     if not isinstance(rows, list) or not rows or not all(
         isinstance(r, list) for r in rows
     ):
         raise InputError(f"{path}: a matrix is a list of rows")
-    # once a float is noted, a finite float needs no scan and no path
+    if (set(map(type, chain.from_iterable(rows))) == {float}
+            and len(set(map(len, rows))) == 1):
+        arr = np.array(rows)
+        if np.isfinite(arr).all():
+            if ev.float_at is None:
+                ev.float_at = (f"{path}[0][0]", rows[0][0])
+            return arr
     return [
-        [x if type(x) is float and ev.float_at and -math.inf < x < math.inf
-         else _scan_real(x, f"{path}[{i}][{j}]", ev) for j, x in enumerate(row)]
+        [_scan_real(x, f"{path}[{i}][{j}]", ev) for j, x in enumerate(row)]
         for i, row in enumerate(rows)
     ]
 
@@ -787,6 +795,69 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# plain scalars read without PyYAML's constructor: these patterns are
+# strict subsets of YAML 1.1's float and int, whose values float() and
+# int() give as SafeLoader does
+_PLAIN_FLOAT = re.compile(r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?")
+_PLAIN_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
+_RESOLVER = yaml.resolver.Resolver()
+_STR_TAG = "tag:yaml.org,2002:str"
+
+
+class _Unplain(Exception):
+    """A node only PyYAML's constructor reads: a plain scalar of an
+    implicit tag other than str (a merge key among them) or an
+    unhashable key."""
+
+
+def _parsed(text: str):
+    """The document as yaml.load(text, SafeLoader) builds it (libyaml's
+    CSafeLoader when PyYAML has it).  A text without tags or anchors, so
+    with no alias and no node met twice, is composed with no implicit
+    resolvers (CBaseLoader or BaseLoader) and built by walking its
+    nodes; any other text, or a walk that meets a node it cannot read,
+    takes yaml.load."""
+    if "!" not in text and "&" not in text:
+        loader = getattr(yaml, "CBaseLoader", yaml.BaseLoader)(text)
+        try:
+            node = loader.get_single_node()
+        finally:
+            loader.dispose()
+        try:
+            return None if node is None else _built(node)
+        except _Unplain:
+            pass
+    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+def _built(node):
+    """The value of a composed node, as SafeLoader constructs it."""
+    if node.id == "scalar":
+        return _scalar(node)
+    if node.id == "sequence":
+        return [_scalar(x) if x.id == "scalar" else _built(x) for x in node.value]
+    out = {}
+    for key_node, value_node in node.value:
+        key = _built(key_node)
+        if type(key) is list or type(key) is dict:
+            raise _Unplain
+        out[key] = _built(value_node)
+    return out
+
+
+def _scalar(node):
+    text = node.value
+    if node.style:  # quoted or block: always text
+        return text
+    if _PLAIN_FLOAT.fullmatch(text):
+        return float(text)
+    if _PLAIN_INT.fullmatch(text):
+        return int(text)
+    if _RESOLVER.resolve(yaml.ScalarNode, text, (True, False)) != _STR_TAG:
+        raise _Unplain
+    return text
+
+
 def _load_document(path: str) -> dict:
     try:
         if path == "-":
@@ -797,8 +868,7 @@ def _load_document(path: str) -> dict:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
-        # libyaml's parser when PyYAML was built with it; same safe constructors
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        doc = _parsed(text)
     except yaml.YAMLError as exc:
         raise InputError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):

@@ -314,9 +314,10 @@ def rational_classes(
 
     Exact rational inputs always land in a single class with an exact
     common measure.  Float inputs are tested pairwise through continued
-    fraction convergents (denominator at most qmax, relative error below
-    tol); acceptance that fails transitivity raises DiagnosticError and
-    names an offending triple.  Returns classes sorted by beta; repeated
+    fraction convergents of the smaller over the larger (numerator and
+    denominator at most qmax, relative error below tol), so the classes
+    do not depend on the input order; acceptance that fails
+    transitivity raises DiagnosticError and names an offending triple.  Returns classes sorted by beta; repeated
     input frequencies produce repeated multipliers.  A NaN or negative
     tol, or a frequency that is not positive and finite or is beyond the
     float range, raises InputError.
@@ -343,7 +344,10 @@ def rational_classes(
     accepted = {}
     for i in range(k):
         for j in range(i + 1, k):
-            accepted[(i, j)] = _ratio_accept(vals[i], vals[j], qmax, tol)
+            # the smaller over the larger, so the convergent bounds p <= q <= qmax
+            # and the verdict does not depend on the input order
+            low, high = sorted((vals[i], vals[j]))
+            accepted[(i, j)] = _ratio_accept(low, high, qmax, tol)
 
     parent = list(range(k))
 
@@ -378,8 +382,8 @@ def rational_classes(
 
     classes = []
     for members in groups.values():
-        sub = [vals[i] for i in members]
-        base = min(sub)
+        sub = sorted(vals[i] for i in members)
+        base = sub[0]
         nums, dens = [], []
         for v in sub:
             p, q, _ = _continued_fraction_convergent(v / base, qmax)

@@ -9,13 +9,14 @@ and an integer beyond the float range in float mode.  `RationalComplex`
 value with no arithmetic, which never enters a matrix.  `lam_parts`,
 `canonical_lam` and `re_sign` read any scalar of either mode.
 
-`Matrix` is a validated container: it checks and holds the rows, and
-converts them to numpy or to float; the pipeline computes on integer
-rows (`cleared`) or on ndarrays, not on `Matrix` values.  Provided
-here: ranks, exact characteristic polynomials (Berkowitz's recurrence
-on the integer rows; a float matrix has none here, LAPACK gives its
-eigenvalues in `spectral`), float matrix exponentials by scaling and
-squaring, rank sequences of shifted powers, and exact linear solves.
+`Matrix` is a validated container: it checks and holds the rows (a
+float matrix as one read-only ndarray), and converts them to numpy or
+to float; the pipeline computes on integer rows (`cleared`) or on
+ndarrays, not on `Matrix` values.  Provided here: ranks, exact
+characteristic polynomials (Berkowitz's recurrence on the integer rows;
+a float matrix has none here, LAPACK gives its eigenvalues in
+`spectral`), float matrix exponentials by scaling and squaring, rank
+sequences of shifted powers, and exact linear solves.
 
 Exact ranks, and the powers behind exact rank sequences, run on Python
 ints: the matrix is scaled once by the lcm of its denominators (one
@@ -187,6 +188,13 @@ def _normalize_entry(x, mode: str):
         raise InputError(_BEYOND_FLOAT) from None
 
 
+def _real_array(x) -> bool:
+    """Whether x is a 2-D ndarray of reals that float64 holds, each as the
+    float() of its entry would: float, int or unsigned, at most 64 bits."""
+    return (isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype.kind in "fiu"
+            and x.dtype.itemsize <= 8)
+
+
 def _row_product(a_rows, b_rows) -> list:
     """Rows of the product of two square row lists, over any scalars.
 
@@ -213,28 +221,47 @@ class Matrix:
     container, holding rows and converting them, with no arithmetic but
     `@`.
 
-    Exact matrices hold Fraction entries and float matrices float ones;
-    a complex entry, numpy's included, or any other non-real one raises
+    Exact matrices hold Fraction entries.  A float matrix holds one
+    read-only float64 ndarray, which `to_numpy` returns without a copy
+    and `rows` reads as tuples of floats; a real ndarray (float, int or
+    unsigned, at most 64 bits) becomes that array by one copy.  A
+    complex entry, numpy's included, or any other non-real one raises
     InputError, and so does an entry beyond the float range in float
     mode or in `to_numpy`/`to_float`.
     """
 
-    __slots__ = ("rows", "n", "mode")
+    __slots__ = ("_data", "n", "mode")
 
     def __init__(self, rows, mode: str):
         if mode not in ("exact", "float"):
             raise InputError(f"unknown scalar mode {mode!r}")
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise InputError("matrix must be square and nonempty")
-        norm = tuple(tuple(_normalize_entry(x, mode) for x in r) for r in rows)
-        object.__setattr__(self, "rows", norm)
+        if mode == "float" and _real_array(rows):
+            data = np.array(rows, dtype=np.float64)
+            n = len(data)
+            if n == 0 or data.shape[1] != n:
+                raise InputError("matrix must be square and nonempty")
+        else:
+            rows = [list(r) for r in rows]
+            n = len(rows)
+            if n == 0 or any(len(r) != n for r in rows):
+                raise InputError("matrix must be square and nonempty")
+            data = tuple(tuple(_normalize_entry(x, mode) for x in r) for r in rows)
+            if mode == "float":
+                data = np.array(data, dtype=np.float64)
+        if mode == "float":
+            data.flags.writeable = False
+        object.__setattr__(self, "_data", data)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @property
+    def rows(self) -> tuple:
+        if self.mode == "exact":
+            return self._data
+        return tuple(map(tuple, self._data.tolist()))
 
     # ---- constructors -------------------------------------------------
 
@@ -248,16 +275,19 @@ class Matrix:
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "Matrix":
-        # tolist() keeps complex entries complex, so they are refused
-        return cls(np.asarray(arr).tolist(), "float")
+        arr = np.asarray(arr)
+        # tolist() keeps any other entry as it is, so a complex one is refused
+        return cls(arr if _real_array(arr) else arr.tolist(), "float")
 
     # ---- views and conversions ----------------------------------------
 
     def to_numpy(self) -> np.ndarray:
+        """A float matrix's own read-only array; a new array of an exact
+        matrix's entries rounded to floats."""
         if self.mode == "float":
-            return np.array(self.rows, dtype=float)
+            return self._data
         try:
-            return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
+            return np.array([[float(x) for x in row] for row in self._data], dtype=float)
         except OverflowError:
             raise InputError(_BEYOND_FLOAT) from None
 

@@ -26,9 +26,10 @@ factored over the rationals by sympy instead; a root with an irrational
 part then raises ExactModeError with a pointer to the float fallback.
 Either way the block counts reuse the rank sequences.
 
-In float mode the roots and eigenvectors come from LAPACK
-(`numpy.linalg.eig`).  Rounding splits an eigenvalue with a size-k
-Jordan block into k roots about (u ||A||)^(1/k) ||A||^(1-1/k) apart
+In float mode the roots come from LAPACK: with their eigenvectors
+from `numpy.linalg.eig` at the default tolerance, alone from
+`numpy.linalg.eigvals` under an explicit one.  Rounding splits an
+eigenvalue with a size-k Jordan block into k roots about (u ||A||)^(1/k) ||A||^(1-1/k) apart
 (Golub & Wilkinson, SIAM Rev. 18, 1976), so by default a group of
 roots may merge within a radius that grows with the group size, or
 within an explicit tol.  A group stands for its mean, which is
@@ -606,7 +607,12 @@ def _float_clusters(a: Matrix, tol: float | None):
         raise InputError("float mode needs a positive finite tolerance")
     arr = a.to_numpy()
     try:
-        roots, vecs = np.linalg.eig(arr)
+        # only the certificate, run at the default tol, reads eigenvectors;
+        # LAPACK gives the same roots either way
+        if tol is None:
+            roots, vecs = np.linalg.eig(arr)
+        else:
+            roots = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigenvalue iteration failed: {exc}") from None
     # ||A||_2, the largest singular value, as np.linalg.norm(arr, 2) reads it

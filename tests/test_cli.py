@@ -1,6 +1,7 @@
 """Command-line behavior: golden reports, exit codes, document
 validation, report round trips, and the exact-to-float fallback."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowclass
@@ -25,6 +26,7 @@ from flowclass.cli import (
     Report,
     _jsonable,
     _load_document,
+    _parsed,
     emit_json,
     emit_text,
     main,
@@ -532,6 +534,193 @@ def test_loader_matches_pyyaml_safe_load(tmp_path):
     texts += [_simple_float_doc(rng, int(rng.integers(7, 13)))[0] for _ in range(100)]
     for text in texts:
         assert _load_document(write_doc(tmp_path, text)) == yaml.safe_load(text), text
+
+
+# ---- the loader against PyYAML's SafeLoader ------------------------------------
+
+# plain scalars of every YAML 1.1 kind: ints with _, 0x, 0o or a leading 0,
+# 0b and base 60; floats the narrow patterns read and those they leave to
+# PyYAML; .inf, .nan, nulls, booleans, timestamps, merge and value keys
+_YAML_WORDS = [
+    "0", "-0", "+0", "7", "-12", "+12", "1_000", "0x1F", "-0x_a", "0o17", "017", "-017",
+    "08", "0b101", "+0b1_0", "1:30", "-1:30:00", "190:20:30.15", "1.5", "-1.5", "+1.5",
+    "1.", "-0.0", ".5", "-.5", "+.5", "1.5e+3", "1.5E-3", "1.5e3", "1e3", "1e+3",
+    "1_000.5", "1.0_1", "6.8523015e+5", ".inf", "-.Inf", "+.INF", ".nan", ".NaN", "~",
+    "null", "Null", "NULL", "yes", "No", "ON", "off", "y", "n", "true", "False",
+    "2001-12-14", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5", "<<",
+    "=", "abc", "a b", "1 2", "0.5.5", "1/2", "-", "'1.5'", '"2"', "'yes'", '"~"',
+    "'-.5'", '"a\\tb"', "''", "!!float 1", "!!str 1.5", "!!int '3'", "&a 1.5", "*a",
+]
+_PLAIN_FLOATS = st.from_regex(r"[-+]?[0-9]{1,20}\.[0-9]{0,20}([eE][-+][0-9]{1,3})?", fullmatch=True)
+_PLAIN_INTS = st.from_regex(r"[-+]?(0|[1-9][0-9]{0,30})", fullmatch=True)
+_YAML_SCALARS = st.one_of(st.sampled_from(_YAML_WORDS), _PLAIN_FLOATS, _PLAIN_INTS,
+                          st.floats().map(repr))
+_YAML_TREES = st.recursive(
+    _YAML_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(st.tuples(_YAML_SCALARS, inner), max_size=4)),
+    max_leaves=12,
+)
+
+
+def _flow(tree) -> str:
+    if isinstance(tree, str):
+        return tree
+    if all(isinstance(item, tuple) for item in tree) and tree:
+        return "{" + ", ".join(f"{k}: {_flow(v)}" for k, v in tree) + "}"
+    return "[" + ", ".join(_flow(item) for item in tree) + "]"
+
+
+def _block(tree, pad: str = "") -> str:
+    """tree in block style; its scalars then stand in block context."""
+    if isinstance(tree, str) or not tree:
+        return " " + _flow(tree) + "\n"
+    if all(isinstance(item, tuple) for item in tree):
+        return "\n" + "".join(f"{pad}{k}:{_block(v, pad + '  ')}" for k, v in tree)
+    return "\n" + "".join(f"{pad}-{_block(v, pad + '  ')}" for v in tree)
+
+
+def _outcome(load, text):
+    try:
+        return repr(load(text))
+    except Exception as exc:  # the loaders must fail alike, whatever the error
+        return type(exc).__name__, str(exc)
+
+
+@contextlib.contextmanager
+def _yaml_route(route):
+    """yaml.load's loader on one route; "pure" hides libyaml's loaders, as
+    on a PyYAML built without them."""
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "pure":
+            mp.delattr(yaml, "CBaseLoader")
+            mp.delattr(yaml, "CSafeLoader")
+        yield getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def test_loader_without_libyaml_composes_with_base_loader(monkeypatch):
+    # BaseLoader's composer gives plain scalars the style None, not ''
+    composed = []
+
+    class BaseLoader(yaml.BaseLoader):
+        def get_single_node(self):
+            composed.append(super().get_single_node())
+            return composed[-1]
+
+    monkeypatch.delattr(yaml, "CBaseLoader")
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    monkeypatch.setattr(yaml, "BaseLoader", BaseLoader)
+    assert repr(_parsed("a: [1.5, -2, '3', x]\n")) == "{'a': [1.5, -2, '3', 'x']}"
+    (node,) = composed
+    assert node.value[0][1].value[0].style is None
+
+
+@pytest.mark.parametrize("route", ["libyaml", "pure"])
+@settings(max_examples=200, deadline=None)
+@given(tree=_YAML_TREES, style=st.sampled_from([_flow, _block]))
+def test_loader_matches_safe_loader_by_repr(route, tree, style):
+    # the walk of the composed nodes builds what SafeLoader builds, value
+    # and type: or both fail with the same error
+    text = "doc:" + _block(tree, "  ") if style is _block else _flow(tree) + "\n"
+    with _yaml_route(route) as safe:
+        assert _outcome(_parsed, text) == _outcome(lambda t: yaml.load(t, Loader=safe), text)
+
+
+def test_plain_patterns_are_yaml_floats_and_ints():
+    # the narrow patterns are strict subsets of YAML 1.1's, which resolve
+    # them to floats and ints of the same value
+    from flowclass.cli import _PLAIN_FLOAT, _PLAIN_INT
+
+    words = _YAML_WORDS + ["1." + "0" * 30, "00.5", "-0.", "9" * 40 + ".9e-300"]
+    floats = [w for w in words if _PLAIN_FLOAT.fullmatch(w)]
+    ints = [w for w in words if _PLAIN_INT.fullmatch(w)]
+    assert len(floats) == 13 and len(ints) == 6
+    for word in floats:
+        loaded = yaml.load(word, Loader=yaml.CSafeLoader)
+        assert type(loaded) is float and repr(loaded) == repr(float(word)), word
+    for word in ints:
+        loaded = yaml.load(word, Loader=yaml.CSafeLoader)
+        assert type(loaded) is int and loaded == int(word), word
+    assert not _PLAIN_FLOAT.fullmatch("-.5") and not _PLAIN_INT.fullmatch("017")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5, 77, 4242])
+def test_loader_matches_safe_loader_on_workload_documents(monkeypatch, tmp_path, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import FloatClassify
+
+    for op in FloatClassify(str(tmp_path)).inputs(seed):
+        text = Path(op.data["path"]).read_text()
+        assert repr(_load_document(op.data["path"])) == repr(yaml.load(text, Loader=yaml.CSafeLoader))
+
+
+_UNHASHABLE = {
+    "libyaml": ('while constructing a mapping\n  in "<unicode string>", line 1, column 1\n'
+                'found unhashable key\n  in "<unicode string>", line 1, column 3\n'),
+    "pure": ('while constructing a mapping\n  in "<unicode string>", line 1, column 1:\n'
+             '    ? [1, 2]\n    ^\nfound unhashable key\n'
+             '  in "<unicode string>", line 1, column 3:\n    ? [1, 2]\n      ^\n'),
+}
+_UNDEFINED_ALIAS = {
+    "libyaml": 'found undefined alias\n  in "<unicode string>", line 1, column 16\n',
+    "pure": ("found undefined alias 'm'\n  in \"<unicode string>\", line 1, column 16:\n"
+             "    matrix: [[1.5, *m]]\n                   ^\n"),
+}
+# classify on documents the walk must leave to PyYAML, or read as PyYAML
+# does: exit code, sha256 of stdout and stderr ({path} for the document),
+# recorded before the loader walked composed nodes
+_HOSTILE_DOCUMENTS = [
+    ("matrix: &m [*m]\n", 1, "",
+     "flowclass: error: matrix[0][0]: expected a number, got list\n"),
+    ("? [1, 2]\n: 3\nmatrix: [[1.5]]\n", 1, "",
+     "flowclass: error: {path}: not valid YAML: " + "{unhashable}"),
+    ("base: &b {mode: float}\nmatrix: [[1.5]]\n<<: *b\n", 1, "",
+     "flowclass: error: document: unknown keys base (allowed: matrix, mode, n, spectrum)\n"),
+    ("matrix: [[!!float 1, 0.5], [0.25, 1.5]]\n", 0,
+     "245cd808d5e42b06739b2225050123261f9e0b5fc530cb7b25f9761903fb033f", ""),
+    ("matrix: [[1_000.5, 0.5], [0.25, 1.5]]\n", 0,
+     "658c1aca45463f01df0069db0d60ef04fa63f1647619ea6d6d76a51c5bb9b497", ""),
+    ("matrix: [[-.5, 0.5], [0.25, 1.5]]\n", 1, "",
+     "flowclass: error: matrix[0][0]: cannot read '-.5' as a number; YAML reads a float "
+     "only with a decimal point and a signed exponent, so write -0.5, or a ratio in "
+     "exact mode\n"),
+    ("matrix: [[1.5, *m]]\n", 1, "",
+     "flowclass: error: {path}: not valid YAML: " + "{undefined_alias}"),
+]
+
+
+@pytest.mark.parametrize("rows,err", [
+    ("[[1.5, true], [0.0, 1.0]]", "matrix[0][1]: expected a number, got a boolean"),
+    ("[[1, 0.5], [0, 1]]\nmode: exact",
+     "matrix[0][1]: float literal 0.5 in an exact document; write it as a ratio like 1/2"),
+    ("[[1, 0.5], ['1/2', 1]]", "document mixes float literal 0.5 at matrix[0][1] with "
+     "ratio literal '1/2' at matrix[1][0]; pick one flavor"),
+    ("[[1.0, 0.5], [0.0]]", "matrix must be square and nonempty"),
+    ("[[1.0, 0.5]]", "matrix must be square and nonempty"),
+])
+def test_matrix_errors_name_the_first_offending_entry(capsys, tmp_path, rows, err):
+    # a matrix of finite floats alone is read as one array; a boolean, an
+    # int or a ratio among them takes the scan that names its path
+    code, out, got = run(capsys, "classify", write_doc(tmp_path, f"matrix: {rows}\n"))
+    assert (code, out, got) == (1, "", f"flowclass: error: {err}\n")
+
+
+def test_ints_in_a_float_matrix_read_as_their_floats(capsys, tmp_path):
+    mixed = run(capsys, "classify", write_doc(tmp_path, "matrix: [[1, 0.5], [0, 1.5]]\n"))
+    floats = run(capsys, "classify", write_doc(tmp_path, "matrix: [[1.0, 0.5], [0.0, 1.5]]\n"))
+    assert mixed == floats and mixed[0] == 0
+
+
+@pytest.mark.parametrize("route", ["libyaml", "pure"])
+@pytest.mark.parametrize("text,code,digest,err", _HOSTILE_DOCUMENTS)
+def test_hostile_documents_keep_their_reports(capsys, tmp_path, route, text, code, digest, err):
+    doc = write_doc(tmp_path, text)
+    with _yaml_route(route):
+        got = run(capsys, "classify", doc, "--format", "json")
+    want_err = err.format(path=doc, unhashable=_UNHASHABLE[route],
+                          undefined_alias=_UNDEFINED_ALIAS[route])
+    assert got[0] == code and got[2] == want_err
+    assert (hashlib.sha256(got[1].encode()).hexdigest() if digest else got[1]) == digest
 
 
 @pytest.mark.parametrize("text,spelled", [

@@ -3,6 +3,7 @@ half-size reduction calculus.  Oracles: brute-force subset-gcd
 enumeration for attained values, digit-string folding for composite
 reductions, and round trips for the recovery routines."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -333,6 +334,44 @@ def test_float_ratio_acceptance_respects_qmax():
     assert len(out) == 2
     (joined,) = rational_classes([63.0, 64.0], qmax=64)
     assert joined.p == (63, 64)
+
+
+@pytest.mark.parametrize("freqs,qmax,want", [
+    ([1.0, 100.0], 64, [(1.0, (1,)), (100.0, (1,))]),
+    ([1.0, 64.0], 64, [(1.0, (1, 64))]),
+    ([1.0, 65.0], 64, [(1.0, (1,)), (65.0, (1,))]),
+    ([63.0, 64.0], 64, [(1.0, (63, 64))]),
+    ([63.0, 64.0], 63, [(63.0, (1,)), (64.0, (1,))]),
+    ([0.5, 1.5, 2.5, 0.7, math.pi], 64,
+     [(0.1, (5, 7, 15, 25)), (math.pi, (1,))]),
+])
+def test_float_classes_do_not_depend_on_input_order(freqs, qmax, want):
+    # the ratio is taken smaller over larger, so numerator and denominator
+    # both stay within qmax; [100.0, 1.0] was once one class (1, 100)
+    for order in itertools.permutations(freqs):
+        out = rational_classes(list(order), qmax=qmax)
+        assert [c.p for c in out] == [p for _, p in want], order
+        for c, (beta, _) in zip(out, want):
+            assert c.beta == pytest.approx(beta, rel=1e-12), order
+        assert out == rational_classes(sorted(freqs), qmax=qmax), order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 3.0, 7.0, 40.0, 64.0,
+                                 100.0, math.pi, 2 * math.pi, math.e]),
+                min_size=1, max_size=6),
+       st.integers(1, 70), st.randoms(use_true_random=False))
+def test_float_classes_of_shuffled_frequencies_are_equal(freqs, qmax, rng):
+    # an acceptance that is not transitive is refused in every order
+    def outcome(order):
+        try:
+            return rational_classes(order, qmax=qmax)
+        except DiagnosticError:
+            return "refused"
+
+    shuffled = list(freqs)
+    rng.shuffle(shuffled)
+    assert outcome(shuffled) == outcome(sorted(freqs))
 
 
 def test_mixed_exact_float_frequencies_rejected():

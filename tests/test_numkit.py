@@ -194,6 +194,54 @@ def test_entries_beyond_float_range_are_refused():
 def test_non_square_rejected():
     with pytest.raises(InputError):
         Matrix.exact([[1, 2, 3], [4, 5, 6]])
+    for rows in (np.zeros((2, 3)), np.zeros((0, 0)), [[1.0, 2.0]], []):
+        with pytest.raises(InputError, match="square and nonempty"):
+            Matrix.floating(rows)
+
+
+def test_float_matrix_holds_one_read_only_array():
+    # to_numpy hands out the matrix's own array; a write into it raises
+    # instead of changing the matrix
+    src = np.array([[1.0, -0.0], [2.5, 3.0]])
+    m = Matrix.from_numpy(src)
+    arr = m.to_numpy()
+    assert arr is m.to_numpy() and arr.dtype == np.float64 and not arr.flags.writeable
+    src[0, 0] = 7.0  # the caller's array is copied, not kept
+    assert m.rows == ((1.0, -0.0), (2.5, 3.0))
+    assert all(type(x) is float for row in m.rows for x in row)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        arr += 1.0
+    assert Matrix.floating([[1.0, -0.0], [2.5, 3.0]]) == m
+    assert hash(Matrix.floating([[1, 0], [2.5, 3]])) == hash(m)
+    assert Matrix.exact([[1, 0], [Fraction(5, 2), 3]]).to_float() == m
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, np.int64, np.int8,
+                                   np.uint64, np.uint8])
+def test_real_arrays_hold_the_values_of_their_entries(dtype):
+    # an array is converted in one step to the float64 values the entry
+    # by entry route gives: float() of each element
+    values = np.array([[2**62 + 1, 3], [-7, 0]]) if np.dtype(dtype).kind == "i" else (
+        np.array([[2**63 + 2**11 + 1, 3], [7, 0]], dtype=np.uint64)
+        if np.dtype(dtype).kind == "u" else np.array([[0.1, -2.5], [1e-5, 3.0]]))
+    arr = values.astype(dtype)
+    want = tuple(tuple(float(x) for x in row) for row in arr)
+    for m in (Matrix.from_numpy(arr), Matrix.floating(arr)):
+        assert m.rows == want and m.to_numpy().dtype == np.float64
+
+
+def test_arrays_numpy_cannot_hold_as_floats_take_the_entry_route():
+    # bools, long doubles and objects go entry by entry, as lists always did
+    assert Matrix.from_numpy(np.array([[True, False], [False, True]])).rows == (
+        (1.0, 0.0), (0.0, 1.0))
+    with pytest.raises(InputError, match="real numbers"):
+        Matrix.floating(np.array([[True, False], [False, True]]))
+    long = np.array([[1, 2], [3, 4]], dtype=np.longdouble) / 3
+    assert Matrix.from_numpy(long).rows == tuple(tuple(float(x) for x in row) for row in long)
+    with pytest.raises(InputError, match="exact entry"):
+        Matrix.from_numpy(np.array([[Fraction(1, 2), 0.0], [0.0, 1.0]], dtype=object))
 
 
 def test_matmul_and_pow_match_numpy():

@@ -1054,6 +1054,31 @@ def test_scattered_jordan_blocks_stay_refused():
             spectrum_descriptor(Matrix.from_numpy(arr))
 
 
+def test_eigvals_gives_the_roots_of_eig_bit_for_bit():
+    # under an explicit tol _float_clusters takes its roots from eigvals,
+    # with no eigenvectors; the clusters stay those of the eig roots only
+    # when LAPACK returns the same bits either way
+    rng = np.random.default_rng(2801)
+    cases = [rng.standard_normal((n, n)) for n in range(4, 17) for _ in range(20)]
+    cases += [haar_similar(rng, [jordan(-0.5, m), rotation(0.0, 1.0), np.diag([2.0, -1.5])])
+              for m in (2, 3, 4, 8) for _ in range(10)]
+    cases += [rng.integers(-3, 4, (n, n)).astype(float) for n in (4, 8, 12, 16) for _ in range(10)]
+    for arr in cases:
+        assert np.linalg.eigvals(arr).tobytes() == np.linalg.eig(arr)[0].tobytes()
+
+
+def test_explicit_tol_takes_no_eigenvectors(monkeypatch):
+    def no_eig(arr):
+        raise AssertionError("eigenvectors taken under an explicit tol")
+
+    arr = haar_similar(np.random.default_rng(2802), [rotation(0.0, 1.0), np.diag([2.0, -1.5])])
+    want = _float_clusters(Matrix.from_numpy(arr), 1e-6)
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    assert _float_clusters(Matrix.from_numpy(arr), 1e-6) == want
+    with pytest.raises(AssertionError, match="eigenvectors taken"):
+        _float_clusters(Matrix.from_numpy(arr), None)
+
+
 def _proven(arr):
     """_certified_simple on the roots and eigenvectors of one eig call."""
     roots, vecs = np.linalg.eig(arr)
