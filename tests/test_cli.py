@@ -23,6 +23,8 @@ import flowclass
 from conftest import haar_similar, hyperbolic_blocks, rotation
 from flowclass import flowsim, numkit, spectral
 from flowclass.cli import (
+    _PLAIN_FLOAT,
+    _PLAIN_INT,
     Report,
     _jsonable,
     _load_document,
@@ -629,8 +631,6 @@ def test_loader_matches_safe_loader_by_repr(route, tree, style):
 def test_plain_patterns_are_yaml_floats_and_ints():
     # the narrow patterns are strict subsets of YAML 1.1's, which resolve
     # them to floats and ints of the same value
-    from flowclass.cli import _PLAIN_FLOAT, _PLAIN_INT
-
     words = _YAML_WORDS + ["1." + "0" * 30, "00.5", "-0.", "9" * 40 + ".9e-300"]
     floats = [w for w in words if _PLAIN_FLOAT.fullmatch(w)]
     ints = [w for w in words if _PLAIN_INT.fullmatch(w)]
@@ -668,12 +668,12 @@ _UNDEFINED_ALIAS = {
 }
 # classify on documents the walk must leave to PyYAML, or read as PyYAML
 # does: exit code, sha256 of stdout and stderr ({path} for the document),
-# recorded before the loader walked composed nodes
+# as recorded when every document went through yaml.load
 _HOSTILE_DOCUMENTS = [
     ("matrix: &m [*m]\n", 1, "",
      "flowclass: error: matrix[0][0]: expected a number, got list\n"),
     ("? [1, 2]\n: 3\nmatrix: [[1.5]]\n", 1, "",
-     "flowclass: error: {path}: not valid YAML: " + "{unhashable}"),
+     "flowclass: error: {path}: not valid YAML: {unhashable}"),
     ("base: &b {mode: float}\nmatrix: [[1.5]]\n<<: *b\n", 1, "",
      "flowclass: error: document: unknown keys base (allowed: matrix, mode, n, spectrum)\n"),
     ("matrix: [[!!float 1, 0.5], [0.25, 1.5]]\n", 0,
@@ -685,8 +685,20 @@ _HOSTILE_DOCUMENTS = [
      "only with a decimal point and a signed exponent, so write -0.5, or a ratio in "
      "exact mode\n"),
     ("matrix: [[1.5, *m]]\n", 1, "",
-     "flowclass: error: {path}: not valid YAML: " + "{undefined_alias}"),
+     "flowclass: error: {path}: not valid YAML: {undefined_alias}"),
 ]
+
+
+@pytest.mark.parametrize("route", ["libyaml", "pure"])
+@pytest.mark.parametrize("text,code,digest,err", _HOSTILE_DOCUMENTS)
+def test_hostile_documents_keep_their_reports(capsys, tmp_path, route, text, code, digest, err):
+    doc = write_doc(tmp_path, text)
+    with _yaml_route(route):
+        got = run(capsys, "classify", doc, "--format", "json")
+    want_err = err.format(path=doc, unhashable=_UNHASHABLE[route],
+                          undefined_alias=_UNDEFINED_ALIAS[route])
+    assert got[0] == code and got[2] == want_err
+    assert (hashlib.sha256(got[1].encode()).hexdigest() if digest else got[1]) == digest
 
 
 @pytest.mark.parametrize("rows,err", [
@@ -709,18 +721,6 @@ def test_ints_in_a_float_matrix_read_as_their_floats(capsys, tmp_path):
     mixed = run(capsys, "classify", write_doc(tmp_path, "matrix: [[1, 0.5], [0, 1.5]]\n"))
     floats = run(capsys, "classify", write_doc(tmp_path, "matrix: [[1.0, 0.5], [0.0, 1.5]]\n"))
     assert mixed == floats and mixed[0] == 0
-
-
-@pytest.mark.parametrize("route", ["libyaml", "pure"])
-@pytest.mark.parametrize("text,code,digest,err", _HOSTILE_DOCUMENTS)
-def test_hostile_documents_keep_their_reports(capsys, tmp_path, route, text, code, digest, err):
-    doc = write_doc(tmp_path, text)
-    with _yaml_route(route):
-        got = run(capsys, "classify", doc, "--format", "json")
-    want_err = err.format(path=doc, unhashable=_UNHASHABLE[route],
-                          undefined_alias=_UNDEFINED_ALIAS[route])
-    assert got[0] == code and got[2] == want_err
-    assert (hashlib.sha256(got[1].encode()).hexdigest() if digest else got[1]) == digest
 
 
 @pytest.mark.parametrize("text,spelled", [
