@@ -55,11 +55,11 @@ from .invariants import (
     rational_classes,
 )
 from .numkit import Matrix, RationalComplex, lam_parts
-from .spectral import _REMEDIES, SpectrumDescriptor, spectrum_descriptor
+from .spectral import _REMEDIES, SpectrumDescriptor, _shortened, spectrum_descriptor
 
 __all__ = ["Report", "emit_json", "emit_text", "parse_report", "main"]
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 
 
 # ---- report -------------------------------------------------------------------
@@ -305,8 +305,18 @@ def _scan_real(x, path: str, ev: _Evidence):
             raise InputError(f"{path}: cannot read {x!r} as a number{_float_hint(x)}")
         if ev.frac_at is None:
             ev.frac_at = (path, x)
-        return _note_range(Fraction(x), path, ev)
+        try:
+            return _note_range(Fraction(x), path, ev)
+        except ValueError as exc:  # an integer beyond int()'s digit limit
+            raise InputError(f"{path}: cannot read {_shortened(x)!r}: "
+                             f"{_unreadable(exc)}") from None
     raise InputError(f"{path}: expected a number, got {type(x).__name__}")
+
+
+def _unreadable(exc: ValueError) -> str:
+    """The text of a ValueError from reading a scalar, without CPython's
+    advice to raise its digit limit for int()."""
+    return str(exc).partition("; use sys.set_int_max_str_digits()")[0]
 
 
 def _float_hint(text: str) -> str:
@@ -871,6 +881,8 @@ def _load_document(path: str) -> dict:
         doc = _parsed(text)
     except yaml.YAMLError as exc:
         raise InputError(f"{path}: not valid YAML: {exc}") from None
+    except ValueError as exc:
+        raise InputError(f"{path}: cannot read a scalar: {_unreadable(exc)}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: the document must be a mapping")
     return doc

@@ -21,11 +21,11 @@ sequences of shifted powers, and exact linear solves.
 Exact ranks, and the powers behind exact rank sequences, run on Python
 ints: the matrix is scaled once by the lcm of its denominators (one
 scalar, never per row; `cleared`), then eliminated fraction-free over
-the integers.  A caller measuring many shifts clears once and passes
-the integer matrix to `integer_rank_walks` to measure its shifts a rank
-at a time.  Float ranks count singular values (LAPACK) above a scaled
-threshold, and float rank sequences at many shifts walk their powers in
-lockstep, one batched SVD and one batched product per power.
+the integers.  Float ranks count singular values (LAPACK) above a scaled
+threshold.  Both arithmetics walk rank sequences in one loop
+(`_RankWalk`): on integer rows, whose caller clears once and passes the
+integer matrix to `integer_rank_walks` to measure its shifts a rank at
+a time, or on an ndarray, one shift a call (`float_rank_sequence`).
 """
 
 from __future__ import annotations
@@ -537,8 +537,8 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
 
     The sequence starts at n and never increases; it stabilizes at
     n minus the algebraic multiplicity of lam.  Measuring stops at the
-    first k whose rank equals the one before it (or, for an exact A, at
-    k = n), and that stable rank fills the remaining entries.
+    first k whose rank equals the one before it, or at k = n, and that
+    stable rank fills the remaining entries.
 
     An exact A needs an exact lam and tol = 0 (or omitted).  Its powers
     and ranks are taken over the integers: with D the lcm of the
@@ -563,8 +563,7 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     same sequence (see `spectral._walked_spectrum`).  Walks made by one
     `integer_rank_walks` call share one B^2.
 
-    A float A is measured by `float_rank_sequence` with lam as its one
-    shift.
+    A float A is measured by `float_rank_sequence` on the same loop.
     """
     if kmax < 0:
         raise InputError("kmax must be nonnegative")
@@ -572,97 +571,52 @@ def power_rank_sequence(a: Matrix, lam, kmax: int, tol: float | None = None) -> 
     _check_tol(a, tol)
     if a.mode == "float":
         arr = a.to_numpy()
-        return float_rank_sequence(arr, float(np.linalg.norm(arr, 2)), [lam], kmax, tol)[0]
+        return float_rank_sequence(arr, float(np.linalg.norm(arr, 2)), lam, kmax, tol)
     re, im = lam_parts(lam)
     if not isinstance(re, Fraction):
         raise InputError(f"an exact matrix needs an exact eigenvalue, got {lam!r}")
     d, b = cleared(a, re, im)
-    walk = integer_rank_walks(d, b)(int(d * re), int(d * im))  # D clears re and im too
-    while len(walk.ranks) <= kmax and not walk.stable():
-        walk.deepen()
-    return walk.filled(kmax)
+    return integer_rank_walks(d, b)(int(d * re), int(d * im)).run(kmax)  # D clears re and im too
 
 
-def float_rank_sequence(arr: np.ndarray, norm: float, shifts, kmax: int,
+def float_rank_sequence(arr: np.ndarray, norm: float, lam, kmax: int,
                         tol: float | None = None) -> list:
-    """power_rank_sequence of a float matrix at each of several shifts,
-    one sequence per shift in their order; the matrix comes as an
-    ndarray with its 2-norm, so a caller measuring many shifts converts
-    and normalizes once.
+    """power_rank_sequence of a float matrix at the shift lam; the matrix
+    comes as an ndarray with its 2-norm, so a caller measuring many
+    shifts converts and normalizes once.
 
-    S = (A - mu I) / ||A||_2 (divided by 1 for A = 0) is formed for
-    every shift mu at once: the real shifts in one real stack and the
-    non-real ones in one complex stack.  rank(S^k) is the number of
-    singular values above 1e-9, or above tol when it is given: relative
-    to ||A||_2^k, so the ranks of cA are those of A for every c > 0.
-    The walks of a stack go in lockstep: per power one SVD call over
-    the stack's walks still moving and one batched `@` to take their
-    next powers, which cannot overflow.  A walk leaves at its first
-    repeated rank or at k = kmax, and its last rank fills the rest.  A
-    rank that rises raises DiagnosticError; a NaN tol, or a shift beyond
-    the float range, raises InputError.
+    S = (A - lam I) / ||A||_2 (divided by 1 for A = 0), complex for a
+    non-real lam, is walked by `_RankWalk`: its powers are taken by
+    np.matmul, which cannot overflow, and rank(S^k) is the number of
+    singular values (LAPACK) above 1e-9, or above tol when it is given:
+    relative to ||A||_2^k, so the ranks of cA are those of A for every
+    c > 0.  A rank that rises raises DiagnosticError; a NaN tol, or a
+    shift beyond the float range, raises InputError.
     """
     _check_rank_tol(tol)
     rel = _POWER_RANK_TOL if tol is None else tol
-    n = len(arr)
-    real, nonreal = [], []  # (position, shift) each
-    for at, lam in enumerate(shifts):
-        if type(lam) is complex and lam.imag:  # as the float clusters give them
-            nonreal.append((at, lam))
-            continue
-        re, im = lam_parts(lam)
-        try:
-            if im:
-                nonreal.append((at, complex(float(re), float(im))))
-            else:
-                real.append((at, float(re)))
-        except OverflowError:
-            raise InputError("a shift is beyond the float range") from None
-    out = [None] * len(shifts)
-    for walks, dtype in ((real, float), (nonreal, complex)):
-        if walks:
-            mu = np.array([shift for _, shift in walks], dtype=dtype)
-            steps = (arr - mu[:, None, None] * np.eye(n)) / (norm or 1.0)
-            for (at, _), seq in zip(walks, _lockstep_ranks(steps, rel, kmax)):
-                out[at] = seq
-    return out
-
-
-def _lockstep_ranks(steps: np.ndarray, rel: float, kmax: int) -> list:
-    """Rank sequences [n, r(1), ..., r(kmax)] of the powers of each matrix
-    in a stack, r(k) counting the singular values of its k-th power
-    above rel; each walk stops at its first repeated rank or at k = kmax."""
-    n = steps.shape[-1]
-    seqs = [[n] for _ in steps]
-    moving = list(range(len(steps)))
-    powers = steps
-    while moving and kmax:
-        svals = np.linalg.svd(powers, compute_uv=False)
-        ranks = (svals > rel).sum(axis=1).tolist()
-        going = []
-        for row, (at, r) in enumerate(zip(moving, ranks)):
-            seq = seqs[at]
-            if r > seq[-1]:
-                raise DiagnosticError(f"rank sequence increased: {seq + [r]}")
-            seq.append(r)
-            if len(seq) <= kmax and r != seq[-2]:
-                going.append(row)
-        moving = [moving[row] for row in going]
-        if moving:
-            powers = powers[going] @ steps[moving]
-    return [seq + [seq[-1]] * (kmax + 1 - len(seq)) for seq in seqs]
+    re, im = lam_parts(lam)
+    try:
+        shift = complex(float(re), float(im)) if im else float(re)
+    except OverflowError:
+        raise InputError("a shift is beyond the float range") from None
+    step = (arr - shift * np.eye(len(arr))) / (norm or 1.0)
+    return _RankWalk(step, np.matmul, lambda power: int(
+        np.count_nonzero(np.linalg.svd(power, compute_uv=False) > rel))).run(kmax)
 
 
 class _RankWalk:
-    """Resumable rank loop of power_rank_sequence over the integer rows of
-    one step matrix, at the lam with D lam = x + yi.  `ranks` holds
-    [n, r(1), ..., r(k)] as measured so far, r(k) the rank of step^k,
-    halved onto lam for a pair step q(A) (see above); `deepen` forms the
-    next power only when its rank is asked for.  A rank that rises
-    raises DiagnosticError."""
+    """Resumable rank loop of power_rank_sequence, in either arithmetic:
+    `ranks` holds [n, r(1), ..., r(k)] as measured so far, r(k) the rank
+    of step^k, with each power formed by product(power, step) and
+    measured by rank(power) only when its rank is asked for.  For a pair
+    step q(A) at the exact lam given as pair, each rank is halved onto
+    lam (see power_rank_sequence).  A rank that rises, or an odd nullity
+    of a pair step, raises DiagnosticError."""
 
-    def __init__(self, step: list, d: int, x: int, y: int):
-        self.step, self.at, self.pair = step, (d, x, y), bool(y)
+    def __init__(self, step, product, rank, pair=None):
+        self.step, self.product, self.rank = step, product, rank
+        self.lam, self.pair = pair, pair is not None
         self.power = step
         self.ranks = [len(step)]
 
@@ -671,15 +625,13 @@ class _RankWalk:
         ranks = self.ranks
         n = ranks[0]
         if len(ranks) > 1:
-            self.power = _row_product(self.power, self.step)
-        r = _rank_int(self.power)
+            self.power = self.product(self.power, self.step)
+        r = self.rank(self.power)
         if self.pair:
             nullity = n - r
             if nullity % 2:
-                d, x, y = self.at
-                lam = RationalComplex(Fraction(x, d), Fraction(y, d))
                 raise DiagnosticError(
-                    f"q(A)^{len(ranks)} at the pair {lam} has odd nullity {nullity}; "
+                    f"q(A)^{len(ranks)} at the pair {self.lam} has odd nullity {nullity}; "
                     "a real matrix has paired kernels"
                 )
             r = n - nullity // 2
@@ -699,21 +651,28 @@ class _RankWalk:
         """[n, r(1), ..., r(kmax)], the last rank measured filling the rest."""
         return self.ranks + [self.ranks[-1]] * (kmax + 1 - len(self.ranks))
 
+    def run(self, kmax: int) -> list:
+        """[n, r(1), ..., r(kmax)]: deepen until stable or k = kmax, then fill."""
+        while len(self.ranks) <= kmax and not self.stable():
+            self.deepen()
+        return self.filled(kmax)
+
 
 def integer_rank_walks(d: int, b: list):
     """For D and B = D A as `cleared` gives them, a function (x, y) -> the
-    rank walk of (A - lam I) at lam = (x + yi) / D: a `_RankWalk` that
-    takes one more integer power per rank of power_rank_sequence, so a
-    caller can stop a walk early and resume it later.  x and y are
-    integers: D lam is a Gaussian integer for every eigenvalue lam of A
-    with rational parts, a root of the monic integer polynomial
-    det(tI - B) in Q(i), hence in Z[i].  The rows of B are not modified.
-    All walks of one such function share one B^2, formed for the first
-    y != 0."""
+    rank walk of (A - lam I) at lam = (x + yi) / D: a `_RankWalk` over
+    integer rows (`_row_product`, `_rank_int`) that takes one more power
+    per rank of power_rank_sequence, so a caller can stop a walk early
+    and resume it later.  x and y are integers: D lam is a Gaussian
+    integer for every eigenvalue lam of A with rational parts, a root of
+    the monic integer polynomial det(tI - B) in Q(i), hence in Z[i].  The
+    rows of B are not modified.  All walks of one such function share
+    one B^2, formed for the first y != 0."""
     square = cache(lambda: _row_product(b, b))
 
     def walk(x: int, y: int):
-        return _RankWalk(_integer_step(b, x, y, square), d, x, y)
+        pair = RationalComplex(Fraction(x, d), Fraction(y, d)) if y else None
+        return _RankWalk(_integer_step(b, x, y, square), _row_product, _rank_int, pair)
 
     return walk
 

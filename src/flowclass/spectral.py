@@ -41,22 +41,23 @@ at the default tolerance such an isolated root is proven simple when a
 Gershgorin disk of the eigenvector similarity, widened by rigorous
 rounding bounds, holds it and no other eigenvalue (`_certified_simple`),
 and its rank sequence is then derived, not measured.  The other
-isolated roots have their rank walks run in one batch, and only the
-other roots are grouped one at a time.  LAPACK returns the non-real
-roots of a real A as exact conjugates, so each cluster is settled
-together with its mirror, the cluster of the conjugate roots, and the
-clusters come in conjugate pairs before any counting happens.
+isolated roots are measured one walk each, and only the other roots
+are grouped one at a time.  LAPACK returns the non-real roots of a real
+A as exact conjugates, so each cluster is settled together with its
+mirror, the cluster of the conjugate roots, and the clusters come in
+conjugate pairs before any counting happens.
 
 Block sizes are never read off eigenvectors, which serve only as the
 similarity of the float certificate.  The count of size-m
 blocks at an eigenvalue is the second difference of the rank sequence of
 shifted powers:  count(lam, m) = r(m-1) - 2 r(m) + r(m+1), with the
 sequence derived for a certified non-derogatory exact A, and otherwise
-from `numkit.power_rank_sequence` (the walks of `integer_rank_walks` on
-the cleared B in exact mode, the lockstep walks of `float_rank_sequence`
-over many shifts in float mode).  In
-exact mode a conjugate pair a +- bi is measured there through the real
-quadratic (A - aI)^2 + b^2 I, so the ranks stay over the integers.
+from `numkit.power_rank_sequence`, whose one walk loop runs on the
+integer rows of the cleared B in exact mode (`integer_rank_walks`) and
+on the scaled ndarray in float mode (`float_rank_sequence`, one shift a
+walk).  In exact mode a conjugate pair a +- bi is measured there
+through the real quadratic (A - aI)^2 + b^2 I, so the ranks stay over
+the integers.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def _fraction_sqrt(f: Fraction):
     return None
 
 
-def _shortened(c: Fraction) -> str:
+def _shortened(c) -> str:
     """str(c), each integer in it over _LONG_DIGITS digits cut to its
     first and last digits and its length."""
     return re.sub(r"\d{%d,}" % (_LONG_DIGITS + 1),
@@ -356,15 +357,15 @@ def _cyclic(b: list, candidates: list) -> bool:
     block of columns, column i skipping one copy of q_i), v has minimal
     polynomial f of degree n: it is cyclic, f = det(tI - B) and B is
     non-derogatory (Gantmacher, The Theory of Matrices I, ch. VII).  Any
-    other outcome proves nothing and answers False, as do n >= 2^10, an
-    entry of B (int64 array or rows) beyond 2^53 in size, where int64 row
-    sums for rho could wrap, and a bound beyond the product of `_MODULI`.
+    other outcome proves nothing and answers False, as do n >= 2^10 and
+    a bound beyond the product of `_MODULI`.  B (int64 array or rows)
+    must have no entry beyond 2^53 in size, or int64 row sums for rho
+    could wrap: `_exact_spectrum`, the only caller, passes only votes of
+    `_candidates`, which gives none for such a B.
     """
     n = len(b)
     b = np.asarray(b, dtype=np.int64)
-    # max and min, not abs: abs(-2^63) wraps to itself in int64
-    if (n >= 2**10 or b.max() > _FLOAT_EXACT or b.min() < -_FLOAT_EXACT
-            or sum(votes for _, votes in candidates) != n
+    if (n >= 2**10 or sum(votes for _, votes in candidates) != n
             or any(y and votes % 2 for (_, y), votes in candidates)):
         return False
     v = _start_vector(n)
@@ -481,10 +482,7 @@ def _walked_spectrum(d: int, b: list, candidates: list) -> list:
         re, im = lam_parts(lam)
         if im >= 0:
             z = int(d * re), int(d * im)
-            walk = walks.get(z) or walk_at(*z)
-            while not walk.stable():
-                walk.deepen()
-            found.append((z, mult, walk.filled(n)))
+            found.append((z, mult, (walks.get(z) or walk_at(*z)).run(n)))
     return found
 
 
@@ -579,9 +577,10 @@ def _float_clusters(a: Matrix, tol: float | None):
     the default tol, an isolated root that `_certified_simple` proves
     simple, with its conjugate, gets the derived rank sequence
     [n, n - 1, n - 1, ...]; an explicit tol proves nothing, since there
-    the ranks under that tol define the answer.  The rank walks of the
-    other isolated roots with im <= 0 run in one batch
-    (`numkit.float_rank_sequence`), each measured for its conjugate too.
+    the ranks under that tol define the answer.  Every other rank
+    sequence, at an isolated root or a group mean, is one walk of
+    `numkit.float_rank_sequence`, taken only when the shift's conjugate
+    has none, so an isolated pair is measured at its root with im <= 0.
     On the other roots, taken in (re, im) order, the first one left
     (im <= 0, since the roots left are closed under conjugation) seeds a
     group grown by its nearest remaining roots.  Of the sizes that fit,
@@ -592,11 +591,11 @@ def _float_clusters(a: Matrix, tol: float | None):
     form its mirror cluster, settled in the same step with the conjugate
     mean and the same size, radius and ranks; a cluster that overlaps its
     mirror without equalling it raises DiagnosticError.  Every walk runs
-    until its rank repeats: unlike exact walks, these are not cut short
-    once the nullities sum to n, since LAPACK can scatter the roots of
-    one large Jordan block (J_12(-1/2) under a random rotation) beyond
-    every limit, each root then showing nullity 1 at k = 1, and only the
-    second power exposes the block.  A mean whose real part is above
+    until its rank repeats or k = n: unlike exact walks, these are not
+    cut short once the nullities sum to n, since LAPACK can scatter the
+    roots of one large Jordan block (J_12(-1/2) under a random rotation)
+    beyond every limit, each root then showing nullity 1 at k = 1, and
+    only the second power exposes the block.  A mean whose real part is above
     CENTER_TOL but within 100 u s, where rounding hides its sign, raises
     DiagnosticError, and so does a root distance (bounded by the spread
     of the real and imaginary parts) or ||A||_2 beyond the float range,
@@ -641,13 +640,10 @@ def _float_clusters(a: Matrix, tol: float | None):
     # a real A has equal ranks at conjugate shifts: measure one of each pair
     measured = {complex(z): [n] + [n - 1] * n
                 for z in roots[simple].tolist() if z.imag <= 0}
-    shifts = [complex(z) for z in roots[isolated & ~simple].tolist() if z.imag <= 0]
-    if shifts:
-        measured.update(zip(shifts, float_rank_sequence(arr, scale, shifts, n, tol)))
 
     def ranks_at(mean):
         if mean not in measured and mean.conjugate() not in measured:
-            measured[mean] = float_rank_sequence(arr, scale, [mean], n, tol)[0]
+            measured[mean] = float_rank_sequence(arr, scale, mean, n, tol)
         return measured.get(mean.conjugate(), measured.get(mean))
 
     found = {}  # first root -> cluster

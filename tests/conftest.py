@@ -176,8 +176,9 @@ def jordan(lam: float, m: int) -> np.ndarray:
 
 def reference_float_ranks(arr: np.ndarray, norm: float, lam, kmax: int, tol=None) -> list:
     """Rank sequence of the powers of S = (A - lam I) / ||A||_2 at one
-    shift, each power formed and measured on its own: the one-shift walk
-    that numkit.float_rank_sequence runs in lockstep over many shifts."""
+    shift, each power formed and measured by its own loop: the oracle
+    for numkit.float_rank_sequence, which runs the walk loop it shares
+    with exact rank sequences."""
     z = complex(lam)
     shift = z if z.imag else z.real
     step = (arr - shift * np.eye(len(arr))) / (norm or 1.0)

@@ -701,6 +701,34 @@ def test_hostile_documents_keep_their_reports(capsys, tmp_path, route, text, cod
     assert (hashlib.sha256(got[1].encode()).hexdigest() if digest else got[1]) == digest
 
 
+_DIGITS = sys.get_int_max_str_digits() + 700
+_TOO_LONG = (f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string "
+             f"conversion: value has {_DIGITS} digits")
+
+
+@pytest.mark.parametrize("command,text,err", [
+    ("classify", f"matrix: [[{'1' * _DIGITS}]]\n", "{path}: cannot read a scalar: " + _TOO_LONG),
+    ("classify", f"matrix: &m [[{'1' * _DIGITS}]]\n", "{path}: cannot read a scalar: " + _TOO_LONG),
+    ("classify", f"matrix: [['1/{'7' * _DIGITS}']]\n",
+     f"matrix[0][0]: cannot read '1/777777...777777 ({_DIGITS} digits)': " + _TOO_LONG),
+    ("invariants", f"frequencies: [{'1' * _DIGITS}]\n",
+     "{path}: cannot read a scalar: " + _TOO_LONG),
+    ("classify", "matrix: [['1/0']]\n", "matrix[0][0]: cannot read '1/0' as a number"),
+    ("classify", "matrix: [[1]]\nwhen: 2020-02-30\n",
+     "{path}: cannot read a scalar: day is out of range for month"),
+], ids=["walk", "yaml-load", "ratio", "frequency", "zero-denominator", "date"])
+def test_unreadable_scalars_are_input_errors(capsys, tmp_path, command, text, err):
+    # int() beyond its digit limit, a zero denominator and a date out of
+    # range each once escaped as a traceback; the error names the file or
+    # the path and does not print the long literal
+    doc = write_doc(tmp_path, text)
+    code, out, got = run(capsys, command, doc)
+    assert (code, out) == (1, "")
+    assert got == f"flowclass: error: {err.format(path=doc)}\n"
+    assert "Traceback" not in got and "set_int_max_str_digits" not in got
+    assert not re.search(r"\d{41}", got)
+
+
 @pytest.mark.parametrize("rows,err", [
     ("[[1.5, true], [0.0, 1.0]]", "matrix[0][1]: expected a number, got a boolean"),
     ("[[1, 0.5], [0, 1]]\nmode: exact",
@@ -862,9 +890,9 @@ def test_float_classify_workload_roots_are_certified_simple(monkeypatch, tmp_pat
 
     walked, proven = [], []
 
-    def recorded_walks(arr, norm, shifts, kmax, tol=None):
-        walked.extend(shifts)
-        return numkit.float_rank_sequence(arr, norm, shifts, kmax, tol)
+    def recorded_walks(arr, norm, lam, kmax, tol=None):
+        walked.append(lam)
+        return numkit.float_rank_sequence(arr, norm, lam, kmax, tol)
 
     def recorded_proofs(arr, scale, roots, vecs, certify=spectral._certified_simple):
         proven.append(certify(arr, scale, roots, vecs))

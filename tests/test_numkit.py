@@ -6,6 +6,7 @@ closed forms for exponentials)."""
 import math
 import numbers
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -31,6 +32,9 @@ from flowclass.numkit import (
     Matrix,
     Poly,
     RationalComplex,
+    _rank_int,
+    _RankWalk,
+    _row_product,
     canonical_lam,
     char_poly,
     float_rank_sequence,
@@ -693,7 +697,7 @@ def _rank_sweep_matrix(rng, kind, n):
 
 def test_float_rank_sequence_batch_matches_one_shift_walks():
     # every LAPACK root (both sides of each pair), cluster means and
-    # shifts that are no eigenvalue, real and complex, several per stack
+    # shifts that are no eigenvalue, real and complex, one walk each
     rng = np.random.default_rng(71)
     for n in (6, 9, 12):
         for kind in ("simple", "jordan", "center", "stiff"):
@@ -705,9 +709,64 @@ def test_float_rank_sequence_batch_matches_one_shift_walks():
                 rng.shuffle(shifts)
                 for tol in (None, 1e-6):
                     want = [reference_float_ranks(arr, norm, mu, n, tol) for mu in shifts]
-                    assert float_rank_sequence(arr, norm, shifts, n, tol) == want, (kind, n)
-                assert float_rank_sequence(arr, norm, shifts, 0) == [[n]] * len(shifts)
-    assert float_rank_sequence(np.zeros((3, 3)), 0.0, [0.0, 1j], 3) == [[3, 0, 0, 0], [3, 3, 3, 3]]
+                    got = [float_rank_sequence(arr, norm, mu, n, tol) for mu in shifts]
+                    assert got == want, (kind, n)
+                for mu in shifts:
+                    assert float_rank_sequence(arr, norm, mu, 0) == [n]
+    assert [float_rank_sequence(np.zeros((3, 3)), 0.0, mu, 3) for mu in (0.0, 1j)] == [
+        [3, 0, 0, 0], [3, 3, 3, 3]]
+
+
+def _walk_arithmetics():
+    """(name, rows -> step, product, rank) of each arithmetic the rank
+    walk runs in: integer rows, and float ndarrays whose rank counts the
+    singular values above 1e-9."""
+    def float_rank(power):
+        return int(np.count_nonzero(np.linalg.svd(power, compute_uv=False) > 1e-9))
+
+    return [("exact", lambda rows: [list(r) for r in rows], _row_product, _rank_int),
+            ("float", lambda rows: np.array(rows, dtype=float), np.matmul, float_rank)]
+
+
+@pytest.mark.parametrize("name, make, product, rank_of", _walk_arithmetics(), ids=["exact", "float"])
+def test_rank_walk_loop_in_both_arithmetics(name, make, product, rank_of):
+    # J_2(0) + [1] repeats its rank at k = 3; J_3(0) reaches k = n = 3
+    # with rank 0 and stops there, with no fourth power to see a repeat
+    for rows, measured, want in (
+        ([[0, 1, 0], [0, 0, 0], [0, 0, 1]], [3, 2, 1, 1], [3, 2, 1, 1, 1, 1]),
+        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], [3, 2, 1, 0], [3, 2, 1, 0, 0, 0]),
+    ):
+        calls = []
+
+        def counted(power):
+            calls.append(power)
+            return rank_of(power)
+
+        walk = _RankWalk(make(rows), product, counted)
+        assert walk.run(5) == want, name
+        assert walk.ranks == measured and len(calls) == len(measured) - 1
+        assert walk.stable()
+        # kmax = 0 measures nothing; a short kmax fills from what it measured
+        fresh = _RankWalk(make(rows), product, rank_of)
+        assert fresh.run(0) == [3] and fresh.ranks == [3]
+        assert fresh.run(1) == want[:2] and fresh.ranks == measured[:2]
+
+
+def test_rank_walk_refuses_rising_ranks_and_odd_pair_nullities():
+    step = [[0] * 4 for _ in range(4)]
+    rising = iter([2, 3])
+    walk = _RankWalk(step, _row_product, lambda power: next(rising))
+    assert walk.deepen() == 2
+    with pytest.raises(DiagnosticError, match=re.escape("rank sequence increased: [4, 2, 3]")):
+        walk.deepen()
+    # a pair step's ranks are halved onto lam: nullity 2 is one for lam
+    lam = RationalComplex(Fraction(1, 2), Fraction(3))
+    halved = iter([2, 1])
+    pair = _RankWalk(step, _row_product, lambda power: next(halved), lam)
+    assert pair.pair and pair.deepen() == 1 and pair.ranks == [4, 3]
+    with pytest.raises(DiagnosticError, match=re.escape(
+            "q(A)^2 at the pair 1/2+3i has odd nullity 3; a real matrix has paired kernels")):
+        pair.deepen()
 
 
 def test_rank_routines_refuse_nan_tol():
@@ -715,7 +774,7 @@ def test_rank_routines_refuse_nan_tol():
     with pytest.raises(InputError, match="nonnegative number"):
         power_rank_sequence(a, 1.0, 2, tol=math.nan)
     with pytest.raises(InputError, match="nonnegative number"):
-        float_rank_sequence(a.to_numpy(), 2.0, [1.0], 2, tol=math.nan)
+        float_rank_sequence(a.to_numpy(), 2.0, 1.0, 2, tol=math.nan)
     with pytest.raises(InputError, match="nonnegative number"):
         rank(a, tol=math.nan)
 
@@ -727,7 +786,7 @@ _FLOAT_2X2 = Matrix.floating([[1.0, 0.0], [0.0, 2.0]])
 @pytest.mark.parametrize("measure", [
     lambda: power_rank_sequence(_FLOAT_2X2, _HUGE, 2),
     lambda: power_rank_sequence(_FLOAT_2X2, RationalComplex(Fraction(1), _HUGE), 2),
-    lambda: float_rank_sequence(_FLOAT_2X2.to_numpy(), 2.0, [1.0, 10**400], 2),
+    lambda: float_rank_sequence(_FLOAT_2X2.to_numpy(), 2.0, 10**400, 2),
     lambda: jordan_counts(_FLOAT_2X2, _HUGE),
     lambda: jordan_counts(_FLOAT_2X2, RationalComplex(Fraction(0), _HUGE)),
 ], ids=["power-real", "power-pair", "float-batch", "jordan-real", "jordan-pair"])

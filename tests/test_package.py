@@ -1,9 +1,11 @@
 """Package-level guards: the README's library example runs as written,
 sympy stays unimported by importing flowclass, by exact spectra that
 the candidate certificate closes (only its fallback loads sympy) and by
-float classify and simulate runs, every exported name resolves, and the
-benchmark's tracer finds every function it wraps."""
+float classify and simulate runs, every exported name resolves, no
+private helper is left unused, and the benchmark's tracer finds every
+function it wraps."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -77,6 +79,42 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
         assert missing == [], name
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """Names of the module-level private functions, classes and constants."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _loaded_names(tree: ast.Module) -> set:
+    """Every name the module reads: loaded names, attributes and import aliases."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            loaded.update(alias.name for alias in node.names)
+    return loaded
+
+
+def test_no_private_helper_is_orphaned():
+    # a deleted caller must not leave its private helper behind
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "flowclass").glob("*.py"))}
+    loaded = set().union(*map(_loaded_names, trees.values()))
+    private = [(name, helper) for name, tree in trees.items()
+               for helper in _private_definitions(tree)]
+    assert len(private) > 100
+    assert [f"{name}:{helper}" for name, helper in private if helper not in loaded] == []
 
 
 def test_benchmark_tracer_wraps_every_target(monkeypatch):

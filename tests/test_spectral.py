@@ -238,6 +238,23 @@ def test_candidates_stop_beyond_2_to_53(v):
             eigenvalues(swap)
 
 
+@pytest.mark.parametrize("rows", [
+    [[2**53 + 1, 1], [0, 2]], [[1, -2**53 - 1], [0, 1]], [[-2**63, 1], [0, 2]],
+    [[1, 2**63], [0, 1]], [[10**400, 1], [0, 2]], [[Fraction(1, 2**54), 1], [0, 2]],
+], ids=["2^53+1", "defective", "-2^63", "2^63", "10^400", "cleared-by-2^54"])
+def test_entries_beyond_2_to_53_never_reach_the_certificate(monkeypatch, rows):
+    # _cyclic does not test B against 2^53 itself: its votes come only
+    # from _candidates, which gives none for such a B
+    def refused(b, candidates):
+        raise AssertionError("_cyclic called on a B beyond 2^53")
+
+    monkeypatch.setattr(spectral, "_cyclic", refused)
+    a = Matrix.exact(rows)
+    want = SpectrumDescriptor.make(
+        (lam, m, c) for lam, mult in eigenvalues(a) for m, c in jordan_counts(a, lam))
+    assert spectrum_descriptor(a) == want
+
+
 def _count_calls(monkeypatch, module, name, counted=lambda *args: True):
     calls = []
     original = getattr(module, name)
@@ -873,9 +890,10 @@ def test_float_tol_must_be_positive():
 def _reference_float_clusters(a, tol, shifts):
     """The greedy loop over every root, one rank walk per tentative mean,
     each measured shift appended to shifts: the reference for
-    _float_clusters, which settles isolated roots in one batch and, at
-    the default tol, derives the ranks of those it proves simple
-    (_certified_simple) in place of walking them."""
+    _float_clusters, which takes each isolated root as a cluster of its
+    own without trying larger groups and, at the default tol, derives
+    the ranks of those it proves simple (_certified_simple) in place of
+    walking them."""
     arr = a.to_numpy()
     roots = np.linalg.eigvals(arr)
     n = a.n
@@ -926,9 +944,9 @@ def test_float_clusters_match_the_greedy_loop(monkeypatch):
     # complex cluster that _float_clusters settles with the cluster
     measured = []
 
-    def recorded(arr, norm, shifts, kmax, tol=None):
-        measured.extend(shifts)
-        return numkit.float_rank_sequence(arr, norm, shifts, kmax, tol)
+    def recorded(arr, norm, lam, kmax, tol=None):
+        measured.append(lam)
+        return numkit.float_rank_sequence(arr, norm, lam, kmax, tol)
 
     monkeypatch.setattr(spectral, "float_rank_sequence", recorded)
     rng = np.random.default_rng(83)
