@@ -881,7 +881,7 @@ def _load_document(path: str) -> dict:
         doc = _parsed(text)
     except yaml.YAMLError as exc:
         raise InputError(f"{path}: not valid YAML: {exc}") from None
-    except ValueError as exc:
+    except ValueError as exc:  # int() past its digit limit, or a date out of range
         raise InputError(f"{path}: cannot read a scalar: {_unreadable(exc)}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: the document must be a mapping")
