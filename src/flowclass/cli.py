@@ -119,7 +119,8 @@ def _report(command: str, payload: dict, diagnostics) -> Report:
 
 def emit_json(report: Report) -> str:
     """The report as json.dumps(..., sort_keys=True, indent=2,
-    allow_nan=False) writes it, byte for byte, by `_json_text`."""
+    allow_nan=False) writes it, byte for byte: `_json_text` writes it in
+    one pass, with one cache of encoded keys for the whole report."""
     return _json_text(
         {
             "command": report.command,
@@ -127,24 +128,22 @@ def emit_json(report: Report) -> str:
             "payload": report.payload,
         },
         "\n",
+        {},
     )
 
 
-def _json_text(o, pad: str) -> str:
+def _json_text(o, pad: str, keys: dict) -> str:
     """JSON text of o as json.dumps(o, sort_keys=True, indent=2,
     allow_nan=False) writes it, pad being the newline and indent before
-    o's line.  The stdlib writes an indented document with its
-    pure-Python encoder, a generator step per token; this dispatches on
-    exact type and falls back to json's isinstance order for subclasses.
-    A non-finite float raises ValueError and a value json cannot write
-    TypeError, as json.dumps does (without its check for cycles)."""
+    o's line and keys the encoded str keys met so far, each with its
+    ": ".  The stdlib writes an indented document with its pure-Python
+    encoder, a generator step per token.  This writes a container's items
+    of exact type str, int and finite float inline, so a report costs one
+    call per container, and takes anything else through json's isinstance
+    order, subclasses included.  A non-finite float raises ValueError and a
+    value json cannot write TypeError, as json.dumps does, key before value
+    (without its check for cycles)."""
     kind = type(o)
-    if kind is str:
-        return encode_basestring_ascii(o)
-    if kind is float:
-        return _json_float(o)
-    if kind is int:
-        return int.__repr__(o)
     if kind is not list and kind is not dict and kind is not tuple:
         if isinstance(o, str):
             return encode_basestring_ascii(o)
@@ -160,13 +159,33 @@ def _json_text(o, pad: str) -> str:
             return _json_float(o)
         if not isinstance(o, (list, tuple, dict)):
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    mapping = isinstance(o, dict)
     if not o:
-        return "{}" if isinstance(o, dict) else "[]"
+        return "{}" if mapping else "[]"
     inner = pad + "  "
-    if isinstance(o, dict):
-        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in sorted(o.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + pad + "]"
+    parts = []
+    for item in sorted(o.items()) if mapping else o:
+        if mapping:
+            k, v = item
+            if type(k) is str:
+                head = keys.get(k)
+                if head is None:
+                    head = keys[k] = encode_basestring_ascii(k) + ": "
+            else:
+                head = _json_key(k) + ": "
+        else:
+            head, v = "", item
+        kind = type(v)
+        if kind is float and math.isfinite(v):
+            parts.append(head + float.__repr__(v))
+        elif kind is int:
+            parts.append(head + int.__repr__(v))
+        elif kind is str:
+            parts.append(head + encode_basestring_ascii(v))
+        else:
+            parts.append(head + _json_text(v, inner, keys))
+    opening, closing = "{}" if mapping else "[]"
+    return opening + inner + ("," + inner).join(parts) + pad + closing
 
 
 def _json_float(x: float) -> str:
@@ -183,7 +202,7 @@ def _json_key(k) -> str:
     elif isinstance(k, float):
         text = _json_float(k)
     elif k is True or k is False or k is None:
-        text = _json_text(k, "")
+        text = _json_text(k, "", {})
     elif isinstance(k, int):
         text = int.__repr__(k)
     else:
@@ -380,7 +399,7 @@ def _plain_bool(x, path: str) -> bool:
 
 
 def _check_keys(doc: dict, allowed: set, where: str) -> None:
-    extra = sorted(set(doc) - allowed)
+    extra = sorted(map(str, doc.keys() - allowed))  # keys need not be str
     if extra:
         raise InputError(
             f"{where}: unknown keys {', '.join(extra)} "
@@ -808,67 +827,110 @@ def _build_parser() -> argparse.ArgumentParser:
 # plain scalars read without PyYAML's constructor: these patterns are
 # strict subsets of YAML 1.1's float and int, whose values float() and
 # int() give as SafeLoader does
-_PLAIN_FLOAT = re.compile(r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?")
+_FLOAT = r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?"
+_PLAIN_FLOAT = re.compile(_FLOAT)
+_PLAIN_FLOATS = re.compile(f"{_FLOAT}(?:\n{_FLOAT})*")  # a run of them, one a line
 _PLAIN_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
 _RESOLVER = yaml.resolver.Resolver()
 _STR_TAG = "tag:yaml.org,2002:str"
 
 
 class _Unplain(Exception):
-    """A node only PyYAML's constructor reads: a plain scalar of an
-    implicit tag other than str (a merge key among them) or an
-    unhashable key."""
+    """An event only PyYAML's composer or constructor reads: an alias, a
+    plain scalar of an implicit tag other than str (a merge key among
+    them), an unhashable key or a second document."""
 
 
 def _parsed(text: str):
     """The document as yaml.load(text, SafeLoader) builds it (libyaml's
-    CSafeLoader when PyYAML has it).  A text without tags or anchors, so
-    with no alias and no node met twice, is composed with no implicit
-    resolvers (CBaseLoader or BaseLoader) and built by walking its
-    nodes; any other text, or a walk that meets a node it cannot read,
-    takes yaml.load."""
+    CSafeLoader when PyYAML has it).  A text without tags or anchors is
+    read in one iterative pass over the parser's events (CBaseLoader, or
+    BaseLoader without libyaml), with no composed node.  When that pass
+    meets what it does not read (`_Unplain`), a YAMLError or a ValueError
+    of int() or float(), the text takes yaml.load, as does any text with
+    a tag or an anchor.  yaml.load parses the whole stream before it
+    constructs a value, so the error it meets, perhaps later in the text
+    than the pass, is the one reported."""
     if "!" not in text and "&" not in text:
         loader = getattr(yaml, "CBaseLoader", yaml.BaseLoader)(text)
         try:
-            node = loader.get_single_node()
+            return _walked(loader.get_event)
+        except (_Unplain, ValueError, yaml.YAMLError):
+            pass
         finally:
             loader.dispose()
-        try:
-            return None if node is None else _built(node)
-        except _Unplain:
-            pass
     return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
-def _built(node):
-    """The value of a composed node, as SafeLoader constructs it."""
-    if node.id == "scalar":
-        return _scalar(node)
-    if node.id == "sequence":
-        return [_scalar(x) if x.id == "scalar" else _built(x) for x in node.value]
-    out = {}
-    for key_node, value_node in node.value:
-        key = _built(key_node)
-        if type(key) is list or type(key) is dict:
+def _walked(next_event):
+    """The single document of an event stream without tags or anchors, as
+    SafeLoader constructs it.  Open collections are kept on a stack, so
+    nesting depth costs no recursion; a mapping's keys and values
+    alternate in its items until its end."""
+    scalar, end = yaml.ScalarEvent, yaml.StreamEndEvent
+    next_event()  # StreamStartEvent
+    if type(next_event()) is end:
+        return None
+    items = []  # the items of the innermost open collection, or the document's
+    outer = []  # the items of the collections around it
+    event = next_event()
+    while True:
+        kind = type(event)
+        if kind is scalar:
+            if event.style:  # quoted or block: always text
+                items.append(event.value)
+            else:
+                run = [event.value]
+                event = next_event()
+                while type(event) is scalar and not event.style:
+                    run.append(event.value)
+                    event = next_event()
+                # floats at once when one match finds each a narrow float,
+                # as in a row of a float matrix; a scalar folded over lines
+                # can hold a line break, which float() refuses
+                floats = _PLAIN_FLOATS.fullmatch("\n".join(run))
+                items += map(float if floats else _scalar, run)
+                continue
+        elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+            outer.append(items)
+            items = []
+        elif kind is yaml.SequenceEndEvent:
+            value, items = items, outer.pop()
+            items.append(value)
+        elif kind is yaml.MappingEndEvent:
+            keys = items[::2]
+            if list in map(type, keys) or dict in map(type, keys):
+                raise _Unplain
+            value, items = dict(zip(keys, items[1::2])), outer.pop()
+            items.append(value)
+        elif kind is yaml.DocumentEndEvent:
+            break
+        else:  # an alias
             raise _Unplain
-        out[key] = _built(value_node)
-    return out
+        event = next_event()
+    if type(next_event()) is not end:
+        raise _Unplain
+    return items[0]
 
 
-def _scalar(node):
-    text = node.value
-    if node.style:  # quoted or block: always text
-        return text
+def _scalar(text: str):
+    """A plain scalar's value as SafeLoader resolves and constructs it.
+    Text whose first character starts no implicit resolver is a str with
+    no call of the resolver."""
     if _PLAIN_FLOAT.fullmatch(text):
         return float(text)
     if _PLAIN_INT.fullmatch(text):
         return int(text)
-    if _RESOLVER.resolve(yaml.ScalarNode, text, (True, False)) != _STR_TAG:
+    if text[:1] in _RESOLVER.yaml_implicit_resolvers and (
+            _RESOLVER.resolve(yaml.ScalarNode, text, (True, False)) != _STR_TAG):
         raise _Unplain
     return text
 
 
 def _load_document(path: str) -> dict:
+    """The document at path (- for stdin) as a mapping, read by `_parsed`.
+    An unreadable file, text that is not YAML, a scalar no constructor can
+    read and a document that is not a mapping are input errors."""
     try:
         if path == "-":
             text = sys.stdin.read()

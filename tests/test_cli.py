@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import flowclass
 from conftest import haar_similar, hyperbolic_blocks, rotation
-from flowclass import flowsim, numkit, spectral
+from flowclass import cli, flowsim, numkit, spectral
 from flowclass.cli import (
     _PLAIN_FLOAT,
     _PLAIN_INT,
@@ -600,21 +600,22 @@ def _yaml_route(route):
         yield getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def test_loader_without_libyaml_composes_with_base_loader(monkeypatch):
-    # BaseLoader's composer gives plain scalars the style None, not ''
-    composed = []
+def test_loader_without_libyaml_reads_base_loader_events(monkeypatch):
+    # the pure parser gives plain scalars the style None, libyaml ''
+    events = []
 
     class BaseLoader(yaml.BaseLoader):
-        def get_single_node(self):
-            composed.append(super().get_single_node())
-            return composed[-1]
+        def get_event(self):
+            events.append(super().get_event())
+            return events[-1]
 
     monkeypatch.delattr(yaml, "CBaseLoader")
     monkeypatch.delattr(yaml, "CSafeLoader")
     monkeypatch.setattr(yaml, "BaseLoader", BaseLoader)
     assert repr(_parsed("a: [1.5, -2, '3', x]\n")) == "{'a': [1.5, -2, '3', 'x']}"
-    (node,) = composed
-    assert node.value[0][1].value[0].style is None
+    scalars = [(e.value, e.style) for e in events if type(e) is yaml.ScalarEvent]
+    assert scalars == [("a", None), ("1.5", None), ("-2", None), ("3", "'"), ("x", None)]
+    assert type(events[-1]) is yaml.StreamEndEvent
 
 
 @pytest.mark.parametrize("route", ["libyaml", "pure"])
@@ -644,14 +645,50 @@ def test_plain_patterns_are_yaml_floats_and_ints():
     assert not _PLAIN_FLOAT.fullmatch("-.5") and not _PLAIN_INT.fullmatch("017")
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the walk left the event stream")
+
+
 @pytest.mark.parametrize("seed", [1, 2, 5, 77, 4242])
 def test_loader_matches_safe_loader_on_workload_documents(monkeypatch, tmp_path, seed):
+    # every workload document is read by the walk alone: neither
+    # yaml.load nor the resolver is called
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     from workloads import FloatClassify
 
-    for op in FloatClassify(str(tmp_path)).inputs(seed):
-        text = Path(op.data["path"]).read_text()
-        assert repr(_load_document(op.data["path"])) == repr(yaml.load(text, Loader=yaml.CSafeLoader))
+    ops = FloatClassify(str(tmp_path)).inputs(seed)
+    want = [repr(yaml.load(Path(op.data["path"]).read_text(), Loader=yaml.CSafeLoader))
+            for op in ops]
+    monkeypatch.setattr(yaml, "load", _refuse)
+    monkeypatch.setattr(cli._RESOLVER, "resolve", _refuse)
+    assert [repr(_load_document(op.data["path"])) for op in ops] == want
+
+
+@pytest.mark.parametrize("route", ["libyaml", "pure"])
+@pytest.mark.parametrize("text,error", [
+    (f"a: [{'1' * (sys.get_int_max_str_digits() + 1)}]\nb: [\n", "ParserError"),
+    ("a: yes\n---\nb: 1\n", "ComposerError"),
+    ("matrix: [[1.5, 2.5, *a]]\n", "ComposerError"),
+    ("a: [1.5\n\n  2.5, 3.5]\n", None),
+], ids=["long-int-then-syntax", "unplain-then-second-document", "alias-after-run",
+        "folded-run"])
+def test_loader_fails_as_yaml_load_does(route, text, error):
+    # the walk meets each first fault before the parser meets the one
+    # yaml.load reports, and a plain scalar folded over lines is no float
+    with _yaml_route(route) as safe:
+        got = _outcome(_parsed, text)
+        assert got == _outcome(lambda t: yaml.load(t, Loader=safe), text)
+    assert (got[0] if error else type(got)) == (error or str)
+
+
+@pytest.mark.parametrize("route", ["libyaml", "pure"])
+@pytest.mark.parametrize("depth", [500, 5000])
+def test_deeply_nested_matrix_is_an_input_error(capsys, tmp_path, route, depth):
+    # the walk keeps open collections on a stack, not on Python's
+    doc = write_doc(tmp_path, "matrix: " + "[" * depth + "]" * depth + "\n")
+    with _yaml_route(route):
+        got = run(capsys, "classify", doc)
+    assert got == (1, "", "flowclass: error: matrix[0][0]: expected a number, got list\n")
 
 
 _UNHASHABLE = {
@@ -805,6 +842,21 @@ def test_unknown_key_is_rejected(capsys, tmp_path):
     doc = write_doc(tmp_path, "matrix: [[0]]\nbogus: 1\n")
     code, _, err = run(capsys, "classify", doc)
     assert code == 1 and "unknown keys bogus" in err
+
+
+@pytest.mark.parametrize("command,text,err", [
+    ("classify", "matrix: [[1.5]]\n1: a\n",
+     "document: unknown keys 1 (allowed: matrix, mode, n, spectrum)"),
+    ("classify", "matrix: [[1.5]]\n1: a\nx: b\n",
+     "document: unknown keys 1, x (allowed: matrix, mode, n, spectrum)"),
+    ("equiv", "left: {matrix: [[1.5]], 2.5: x}\nright: {matrix: [[1.5]]}\n",
+     "left: unknown keys 2.5 (allowed: matrix, mode, n, spectrum)"),
+    ("invariants", "frequencies: [0.5, 1.5]\n1: a\nno: b\n",
+     "document: unknown keys 1, False (allowed: dim_fixed, frequencies, mode)"),
+])
+def test_unknown_keys_that_are_not_text_are_named(capsys, tmp_path, command, text, err):
+    code, out, got = run(capsys, command, write_doc(tmp_path, text))
+    assert (code, out, got) == (1, "", f"flowclass: error: {err}\n")
 
 
 def test_top_level_unknown_key_names_the_document(capsys):
