@@ -79,42 +79,17 @@ class Report:
     diagnostics: tuple = ()
 
 
-def _same(x):
+def _number(x):
+    """A payload leaf as a report holds it: a Fraction as its ratio
+    string, a complex value as its [re, im] pair, a float that is not
+    finite as None (JSON has no such number), and anything else as it is."""
+    if isinstance(x, float):
+        return float(x) if math.isfinite(x) else None
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, complex):
+        return [_number(x.real), _number(x.imag)]
     return x
-
-
-# _jsonable by exact type, and by the first base in this order for a subclass
-_JSONABLE = {
-    type(None): _same,
-    bool: _same,
-    int: _same,
-    str: _same,
-    float: lambda x: float(x) if math.isfinite(x) else None,
-    Fraction: str,
-    RationalComplex: lambda x: [str(x.re), str(x.im)],
-    complex: lambda x: [float(x.real), float(x.imag)],
-    dict: lambda x: {str(k): _jsonable(v) for k, v in x.items()},
-    list: lambda x: [_jsonable(v) for v in x],
-    tuple: lambda x: [_jsonable(v) for v in x],
-}
-
-
-def _jsonable(x):
-    convert = _JSONABLE.get(type(x))
-    if convert is not None:
-        return convert(x)
-    for base, convert in _JSONABLE.items():
-        if isinstance(x, base):
-            return convert(x)
-    if isinstance(x, np.generic):
-        return _jsonable(x.item())
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    raise InputError(f"cannot serialize {type(x).__name__} into a report")
-
-
-def _report(command: str, payload: dict, diagnostics) -> Report:
-    return Report(command, _jsonable(payload), tuple(diagnostics))
 
 
 def emit_json(report: Report) -> str:
@@ -520,7 +495,7 @@ def _blocks_payload(desc: SpectrumDescriptor) -> list:
     out = []
     for lam, m, count in desc.blocks:
         re_v, im_v = lam_parts(lam)
-        out.append({"re": re_v, "im": im_v, "size": m, "count": count})
+        out.append({"re": _number(re_v), "im": _number(im_v), "size": m, "count": count})
     return out
 
 
@@ -529,7 +504,7 @@ def _signature_payload(sig) -> dict:
         "expanding": sig.dim_plus,
         "contracting": sig.dim_minus,
         "center": [
-            {"im": im, "size": m, "count": c} for im, m, c in sig.center
+            {"im": _number(im), "size": m, "count": c} for im, m, c in sig.center
         ],
     }
 
@@ -543,11 +518,11 @@ def _class_payload(cls, dim_fixed: int) -> dict:
             for f, p in zip(cls.frequencies, cls.p)
         )
     return {
-        "beta": cls.beta,
+        "beta": _number(cls.beta),
         "multipliers": list(cls.p),
-        "max_rel_dev": rel_dev,
-        "values": list(profile.values),
-        "profile": [[v, d] for v, d in profile.preimage_dims],
+        "max_rel_dev": _number(rel_dev),
+        "values": [_number(v) for v in profile.values],
+        "profile": [[_number(v), d] for v, d in profile.preimage_dims],
     }
 
 
@@ -556,7 +531,7 @@ def _bounded_payload(bnd) -> dict:
         "dim_bounded": bnd.dim_bounded,
         "dim_fixed": bnd.dim_fixed,
         "classes": [_class_payload(c, bnd.dim_fixed) for c in bnd.classes],
-        "unclassed": list(bnd.unclassed),
+        "unclassed": [_number(beta) for beta in bnd.unclassed],
     }
 
 
@@ -585,7 +560,7 @@ def _cmd_classify(doc: dict, args) -> Report:
         "signature": _signature_payload(sig),
         "bounded": _bounded_payload(bnd),
     }
-    return _report("classify", payload, diags)
+    return Report("classify", payload, tuple(diags))
 
 
 def _cmd_equiv(doc: dict, args) -> Report:
@@ -604,7 +579,7 @@ def _cmd_equiv(doc: dict, args) -> Report:
         "left": _signature_payload(sig_l),
         "right": _signature_payload(sig_r),
     }
-    return _report("equiv", payload, diags)
+    return Report("equiv", payload, tuple(diags))
 
 
 def _cmd_invariants(doc: dict, args) -> Report:
@@ -630,9 +605,9 @@ def _cmd_invariants(doc: dict, args) -> Report:
             "classes": [
                 _class_payload(c, dim_fixed) for c in classes if len(c.p) >= 2
             ],
-            "unclassed": [c.beta for c in classes if len(c.p) == 1],
+            "unclassed": [_number(c.beta) for c in classes if len(c.p) == 1],
         }
-        return _report("invariants", payload, diags)
+        return Report("invariants", payload, tuple(diags))
     desc = _system_descriptor(doc, args, "", diags)
     bnd = bounded_structure(desc, qmax=qmax)
     payload = {
@@ -640,7 +615,7 @@ def _cmd_invariants(doc: dict, args) -> Report:
         "n": desc.n,
         "bounded": _bounded_payload(bnd),
     }
-    return _report("invariants", payload, diags)
+    return Report("invariants", payload, tuple(diags))
 
 
 def _cmd_simulate(doc: dict, args) -> Report:
@@ -696,15 +671,15 @@ def _cmd_simulate(doc: dict, args) -> Report:
         "probe": {
             "verdict": probe.verdict,
             "reason": probe.reason,
-            "ratio": probe.ratio,
+            "ratio": _number(probe.ratio),
         },
         "period": {
             "kind": period.kind,
-            "period": period.period,
-            "residual": period.residual,
+            "period": _number(period.period),
+            "residual": _number(period.residual),
         },
     }
-    return _report("simulate", payload, diags)
+    return Report("simulate", payload, tuple(diags))
 
 
 def _cmd_witness(doc: dict, args) -> Report:
@@ -731,25 +706,25 @@ def _cmd_witness(doc: dict, args) -> Report:
         head, beta, even=even, target_zero=target_zero, count=count
     )
     payload = {
-        "beta": wit.beta,
+        "beta": _number(wit.beta),
         "m": wit.m,
         "r": wit.r,
-        "times": list(wit.times),
-        "x_seq": [list(x) for x in wit.x_seq],
-        "y_seq": [list(y) for y in wit.y_seq],
-        "x_lim": list(wit.x_lim),
-        "y_lim": list(wit.y_lim),
+        "times": [_number(t) for t in wit.times],
+        "x_seq": [[_number(c) for c in x] for x in wit.x_seq],
+        "y_seq": [[_number(c) for c in y] for y in wit.y_seq],
+        "x_lim": [_number(c) for c in wit.x_lim],
+        "y_lim": [_number(c) for c in wit.y_lim],
     }
     if not even:
         corner = wit.corner_values
         payload["corner"] = {
             "index": wit.corner_index,
-            "values": list(corner),
-            "extrapolated": extrapolate_to_zero(
+            "values": [_number(c) for c in corner],
+            "extrapolated": _number(extrapolate_to_zero(
                 wit.times, corner, degree=min(wit.r, len(corner) - 1)
-            ),
+            )),
         }
-    return _report("witness", payload, diags)
+    return Report("witness", payload, tuple(diags))
 
 
 # ---- entry point ------------------------------------------------------------------

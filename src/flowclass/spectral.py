@@ -8,10 +8,12 @@ With B = D A, D the lcm of the denominators of A, det(tI - B) is monic
 with integer coefficients, so D lam is a Gaussian integer for every
 eigenvalue lam with rational real and imaginary parts.  The roots of B
 as floats, rounded to the nearest Gaussian integers, give the candidates
-and their votes.  The votes name a polynomial f of degree n; when the
-Krylov sequence of a fixed vector v, run modulo small primes against an
-a-priori bound, proves f(B) v = 0 and no proper divisor of f kills v,
-then f = det(tI - B) and B is non-derogatory (`_cyclic`): each
+and their votes.  The votes name a polynomial f of degree n.  The
+Krylov columns v, B v, ..., B^n v of a fixed vector v, formed once
+modulo small primes against an a-priori bound, give f(B) v and every
+(f/q_i)(B) v, q_i a factor of f, as products with coefficients; when
+they prove f(B) v = 0 and no proper divisor of f kills v, then
+f = det(tI - B) and B is non-derogatory (`_cyclic`): each
 eigenvalue has one Jordan block, sized by its votes, and its rank
 sequence n - min(k, m) is derived, not measured.  Otherwise a candidate
 is accepted when the integer rank sequence of its shifted powers drops,
@@ -325,8 +327,8 @@ def _start_vector(n: int) -> list:
 
 
 # `_cyclic` works modulo these primes below 2^24, largest first: products of
-# residues stay below 2^48, so an n-term sum of them is exact in int64 for
-# n < 2^15; together they exceed 2^1535
+# residues stay below 2^48, so with n < 2^10 a sum of n + 1 of them stays
+# below 2^58, exact in int64; together they exceed 2^1535
 _MODULI = tuple(2**24 - c for c in (
     3, 17, 33, 63, 75, 77, 89, 95, 117, 167, 189, 227, 243, 245, 249, 255,
     275, 279, 285, 297, 315, 317, 347, 359, 377, 383, 399, 453, 485, 497,
@@ -347,20 +349,25 @@ def _cyclic(b: list, candidates: list) -> bool:
     distinct.  With v = `_start_vector(n)` and rho the largest row sum
     of |B|, a linear factor multiplies the largest entry of a vector at
     most by rho + |x| and a quadratic one by (rho + |x|)^2 + y^2, so
-    ||f(B) v|| has an a-priori bound.  f(B) v is computed modulo the
-    fewest `_MODULI` whose product exceeds that bound (at least one), all
-    of them in one stacked product a step; when it is 0 modulo each, it
-    is 0 over the integers (Chinese remaindering; von zur Gathen &
-    Gerhard, Modern Computer Algebra, ch. 5).  Then the minimal
+    ||f(B) v|| has an a-priori bound.  The Krylov columns v, B v, ...,
+    B^n v are formed once, modulo the fewest `_MODULI` whose product
+    exceeds that bound (at least one): a stacked mat-vec and a remainder
+    a step.  f(B) v is one product of them with the coefficients of f,
+    built as integers and reduced modulo each prime; when it is 0 modulo
+    each, it is 0 over the integers (Chinese remaindering; von zur Gathen
+    & Gerhard, Modern Computer Algebra, ch. 5).  Then the minimal
     polynomial of v divides f, and if it is not f it divides some f/q_i.
-    So when every (f/q_i)(B) v is nonzero modulo the first modulus (one
-    block of columns, column i skipping one copy of q_i), v has minimal
-    polynomial f of degree n: it is cyclic, f = det(tI - B) and B is
-    non-derogatory (Gantmacher, The Theory of Matrices I, ch. VII).  Any
-    other outcome proves nothing and answers False, as do n >= 2^10 and
-    a bound beyond the product of `_MODULI`.  B (int64 array or rows)
-    must have no entry beyond 2^53 in size, or int64 row sums for rho
-    could wrap: `_exact_spectrum`, the only caller, passes only votes of
+    Every (f/q_i)(B) v modulo the first prime is one product of the
+    first n columns with the coefficients of the f/q_i, each divided out
+    of f modulo that prime from the top down.  When none of them is 0, v
+    has minimal polynomial f of degree n: it is cyclic, f = det(tI - B)
+    and B is non-derogatory (Gantmacher, The Theory of Matrices I,
+    ch. VII).  Any other outcome proves nothing and answers False, as do
+    n >= 2^10 and a bound beyond the product of `_MODULI`.  Residues are
+    below 2^24, so each product sums at most n + 1 < 2^10 terms below
+    2^48 and stays exact in int64.  B (int64 array or rows) must have no
+    entry beyond 2^53 in size, or int64 row sums for rho could wrap:
+    `_exact_spectrum`, the only caller, passes only votes of
     `_candidates`, which gives none for such a B.
     """
     n = len(b)
@@ -378,26 +385,41 @@ def _cyclic(b: list, candidates: list) -> bool:
     if not size:
         return False
     moduli = _MODULI[:size]
-    q = np.array(moduli, dtype=np.int64)[:, None, None]
-    shifted = b % q - np.array(  # B - x, per candidate
-        [[x % p for p in moduli] for (x, _), _ in candidates]
-    )[..., None, None] * np.eye(n, dtype=np.int64)
-    squares = np.array([[y * y % p for p in moduli] for (_, y), _ in candidates])[..., None, None]
-    e = np.array([[c % p for c in v] for p in moduli])[..., None]  # f(B) v
-    s = e[:1].repeat(len(candidates), axis=2)  # (f/q_i)(B) v in column i
-
-    def factor(e, f, y2, q):  # q_i(B) e modulo q, with f = B - x and y2 = y^2
-        g = f @ e % q
-        return (f @ g + y2 * e) % q if y else g
-
-    for i, ((_, y), votes) in enumerate(candidates):
-        full, first = (shifted[i], squares[i], q), (shifted[i, :1], squares[i, :1], q[:1])
-        skipped = s[..., i].copy()
-        for copy in range(votes // 2 if y else votes):
-            e, s = factor(e, *full), factor(s, *first)
-            if not copy:
-                s[..., i] = skipped
-    return not e.any() and s.any(axis=1).all()
+    f = [1]  # coefficients of f, constant first
+    for (x, y), votes in candidates:
+        if y:  # times t^2 - 2x t + x^2 + y^2
+            s, c = -2 * x, x * x + y * y
+            for _ in range(votes // 2):
+                f = [a + s * e + c * g for a, e, g in zip([0, 0, *f], [0, *f, 0], [*f, 0, 0])]
+        else:  # times t - x
+            for _ in range(votes):
+                f = [a - x * e for a, e in zip([0, *f], [*f, 0])]
+    # v and the coefficients of f modulo each prime
+    residues = np.array([*v, *f], dtype=object) % np.array(moduli, dtype=object)[:, None]
+    residues = residues.astype(np.int64)
+    primes = np.array(moduli, dtype=np.int64)[:, None, None]
+    krylov = np.empty((size, n + 1, n), dtype=np.int64)  # row j is B^j v
+    krylov[:, 0] = residues[:, :n]
+    bt = b.T % primes
+    for j in range(n):
+        np.remainder(krylov[:, j:j + 1] @ bt, primes, out=krylov[:, j + 1:j + 2])
+    if ((residues[:, None, n:] @ krylov) % primes).any():  # f(B) v modulo each prime
+        return False
+    p, f = moduli[0], residues[0, n:].tolist()
+    quotients = []  # f/q_i modulo p, constant first
+    for (x, y), _ in candidates:
+        g = [0] * n
+        if y:  # g(j - 2) = f(j) + 2x g(j - 1) - (x^2 + y^2) g(j)
+            s, c, h, k = 2 * x % p, (x * x + y * y) % p, 0, 0
+            for j in range(n, 1, -1):
+                h, k = (f[j] + s * h - c * k) % p, h
+                g[j - 2] = h
+        else:  # g(j - 1) = f(j) + x g(j)
+            h = 0
+            for j in range(n, 0, -1):
+                h = g[j - 1] = (f[j] + x * h) % p
+        quotients.append(g)
+    return bool((np.array(quotients, dtype=np.int64) @ krylov[0, :n] % p).any(axis=1).all())
 
 
 def _exact_spectrum(a: Matrix) -> list:
@@ -691,9 +713,11 @@ def eigenvalues(a: Matrix, tol: float | None = None):
     before any work) and give Fraction or RationalComplex values or raise
     ExactModeError.  The LAPACK roots of B = D A, with D the lcm of the
     denominators of A, rounded to the nearest Gaussian integers z, give
-    the candidates z / D and their votes.  When a Krylov sequence, run
-    modulo small primes against an a-priori bound (`_cyclic`), proves
-    that the votes give det(tI - B) and that B is non-derogatory,
+    the candidates z / D and their votes.  The votes name f; when the
+    Krylov columns of a fixed vector, formed modulo small primes against
+    an a-priori bound, prove through their products with the
+    coefficients of f and of each f/q_i (`_cyclic`) that the votes give
+    det(tI - B) and that B is non-derogatory,
     each candidate is an eigenvalue with one Jordan block, its
     multiplicity m is its vote count (half of it for a pair), and its
     rank sequence n - min(k, m) is derived, not measured: no rank is

@@ -26,7 +26,6 @@ from flowclass.cli import (
     _PLAIN_FLOAT,
     _PLAIN_INT,
     Report,
-    _jsonable,
     _load_document,
     _parsed,
     emit_json,
@@ -965,8 +964,10 @@ def test_float_classify_workload_roots_are_certified_simple(monkeypatch, tmp_pat
 
 
 def _abc_jsonable(x):
-    """_jsonable by the isinstance chain alone: the reference for its
-    exact-type table."""
+    """What a report may hold, by the isinstance chain: the JSON-native
+    image of x, with a Fraction as its ratio string, a complex value as
+    its [re, im] pair and a float that is not finite as None.  The
+    payload builders are held to it: each payload is its own image."""
     if x is None or isinstance(x, (bool, int, str)):
         return x
     if isinstance(x, float):
@@ -976,7 +977,7 @@ def _abc_jsonable(x):
     if isinstance(x, RationalComplex):
         return [str(x.re), str(x.im)]
     if isinstance(x, complex):
-        return [float(x.real), float(x.imag)]
+        return [_abc_jsonable(float(x.real)), _abc_jsonable(float(x.imag))]
     if isinstance(x, dict):
         return {str(k): _abc_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -1012,15 +1013,51 @@ JSONABLE_VALUES = [
 
 @pytest.mark.parametrize("value", JSONABLE_VALUES, ids=repr)
 def test_jsonable_equals_the_isinstance_chain(value):
-    assert _typed(_jsonable(value)) == _typed(_abc_jsonable(value))
+    # the chain's image is JSON-native: it is its own image, and a report
+    # holding it reads back as written; a number the builders pass
+    # through cli._number gets the same image there
+    held = _abc_jsonable(value)
+    assert _typed(_abc_jsonable(held)) == _typed(held)
+    report = Report("t", {"v": held}, ())
+    assert _typed(parse_report(emit_json(report)).payload["v"]) == _typed(held)
+    if value is None or isinstance(value, (int, float, complex, Fraction, str)):
+        assert _typed(cli._number(value)) == _typed(held)
 
 
 def test_jsonable_refuses_what_the_isinstance_chain_refuses():
+    # and a report that holds such a value cannot be written
     for bad in (object(), {1, 2}, b"bytes", [1.0, object()]):
         with pytest.raises(InputError, match="cannot serialize"):
-            _jsonable(bad)
-        with pytest.raises(InputError, match="cannot serialize"):
             _abc_jsonable(bad)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emit_json(Report("t", {"v": bad}, ()))
+
+
+@pytest.mark.parametrize("command,text", [
+    ("classify", "matrix: [[1/2, 1, 0, 0], [0, 1/2, 0, 0], [0, 0, 0, -3/7], [0, 0, 3/7, 0]]\n"),
+    ("classify", "spectrum: [{re: 0.0, im: 1.25, size: 1}, {re: 0.0, im: -1.25, size: 1},\n"
+                 "  {re: 0.0, im: 2.5, size: 1}, {re: 0.0, im: -2.5, size: 1}, {re: -1.0, size: 2}]\n"),
+    ("equiv", "left: {matrix: [[0, -1], [1, 0]]}\nright: {matrix: [[0, -2], [1/2, 0]]}\n"),
+    ("invariants", "frequencies: [0.5, 1.0, 1.5, 2.718281828]\ndim_fixed: 2\n"),
+    ("invariants", "matrix: [[0, -1, 0], [1, 0, 0], [0, 0, 3/2]]\n"),
+    ("simulate", "matrix: [[700.0, 0.0], [0.0, -1.0]]\npoint: [1.0, 1.0]\n"),
+    ("witness", "head: [[1, 2], 0.5]\nbeta: 0.75\neven: true\ncount: 6\n"),
+    *[(command, (GOLDEN / f"{name}.yaml").read_text()) for command, name in (
+        ("equiv", "rotation_pair"), ("equiv", "conjugate_pair"),
+        ("classify", "classify_saddle_rotor"), ("invariants", "invariants_freqs"),
+        ("simulate", "simulate_quarter"), ("witness", "witness_basic"))],
+], ids=lambda x: x if x in cli._COMMANDS else "")
+def test_payload_builders_make_json_native_reports(monkeypatch, capsys, tmp_path,
+                                                   command, text):
+    # Fractions, [re, im] pairs and an overflowed probe's ratio (None)
+    # included: no report is copied into JSON-native values on its way out
+    reports = []
+    emit = cli.emit_json
+    monkeypatch.setattr(cli, "emit_json", lambda report: reports.append(report) or emit(report))
+    code, out, _ = run(capsys, command, write_doc(tmp_path, text), "--format", "json")
+    assert code == 0 and len(reports) == 1
+    assert _typed(_abc_jsonable(reports[0].payload)) == _typed(reports[0].payload)
+    assert parse_report(out) == reports[0]
 
 
 def _dumps(report: Report) -> str:

@@ -7,6 +7,8 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -496,6 +498,49 @@ def test_certificate_agrees_with_walks_and_reference_on_random_integer_matrices(
 # ---- exact eigenvalues: the certificate's modular proof -------------------------
 
 
+def _factorwise_cyclic(b: list, candidates: list) -> bool:
+    """The certificate as it was before it took f(B) v and every
+    (f/q_i)(B) v as products of one Krylov sequence: the same facts
+    modulo the same primes, reached by applying f's factors one copy at a
+    time to f(B) v under every modulus and to a block of columns, column
+    i skipping one copy of q_i, under the first."""
+    n = len(b)
+    b = np.asarray(b, dtype=np.int64)
+    if (n >= 2**10 or sum(votes for _, votes in candidates) != n
+            or any(y and votes % 2 for (_, y), votes in candidates)):
+        return False
+    v = spectral._start_vector(n)
+    rho = int(np.abs(b).sum(axis=1).max())
+    bound = max(map(abs, v))
+    for (x, y), votes in candidates:
+        step = rho + abs(x)
+        bound *= (step * step + y * y) ** (votes // 2) if y else step**votes
+    size = next((k for k, p in enumerate(accumulate(spectral._MODULI, mul), 1) if p > bound), 0)
+    if not size:
+        return False
+    moduli = spectral._MODULI[:size]
+    q = np.array(moduli, dtype=np.int64)[:, None, None]
+    shifted = b % q - np.array(  # B - x, per candidate
+        [[x % p for p in moduli] for (x, _), _ in candidates]
+    )[..., None, None] * np.eye(n, dtype=np.int64)
+    squares = np.array([[y * y % p for p in moduli] for (_, y), _ in candidates])[..., None, None]
+    e = np.array([[c % p for c in v] for p in moduli])[..., None]  # f(B) v
+    s = e[:1].repeat(len(candidates), axis=2)  # (f/q_i)(B) v in column i
+
+    def factor(e, f, y2, q):  # q_i(B) e modulo q, with f = B - x and y2 = y^2
+        g = f @ e % q
+        return (f @ g + y2 * e) % q if y else g
+
+    for i, ((_, y), votes) in enumerate(candidates):
+        full, first = (shifted[i], squares[i], q), (shifted[i, :1], squares[i, :1], q[:1])
+        skipped = s[..., i].copy()
+        for copy in range(votes // 2 if y else votes):
+            e, s = factor(e, *full), factor(s, *first)
+            if not copy:
+                s[..., i] = skipped
+    return not e.any() and s.any(axis=1).all()
+
+
 def _reference_cyclic(b: list, candidates: list) -> bool:
     """The certificate as it was before it ran modulo small primes: one
     big-integer Krylov sequence and an elimination modulo 2^61 - 1."""
@@ -547,17 +592,30 @@ def _certificate_bound(b, candidates):
 
 @pytest.mark.parametrize("seed", [1, 2, 5, 77, 4242])
 def test_certificate_verdicts_match_the_reference_on_benchmark_inputs(monkeypatch, seed):
+    # every benchmark matrix, also with its first vote moved by +-1, and
+    # random integer matrices of n = 1 ... 8: pairs, odd votes, and the
+    # shortest divisions (n = 1, a lone pair at n = 2)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
 
-    certified = 0
+    certified, cases = 0, []
     for op in workloads.ExactDecide().inputs(seed):
         for side in ("left", "right"):
             b = cleared(Matrix.exact(op.data[side]))[1]
             votes = _candidates(b)
-            assert spectral._cyclic(b, votes) == _reference_cyclic(b, votes)
-            certified += _reference_cyclic(b, votes)
+            verdict = _reference_cyclic(b, votes)
+            assert spectral._cyclic(b, votes) == _factorwise_cyclic(b, votes) == verdict
+            certified += verdict
+            ((x, y), m), *rest = votes
+            cases += [(b, [((x + dx, y), m), *rest]) for dx in (-1, 1)]
     assert 100 < certified < 150  # both verdicts occur
+    rng = random.Random(seed)
+    for n in range(1, 9):
+        for _ in range(12):
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            cases.append((b, _candidates(b)))
+    for b, votes in cases:
+        assert spectral._cyclic(b, votes) == _factorwise_cyclic(b, votes) == _reference_cyclic(b, votes)
 
 
 def _big_entry_matrix(rng, n, pair, derogatory):
@@ -597,7 +655,7 @@ def test_certificate_with_many_moduli_agrees_with_sympy():
         assert any(y for (_, y), _ in votes) == pair
         assert _certificate_bound(b, votes) > spectral._MODULI[0] ** 45
         verdict = spectral._cyclic(b, votes)
-        assert verdict == (not derogatory)
+        assert verdict == _factorwise_cyclic(b, votes) == (not derogatory)
         if verdict:
             t = sympy.Symbol("t")
             f = sympy.prod([((t - x) ** 2 + y * y) ** (m // 2) if y else (t - x) ** m
@@ -613,6 +671,8 @@ def test_moduli_table_holds_distinct_primes_below_2_to_24():
     moduli = spectral._MODULI
     assert list(moduli) == sorted(set(moduli), reverse=True)
     assert all(2**23 < p < 2**24 and sympy.isprime(p) for p in moduli)
+    # n < 2^10 residue products stay exact in int64, as f(B) v needs
+    assert 2**10 * (max(moduli) - 1) ** 2 < 2**63
     # enough for the certificates above, and for any n = 24 matrix with
     # entries up to 2^53: a root of B is at most rho in size, so each
     # factor of f grows the bound by at most (3 rho)^degree
@@ -621,11 +681,21 @@ def test_moduli_table_holds_distinct_primes_below_2_to_24():
     assert product > 3**23 * (3 * 24 * 2**53) ** 24
 
 
+def test_certificate_refuses_n_of_2_to_10_before_any_krylov_step(monkeypatch):
+    # the int64 sums above hold only for n < 2^10
+    def refused(n):
+        raise AssertionError("_cyclic went past its size check")
+
+    monkeypatch.setattr(spectral, "_start_vector", refused)
+    assert not spectral._cyclic(np.zeros((2**10, 2**10), dtype=np.int64), [((0, 0), 2**10)])
+
+
 def test_certificate_with_zero_row_sums():
     # rho = 0 gives the bound 0, and one modulus still runs the sequence
     for b, certified in (([[0]], True), ([[0] * 3] * 3, False), ([[0, 1], [0, 0]], True)):
         votes = _candidates(b)
-        assert spectral._cyclic(b, votes) == _reference_cyclic(b, votes) == certified
+        assert spectral._cyclic(b, votes) == _factorwise_cyclic(b, votes) == certified
+        assert _reference_cyclic(b, votes) == certified
     assert spectrum_descriptor(Matrix.exact([[0]])).blocks == ((Fraction(0), 1, 1),)
 
 
@@ -636,11 +706,13 @@ def test_multiples_of_the_first_moduli_are_not_taken_for_zero():
     for k in (1, 2):
         b = [[5 + math.prod(moduli[:k])]]
         for votes, certified in (([((b[0][0], 0), 1)], True), ([((5, 0), 1)], False)):
-            assert spectral._cyclic(b, votes) == _reference_cyclic(b, votes) == certified
+            assert spectral._cyclic(b, votes) == _factorwise_cyclic(b, votes) == certified
+            assert _reference_cyclic(b, votes) == certified
     # the candidate's |x| and y^2 count in the bound, not only B
     for b, votes in (([[0]], [((-moduli[0], 0), 1)]),
                      ([[0, 0], [0, 0]], [((0, moduli[0]), 2)])):
         assert not spectral._cyclic(b, votes)
+        assert not _factorwise_cyclic(b, votes)
         assert not _reference_cyclic(b, votes)
 
 
